@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -189,6 +190,22 @@ def _clean_float(x: Any) -> Any:
     return x
 
 
+@functools.cache
+def _instance_validator() -> Any:
+    """The validator of ``INSTANCE_SCHEMA``, checked against its metaschema
+    once, on first use rather than at import."""
+    cls = jsonschema.validators.validator_for(INSTANCE_SCHEMA)
+    cls.check_schema(INSTANCE_SCHEMA)
+    return cls(INSTANCE_SCHEMA)
+
+
+def _validate_instance(instance: Any) -> None:
+    """Raise the error ``jsonschema.validate`` would raise for ``instance``."""
+    error = jsonschema.exceptions.best_match(_instance_validator().iter_errors(instance))
+    if error is not None:
+        raise error
+
+
 def load_instance(path: str) -> dict:
     try:
         raw = Path(path).read_text()
@@ -199,7 +216,7 @@ def load_instance(path: str) -> dict:
     except json.JSONDecodeError as exc:
         raise CliError(f"{path} is not valid JSON: {exc}") from exc
     try:
-        jsonschema.validate(instance, INSTANCE_SCHEMA)
+        _validate_instance(instance)
     except jsonschema.ValidationError as exc:
         raise CliError(f"{path} failed schema validation: {exc.message}") from exc
     ids = [str(p["id"]) for p in instance["points"]]
@@ -595,7 +612,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         return 2
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    jsonschema.validate(instance, INSTANCE_SCHEMA)
+    _validate_instance(instance)
     _write(args.output, canonical_json(instance))
     return 0
 

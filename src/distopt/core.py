@@ -13,7 +13,7 @@ eagerly with compensated summation so long build sequences do not drift.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 #: weights within this absolute tolerance of zero are treated as removed
@@ -99,6 +99,9 @@ class ProducerTransform:
     a: float = 1.0
     b: float = 0.0
     table: tuple[tuple[float, float], ...] = ()
+    _lookup: dict[float, float] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.kind not in ("identity", "affine", "table"):
@@ -118,6 +121,7 @@ class ProducerTransform:
             object.__setattr__(
                 self, "table", tuple(sorted(seen.items()))
             )
+            object.__setattr__(self, "_lookup", seen)
 
     @staticmethod
     def identity() -> "ProducerTransform":
@@ -145,10 +149,12 @@ class ProducerTransform:
             return float(p)
         if self.kind == "affine":
             return self.a * p + self.b
-        for key, value in self.table:
-            if key == p:
-                return value
-        raise TableLookupError(f"table transform has no entry for p={p!r}")
+        try:
+            return self._lookup[p]
+        except KeyError:
+            raise TableLookupError(
+                f"table transform has no entry for p={p!r}"
+            ) from None
 
 
 class Distribution:

@@ -686,8 +686,16 @@ def _carve_block(
         )
     consumer_gain = consumer_budget - math.fsum(carved_c)
     producer_slack = producer_budget - math.fsum(carved_t)
-    assert consumer_gain >= -1e-12 and producer_slack >= -1e-12
-    assert n_y < w_r2 + 1e-12
+    if not (consumer_gain >= -1e-12 and producer_slack >= -1e-12):
+        raise RuntimeError(
+            "a landed carve must fit both budgets; got "
+            f"consumer_gain={consumer_gain!r} producer_slack={producer_slack!r}"
+        )
+    if not n_y < w_r2 + 1e-12:
+        raise RuntimeError(
+            f"a landed carve must be lighter than the extension; got n_y={n_y!r} "
+            f"against {w_r2!r}"
+        )
     return CarveoutResult(
         y=y,
         d_plus=cur,
@@ -808,10 +816,11 @@ def continue_to_d2_star(
     if exact_crossings and abs(h) <= 1e-12 * max(
         1.0, abs(expected_t(result.d_star, t))
     ):
-        assert abs(dv) < 1e-9 * scale and abs(ds) < 1e-9 * scale, (
-            "a valueless adopted mass must leave both value functions "
-            f"unchanged across exact crossings; got delta_v={dv!r} delta_s={ds!r}"
-        )
+        if not (abs(dv) < 1e-9 * scale and abs(ds) < 1e-9 * scale):
+            raise RuntimeError(
+                "a valueless adopted mass must leave both value functions "
+                f"unchanged across exact crossings; got delta_v={dv!r} delta_s={ds!r}"
+            )
     return replace(
         result,
         trace=trace,

@@ -9,6 +9,7 @@ by what is actually served: ``W = min(M, N)``.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .core import Distribution, q_of
@@ -37,6 +38,9 @@ class ParticipationModel:
     alpha: float = 0.5
     cap: float = math.inf
     knots: tuple[tuple[float, float], ...] = field(default_factory=tuple)
+    _knot_qs: tuple[float, ...] = field(
+        default=(), init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.kind not in ("power", "saturating", "table"):
@@ -66,6 +70,7 @@ class ParticipationModel:
             if any(b < a for a, b in zip(ms, ms[1:])):
                 raise ValueError("table knot values must be non-decreasing")
             object.__setattr__(self, "knots", knots)
+            object.__setattr__(self, "_knot_qs", tuple(qs))
 
     @staticmethod
     def power(zeta: float, alpha: float) -> "ParticipationModel":
@@ -87,13 +92,14 @@ class ParticipationModel:
             return self.zeta * q**self.alpha
         if self.kind == "saturating":
             return min(self.zeta * q**self.alpha, self.cap)
-        prev_q, prev_m = 0.0, 0.0
-        for knot_q, knot_m in self.knots:
-            if q <= knot_q:
-                span = knot_q - prev_q
-                return prev_m + (knot_m - prev_m) * (q - prev_q) / span
-            prev_q, prev_m = knot_q, knot_m
-        return prev_m
+        if not q <= self._knot_qs[-1]:  # flat past the last knot, as for NaN
+            return self.knots[-1][1]
+        # the first knot at or past q closes q's segment
+        i = bisect_left(self._knot_qs, q)
+        prev_q, prev_m = self.knots[i - 1] if i else (0.0, 0.0)
+        knot_q, knot_m = self.knots[i]
+        span = knot_q - prev_q
+        return prev_m + (knot_m - prev_m) * (q - prev_q) / span
 
     def scaled(self, factor: float) -> "ParticipationModel":
         """A copy with M multiplied by ``factor`` (> 0) everywhere."""

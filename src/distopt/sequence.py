@@ -24,7 +24,7 @@ from .core import (
     DROP_TOLERANCE,
 )
 from .participation import ParticipationModel, kappa, potential
-from .valuation import delta_v_of_increment
+from .valuation import IncrementScorer, delta_v_of_increment
 
 #: a kappa sequence must rise by more than this to count as still improving
 KAPPA_IMPROVEMENT_TOL = 1e-12
@@ -157,8 +157,9 @@ def remaining_pool(
     return pool
 
 
-def _tie_key(point: Point, t: ProducerTransform) -> tuple[float, float, str]:
-    return (-point.c, -t.apply(point.p), point.id)
+def _tie_key(point: Point, tp: float) -> tuple[float, float, str]:
+    """Higher c, then higher T(p) = ``tp``, then smaller id sorts first."""
+    return (-point.c, -tp, point.id)
 
 
 def _increment_weight(cfg: SequenceConfig, available: float) -> float:
@@ -178,34 +179,40 @@ def best_increment(
 
     On an empty base the score of a candidate is the potential value of
     its own singleton, T(p) * M(c).  Otherwise candidates are scored by
-    the potential value after inclusion at their realized share.
+    the potential value after inclusion at their realized share.  The
+    base's N, E(T|D), Q and V are taken once per call, so a call costs
+    O(|D| + |pool|).
     """
     pool = remaining_pool(d, d_all)
     if not pool:
         raise ExhaustedPoolError("no candidate weight remains")
-    if cfg.candidate_policy == TOP_K and len(pool) > cfg.top_k and not d.is_empty():
-        e = expected_t(d, t)
-        q = q_of(d)
-        if e > 0 and q > 0:
-            pool.sort(
-                key=lambda cw: (
-                    -(cw[0].c / q + t.apply(cw[0].p) / e),
-                    _tie_key(cw[0], t),
-                )
+    scorer = IncrementScorer(d, model, t)
+    e, q = scorer.e, scorer.q
+    if (
+        cfg.candidate_policy == TOP_K
+        and len(pool) > cfg.top_k
+        and e is not None
+        and e > 0
+        and q > 0
+    ):
+        pool.sort(
+            key=lambda cw: (
+                -(cw[0].c / q + t.apply(cw[0].p) / e),
+                _tie_key(cw[0], t.apply(cw[0].p)),
             )
-            pool = pool[: cfg.top_k]
+        )
+        pool = pool[: cfg.top_k]
 
-    best: tuple[float, tuple[float, float, str]] | None = None
-    best_inc: PointIncrement | None = None
-    for point, available in pool:
-        weight = _increment_weight(cfg, available)
-        score = delta_v_of_increment(d, point.c, point.p, weight, model, t)
-        key = (-score, _tie_key(point, t))
-        if best is None or key < best:
-            best = key
-            best_inc = PointIncrement(point, weight)
-    assert best_inc is not None
-    return best_inc
+    def key(cw: tuple[Point, float]) -> tuple[float, tuple[float, float, str]]:
+        point, weight = cw
+        tp = t.apply(point.p)
+        return (-scorer.delta_v(point.c, tp, weight), _tie_key(point, tp))
+
+    point, weight = min(
+        ((point, _increment_weight(cfg, available)) for point, available in pool),
+        key=key,
+    )
+    return PointIncrement(point, weight)
 
 
 def seed_distribution(

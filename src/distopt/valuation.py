@@ -131,6 +131,15 @@ def delta_s(
     return ValueDelta(ds, dv, Regime.STRADDLES_CROSSING)
 
 
+def _extended_value(
+    e: float, q: float, c: float, tp: float, phi: float, model: ParticipationModel
+) -> float:
+    """[E + φ (T(p) − E)] * M(Q + φ (c − Q)): the one copy of xi's formula."""
+    if not (0 <= phi < 1):
+        raise ValueError(f"share must lie in [0, 1), got {phi!r}")
+    return (e + phi * (tp - e)) * model.m(q + phi * (c - q))
+
+
 def xi(
     c: float,
     p: float,
@@ -145,16 +154,11 @@ def xi(
     d.  At φ = N_r/(N + N_r) this equals V(D + I_r) exactly, so ranking
     candidates by xi is ranking them by potential value after inclusion.
     """
-    if not (0 <= phi_r < 1):
-        raise ValueError(f"share must lie in [0, 1), got {phi_r!r}")
     if d.is_empty():
         raise EmptyDistributionError(
             "xi needs a non-empty base; score a seed by its own value instead"
         )
-    e = expected_t(d, t)
-    q = q_of(d)
-    bracket = e + phi_r * (t.apply(p) - e)
-    return bracket * model.m(q + phi_r * (c - q))
+    return _extended_value(expected_t(d, t), q_of(d), c, t.apply(p), phi_r, model)
 
 
 def upsilon(
@@ -174,6 +178,41 @@ def upsilon(
     return xi(c, p, 1.0 / (d.n + 1.0), d, model, t)
 
 
+class IncrementScorer:
+    """ΔV of single-point increments to one base distribution, O(1) each.
+
+    N(D), E(T|D), Q(D) and V(D) = E * M(Q) are taken once, on
+    construction, so scoring every candidate of a greedy step costs one
+    pass over the base instead of one per candidate.  ``delta_v`` is xi at
+    the realized share minus V(D), term for term, so its scores equal the
+    direct computation bit for bit.  An empty base scores a candidate by
+    the potential value of its own singleton, T(p) * M(c); ``e`` and ``q``
+    are None there.
+    """
+
+    __slots__ = ("model", "n", "e", "q", "v")
+
+    def __init__(
+        self, d: Distribution, model: ParticipationModel, t: ProducerTransform
+    ) -> None:
+        self.model = model
+        self.n = d.n
+        self.e: float | None = None
+        self.q: float | None = None
+        self.v = 0.0
+        if not d.is_empty():
+            self.e = expected_t(d, t)
+            self.q = q_of(d)
+            self.v = self.e * model.m(self.q)
+
+    def delta_v(self, c: float, tp: float, weight: float) -> float:
+        """ΔV for adding ``weight`` at consumer value c and T(p) = ``tp``."""
+        if self.e is None:
+            return tp * self.model.m(c)
+        phi = weight / (self.n + weight)
+        return _extended_value(self.e, self.q, c, tp, phi, self.model) - self.v
+
+
 def delta_v_of_increment(
     d: Distribution,
     c: float,
@@ -183,7 +222,4 @@ def delta_v_of_increment(
     t: ProducerTransform,
 ) -> float:
     """ΔV for adding ``weight`` at (c, p): xi at the realized share − V(D)."""
-    if d.is_empty():
-        return t.apply(p) * model.m(c)
-    phi = weight / (d.n + weight)
-    return xi(c, p, phi, d, model, t) - v_value(d, model, t)
+    return IncrementScorer(d, model, t).delta_v(c, t.apply(p), weight)

@@ -202,3 +202,33 @@ def test_canonical_json_is_stable_and_strict():
     assert text == '{\n  "a": [\n    2,\n    3\n  ],\n  "b": 1\n}\n'
     with pytest.raises(ValueError):
         cli.canonical_json({"x": float("nan")})
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda inst: inst.pop("participation"),
+        lambda inst: inst.update(surprise=True),
+        lambda inst: inst["points"][0].update(n=0),
+        lambda inst: inst["points"][0].pop("c"),
+        lambda inst: inst["points"].clear(),
+        lambda inst: inst["participation"].update(kind="cubic"),
+        lambda inst: inst["participation"].update(alpha=1.5, zeta=-1),
+        lambda inst: inst["transform"].update(table=[[1.0]]),
+        lambda inst: inst.update(optimizer={"increment_policy": {"kind": "unit_chunks"}}),
+        lambda inst: inst.update(optimizer={"seed_policy": "lowest"}),
+        lambda inst: inst.update(schema_version=2),
+    ],
+)
+def test_schema_errors_read_as_jsonschema_validate_reports_them(tmp_path, capsys, mutate):
+    import jsonschema
+
+    inst = json.loads(json.dumps(FIVE_POINT))
+    mutate(inst)
+    inp = write(tmp_path, "bad.json", inst)
+    with pytest.raises(jsonschema.ValidationError) as expected:
+        jsonschema.validate(inst, cli.INSTANCE_SCHEMA)
+    assert cli.main(["optimize", "--input", inp]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {inp} failed schema validation: {expected.value.message}\n"
+    )

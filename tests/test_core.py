@@ -122,8 +122,20 @@ def test_table_transform_is_exact_lookup():
     assert t.is_monotone
     with pytest.raises(TableLookupError):
         t.apply(0.25)
+    with pytest.raises(TableLookupError):
+        t.apply(2.0)
+    assert t.apply(-0.0) == 0.0 and t.apply(1) == 3.0, "lookup is by float equality"
     decreasing = ProducerTransform.from_table([(0.0, 3.0), (1.0, 1.0)])
     assert not decreasing.is_monotone
+
+
+def test_table_transform_lookup_cache_is_not_part_of_the_value():
+    t = ProducerTransform.from_table([(1.0, 3.0), (0.5, 2.0)])
+    same = ProducerTransform.from_table([(0.5, 2.0), (1.0, 3.0)])
+    assert t == same and hash(t) == hash(same)
+    assert repr(t) == (
+        "ProducerTransform(kind='table', a=1.0, b=0.0, table=((0.5, 2.0), (1.0, 3.0)))"
+    )
 
 
 def test_expected_t_weights_by_volume():

@@ -1,0 +1,146 @@
+"""Report bytes on a fixed corpus match the digests recorded in
+``golden_digests.json``.
+
+The corpus covers plain ``uniform`` and ``monotone`` pools, the
+table-transform, table-curve, saturating and ``unit_chunks`` variants, and
+searched ``scenario:`` instances with and without carveouts.  Every
+``optimize`` output (the JSON report, and the report and both curve files
+of ``--format csv``) is hashed.  A change that is meant to keep report
+bytes must keep every digest; a change that moves them on purpose
+re-records the file with ``PYTHONPATH=src python3 tests/test_golden.py``.
+"""
+from __future__ import annotations
+
+import hashlib
+import json
+import math
+import sys
+from pathlib import Path
+
+import pytest
+
+from distopt.cli import canonical_json, main
+from distopt.oracle import find_scenario_instance, generate_instance
+
+DIGESTS = Path(__file__).with_name("golden_digests.json")
+
+
+def _table_transform(inst: dict) -> None:
+    ps = sorted({pt["p"] for pt in inst["points"]})
+    inst["transform"] = {
+        "kind": "table",
+        "table": [[p, round(math.sqrt(p) + 0.1, 6)] for p in ps],
+    }
+
+
+def _table_participation(inst: dict) -> None:
+    part = inst["participation"]
+    knots = [0.25 * (k + 1) for k in range(24)]
+    inst["participation"] = {
+        "kind": "table",
+        "knots": [[q, round(part["zeta"] * q ** part["alpha"], 6)] for q in knots],
+    }
+
+
+def _saturating(inst: dict) -> None:
+    part = inst["participation"]
+    total = sum(pt["n"] for pt in inst["points"])
+    inst["participation"] = {
+        "kind": "saturating",
+        "zeta": part["zeta"],
+        "alpha": part["alpha"],
+        "cap": round(0.6 * total, 6),
+    }
+
+
+def _unit_chunks(inst: dict) -> None:
+    inst["optimizer"] = {"increment_policy": {"kind": "unit_chunks", "chunk": 0.5}}
+
+
+#: name -> (profile, seed, size, variant)
+POOLS = {
+    "uniform-40": ("uniform", 11, 40, None),
+    "uniform-60": ("uniform", 12, 60, None),
+    "monotone-30": ("monotone", 13, 30, None),
+    "monotone-50": ("monotone", 14, 50, None),
+    "table-transform-40": ("uniform", 15, 40, _table_transform),
+    "table-curve-50": ("uniform", 16, 50, _table_participation),
+    "saturating-45": ("uniform", 17, 45, _saturating),
+    "unit-chunks-40": ("uniform", 18, 40, _unit_chunks),
+    "monotone-unit-chunks-35": ("monotone", 19, 35, _unit_chunks),
+}
+
+#: name -> (verdict kind searched for, search seed, carveout required)
+SCENARIOS = {
+    "scenario-stay": ("StayAtDStar_Thm2", 3, False),
+    "scenario-d2": ("ContinueToD2Star_Thm4", 3, False),
+    "scenario-i": ("Scenario_i_BothPreferDPrime", 3, False),
+    "scenario-ii-carve": ("Scenario_ii_ConsumerPrefers", 4, True),
+    "scenario-iii-carve": ("Scenario_iii_ProducerPrefers", 5, True),
+    "scenario-underserved": ("UnderServed", 3, False),
+}
+
+
+def corpus_instance(name: str) -> dict:
+    if name in POOLS:
+        profile, seed, size, variant = POOLS[name]
+        inst = generate_instance(profile, seed, size)
+        if variant is not None:
+            variant(inst)
+        return inst
+    kind, seed, carve = SCENARIOS[name]
+    found = find_scenario_instance(kind, budget=300, rng_seed=seed, require_carveout=carve)
+    assert found is not None, f"no {kind} instance found for {name}"
+    return found.instance
+
+
+def _sha(path: Path) -> str | None:
+    return hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else None
+
+
+def output_digests(name: str, work: Path) -> dict:
+    """sha256 of every file ``optimize`` writes for one corpus instance."""
+    text = canonical_json(corpus_instance(name))
+    work.mkdir(parents=True, exist_ok=True)
+    src = work / "instance.json"
+    src.write_text(text)
+    json_rc = main(["optimize", "--input", str(src), "--output", str(work / "json.report.json")])
+    csv_rc = main(
+        [
+            "optimize",
+            "--input",
+            str(src),
+            "--output",
+            str(work / "csv.json"),
+            "--format",
+            "csv",
+        ]
+    )
+    return {
+        "instance": hashlib.sha256(text.encode()).hexdigest(),
+        "exit": [json_rc, csv_rc],
+        "json": _sha(work / "json.report.json"),
+        "csv.report": _sha(work / "csv.json"),
+        "csv.trace": _sha(work / "csv.trace.csv"),
+        "csv.thresholds": _sha(work / "csv.thresholds.csv"),
+    }
+
+
+NAMES = list(POOLS) + list(SCENARIOS)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_optimize_outputs_match_recorded_digests(name: str, tmp_path: Path) -> None:
+    recorded = json.loads(DIGESTS.read_text())[name]
+    got = output_digests(name, tmp_path)
+    assert got["instance"] == recorded["instance"], "the corpus instance itself changed"
+    assert got == recorded
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        table = {name: output_digests(name, Path(tmp) / name) for name in NAMES}
+    DIGESTS.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
+    print(f"recorded {len(table)} digests to {DIGESTS}", file=sys.stderr)

@@ -46,6 +46,53 @@ def test_table_curve_interpolates_through_origin():
     assert m.m(0.0) == 0.0
 
 
+def _scan_table_m(knots, q):
+    """The linear knot scan the bisect lookup replaced, kept as its reference."""
+    if q <= 0:
+        return 0.0
+    prev_q, prev_m = 0.0, 0.0
+    for knot_q, knot_m in knots:
+        if q <= knot_q:
+            span = knot_q - prev_q
+            return prev_m + (knot_m - prev_m) * (q - prev_q) / span
+        prev_q, prev_m = knot_q, knot_m
+    return prev_m
+
+
+def test_table_curve_lookup_matches_the_linear_scan():
+    knots = [(0.5, 1.0), (1.0, 1.5), (2.5, 1.5), (4.0, 2.25)]
+    m = ParticipationModel.from_table(knots)
+    qs = [-1.0, 0.0, 0.2, 0.5, 0.75, 1.0, 1.0 + 1e-15, 2.5, 3.1, 4.0, 4.5, 1e9]
+    for q in qs:
+        assert m.m(q) == _scan_table_m(knots, q), q
+    single = ParticipationModel.from_table([(2.0, 3.0)])
+    for q in (-0.5, 0.0, 1.0, 2.0, 7.0):
+        assert single.m(q) == _scan_table_m(single.knots, q), q
+    assert m == ParticipationModel.from_table(knots) and "_knot_qs" not in repr(m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.floats(0.01, 50, allow_nan=False), st.floats(0, 10, allow_nan=False)
+        ),
+        min_size=1,
+        max_size=8,
+        unique_by=lambda k: k[0],
+    ),
+    st.floats(-5, 60, allow_nan=False),
+)
+def test_table_curve_lookup_matches_the_linear_scan_on_any_curve(raw, q):
+    qs = sorted(k for k, _ in raw)
+    ms = sorted(v for _, v in raw)
+    knots = list(zip(qs, ms))
+    m = ParticipationModel.from_table(knots)
+    assert m.m(q) == _scan_table_m(knots, q)
+    for knot_q, _ in knots:
+        assert m.m(knot_q) == _scan_table_m(knots, knot_q)
+
+
 def test_table_knots_must_be_sane():
     with pytest.raises(ValueError):
         ParticipationModel.from_table([(2.0, 1.0), (1.0, 2.0)])
