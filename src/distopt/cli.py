@@ -28,6 +28,7 @@ import hashlib
 import io
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -43,25 +44,47 @@ from .optimizer import (
     CarveoutResult,
     OptimizationResult,
     OptimizerConfig,
-    continue_to_d2_star,
-    determine_d_star,
     generate_carveout,
+    optimize,
 )
-from .participation import ParticipationModel, actual, potential
-from .sequence import greedy_sweep
+from .participation import ParticipationModel, potential
+from .sequence import greedy_sweep, remaining_pool
 from .thresholds import (
-    CONTINUE_TO_D2_STAR_THM4,
+    REACTIVE,
     SATURATED_CONSUMER,
     UNDER_SERVED,
+    DegenerateContextError,
     EquilibriumVerdict,
     ThresholdReport,
     ExtensionContext,
-    threshold_report,
+    classify,
+    x_l_kappa,
+    x_u_kappa,
 )
 
 log = logging.getLogger("distopt.cli")
 
 _NUMBER = {"type": "number"}
+
+
+def _kind_requires(fields: dict[str, list[str]]) -> dict:
+    """Schema clauses by which an object of each listed ``kind`` needs its
+    fields.
+
+    An if/else chain that tests the kinds in the order given: a failed
+    test costs the validator far more than a passed one, so the commonest
+    kind goes first.
+    """
+    clause: dict = {}
+    for kind, names in reversed(fields.items()):
+        step: dict = {"if": {"properties": {"kind": {"const": kind}}}}
+        if names:
+            step["then"] = {"required": names}
+        if clause:
+            step["else"] = clause
+        clause = step
+    return clause
+
 
 _POINT_SCHEMA = {
     "type": "object",
@@ -94,6 +117,13 @@ _PARTICIPATION_SCHEMA = {
         },
     },
     "required": ["kind"],
+    **_kind_requires(
+        {
+            "power": ["zeta", "alpha"],
+            "saturating": ["zeta", "alpha", "cap"],
+            "table": ["knots"],
+        }
+    ),
     "additionalProperties": False,
 }
 
@@ -115,6 +145,7 @@ _TRANSFORM_SCHEMA = {
         },
     },
     "required": ["kind"],
+    **_kind_requires({"identity": [], "affine": ["a", "b"], "table": ["table"]}),
     "additionalProperties": False,
 }
 
@@ -184,12 +215,6 @@ def canonical_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _clean_float(x: Any) -> Any:
-    if isinstance(x, float) and (x != x or x in (float("inf"), float("-inf"))):
-        return repr(x)
-    return x
-
-
 @functools.cache
 def _instance_validator() -> Any:
     """The validator of ``INSTANCE_SCHEMA``, checked against its metaschema
@@ -206,14 +231,18 @@ def _validate_instance(instance: Any) -> None:
         raise error
 
 
+def _reject_constant(name: str) -> float:
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def load_instance(path: str) -> dict:
     try:
         raw = Path(path).read_text()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
     try:
-        instance = json.loads(raw)
-    except json.JSONDecodeError as exc:
+        instance = json.loads(raw, parse_constant=_reject_constant)
+    except ValueError as exc:
         raise CliError(f"{path} is not valid JSON: {exc}") from exc
     try:
         _validate_instance(instance)
@@ -263,9 +292,7 @@ def _verdict_dict(v: EquilibriumVerdict) -> dict:
 
 
 def _threshold_dict(report: ThresholdReport | None) -> dict | None:
-    if report is None:
-        return None
-    return {k: _clean_float(v) for k, v in report.to_dict().items()}
+    return report.to_dict() if report is not None else None
 
 
 def _carveout_dict(
@@ -346,18 +373,18 @@ def run_report(
 
 
 def sweep_csv(
-    instance: dict,
+    pool: Distribution,
+    cfg: OptimizerConfig,
     result: OptimizationResult,
     model: ParticipationModel,
     t: ProducerTransform,
 ) -> str:
     """The raw greedy build curve (volume vs potential participation).
 
-    Runs the plain sweep to pool exhaustion so the supply/demand crossing
-    is visible as the sign change of m − n; the row whose prefix equals
-    the crossing distribution is marked.
+    Runs the plain sweep of ``pool`` to exhaustion so the supply/demand
+    crossing is visible as the sign change of m − n; the row whose prefix
+    equals the crossing distribution is marked.
     """
-    pool, _, _, cfg = build_objects(instance)
     trace = greedy_sweep(pool, cfg.sequence, model, t)
     target = {pid: result.d_star.weight_of(pid) for pid in result.d_star.ids()}
     out = io.StringIO()
@@ -397,7 +424,8 @@ def threshold_csv(
 
     Sweeps the candidate's weight share while holding its value ratios
     fixed, recomputing the marginal-participation slopes from the
-    participation curve directly.
+    participation curve directly.  A threshold whose denominator vanishes
+    reads ``inf``.
     """
     n_star = d_star_n
     q_star = d_star_q
@@ -405,8 +433,6 @@ def threshold_csv(
     c2_raw = report.c2_ratio * q_star
     n_r1 = report.n_r1
     c1a = report.c1a_ratio
-    tp1 = report.tp1_ratio
-    tp2 = report.tp2_ratio
     w1 = n_r1 * n_star
     denom_a = n_star - w1 + c1a * w1
     q_a = q_star * n_star / denom_a if denom_a > 0 else q_star
@@ -422,19 +448,12 @@ def threshold_csv(
     for i in range(1, steps + 1):
         n2 = 0.02 * i
         w2 = n2 * n_star
-        if report.consumer_mode == "reactive":
-            x_l = 1.0 - tp2 * (1.0 + n2)
-        else:
-            d = 1.0 + tp2 * n2
-            x_l = (1.0 - tp2) / d if abs(d) > 1e-12 else float("inf")
-        du = 1.0 - n_r1 + tp2 * n2
-        if abs(du) > 1e-12:
-            x_u = (1.0 - tp2) / du
-            x_u_alt = (
-                (1.0 - n_r1 + n2) * (tp1 - 1.0) * n_r1 / n2 + (1.0 - tp2)
-            ) / du
-        else:
-            x_u = x_u_alt = float("inf")
+        adaptive, reactive = x_l_kappa(n2, report.tp2_ratio)
+        x_l = reactive if report.consumer_mode == REACTIVE else adaptive
+        try:
+            x_u, x_u_alt = x_u_kappa(n_r1, n2, report.tp1_ratio, report.tp2_ratio)
+        except DegenerateContextError:
+            x_u = x_u_alt = math.inf
         q_mix = (q_star * n_star + c2_raw * w2) / (n_star + w2)
         k_r2 = (model.m(q_mix) - m_star) / w2
         if n_a > 0:
@@ -467,25 +486,27 @@ def _csv_paths(output: str | None) -> tuple[str, str]:
     return f"{stem}.trace.csv", f"{stem}.thresholds.csv"
 
 
-def _run_pipeline(
-    instance: dict,
-) -> tuple[OptimizationResult, ParticipationModel, ProducerTransform, OptimizerConfig, Distribution]:
-    pool, model, transform, cfg = build_objects(instance)
-    result = determine_d_star(pool, cfg, model, transform)
-    if result.verdict.kind == CONTINUE_TO_D2_STAR_THM4:
-        result = continue_to_d2_star(result, pool, cfg, model, transform)
-    return result, model, transform, cfg, pool
+def _build(
+    instance: dict, path: str
+) -> tuple[Distribution, ParticipationModel, ProducerTransform, OptimizerConfig]:
+    """``build_objects`` on the instance read from ``path``, with what the
+    schema cannot reject reported as a usage error."""
+    try:
+        return build_objects(instance)
+    except ValueError as exc:
+        raise CliError(f"{path} is not a valid instance: {exc}") from exc
 
 
-def _optimize_one(instance: dict, output: str | None, fmt: str) -> int:
+def _optimize_one(instance: dict, path: str, output: str | None, fmt: str) -> int:
     if fmt == "csv":
         _csv_paths(output)  # reject --format csv without --output up front
-    result, model, transform, _, _ = _run_pipeline(instance)
+    pool, model, transform, cfg = _build(instance, path)
+    result = optimize(pool, cfg, model, transform)
     report = run_report(instance, result, model, transform)
     _write(output, canonical_json(report))
     if fmt == "csv":
         trace_path, thresh_path = _csv_paths(output)
-        Path(trace_path).write_text(sweep_csv(instance, result, model, transform))
+        Path(trace_path).write_text(sweep_csv(pool, cfg, result, model, transform))
         if result.verdict.witness is not None:
             Path(thresh_path).write_text(
                 threshold_csv(
@@ -513,19 +534,20 @@ def cmd_optimize(args: argparse.Namespace) -> int:
                 continue
             instance = load_instance(str(path))
             out = out_dir / f"{path.stem}.report.json"
-            code = _optimize_one(instance, str(out), args.format)
+            code = _optimize_one(instance, str(path), str(out), args.format)
             log.info("%s -> %s (exit %d)", path.name, out.name, code)
             worst = max(worst, code)
         return worst
     if not args.input:
         raise CliError("optimize needs --input or --batch")
     instance = load_instance(args.input)
-    return _optimize_one(instance, args.output, args.format)
+    return _optimize_one(instance, args.input, args.output, args.format)
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     instance = load_instance(args.input)
-    result, model, transform, cfg, pool = _run_pipeline(instance)
+    pool, model, transform, cfg = _build(instance, args.input)
+    result = optimize(pool, cfg, model, transform)
     cand_id = str(args.candidate)
     if cand_id not in pool:
         raise CliError(f"candidate {cand_id!r} is not in the instance pool")
@@ -544,8 +566,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         iota=cfg.iota,
         consumer_mode=cfg.consumer_mode,
     )
-    from .thresholds import classify
-
     verdict = classify(ctx)
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -568,7 +588,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_carveout(args: argparse.Namespace) -> int:
     instance = load_instance(args.input)
-    result, model, transform, cfg, pool = _run_pipeline(instance)
+    pool, model, transform, cfg = _build(instance, args.input)
+    result = optimize(pool, cfg, model, transform)
     report: dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
         "instance": {"fingerprint": fingerprint(instance)},
@@ -583,13 +604,7 @@ def cmd_carveout(args: argparse.Namespace) -> int:
         report["carveout"] = _carveout_dict(result.carveouts[-1], model, transform)
     elif result.verdict.carveout_recommended:
         report["applicable"] = True
-        remaining = Distribution(
-            [
-                (pt, w - result.d_star.weight_of(pt.id))
-                for pt, w in pool.items()
-                if w - result.d_star.weight_of(pt.id) > 1e-12
-            ]
-        )
+        remaining = Distribution(remaining_pool(result.d_star, pool))
         try:
             carve = generate_carveout(
                 result.d_star, remaining, cfg, model, transform

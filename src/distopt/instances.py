@@ -2,8 +2,10 @@
 
 An instance file is a JSON object with the pool of points, the
 participation curve, the producer-value transform, and optional optimizer
-settings.  This module converts validated dicts into the package's types;
-schema validation itself lives with the CLI.
+settings.  This module converts validated dicts into the package's types
+and rejects, with ``ValueError``, what the schema cannot express: knots out
+of order, explicit seed ids outside the pool, a table transform without an
+entry for some pool ``p``.  Schema validation itself lives with the CLI.
 """
 from __future__ import annotations
 
@@ -91,9 +93,13 @@ def build_optimizer_config(opt: dict[str, Any] | None) -> OptimizerConfig:
 def build_objects(
     instance: dict[str, Any],
 ) -> tuple[Distribution, ParticipationModel, ProducerTransform, OptimizerConfig]:
-    return (
-        build_pool(instance["points"]),
-        build_participation(instance["participation"]),
-        build_transform(instance.get("transform")),
-        build_optimizer_config(instance.get("optimizer")),
-    )
+    pool = build_pool(instance["points"])
+    model = build_participation(instance["participation"])
+    transform = build_transform(instance.get("transform"))
+    cfg = build_optimizer_config(instance.get("optimizer"))
+    missing = [pid for pid in cfg.sequence.seed_ids if pid not in pool]
+    if missing:
+        raise ValueError(f"seed ids {missing} are not in the pool")
+    for point, _ in pool.items():
+        transform.apply(point.p)  # a table transform must cover every p
+    return pool, model, transform, cfg

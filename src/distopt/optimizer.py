@@ -1,6 +1,7 @@
 """The crossing-seeking optimizer and its carveout synthesizer.
 
-``determine_d_star`` grows a distribution greedily while potential
+``optimize`` runs the whole mechanism.  Its first stage,
+``determine_d_star``, grows a distribution greedily while potential
 participation outruns volume, then probes the best extension past the
 crossing and acts on its classification: adopt extensions both players
 want, carve compensation out of disagreements when feasible, stop when
@@ -53,7 +54,7 @@ from .thresholds import (
     ExtensionContext,
     classify,
 )
-from .valuation import delta_s, delta_v, delta_v_of_increment
+from .valuation import delta_s, delta_v
 
 log = logging.getLogger("distopt.optimizer")
 
@@ -225,19 +226,8 @@ class _Run:
         self.evaluations += len(remaining_pool(base, self.available))
 
     def record_step(self, inc: PointIncrement) -> None:
-        dv = delta_v_of_increment(
-            self.current, inc.point.c, inc.point.p, inc.weight, self.model, self.t
-        )
-        self.current = apply_increment(self.current, inc)
-        self.trace = self.trace.extended(
-            SequenceStep(
-                len(self.trace.steps),
-                inc,
-                self.current.n,
-                q_of(self.current),
-                potential(self.model, self.current),
-                dv,
-            )
+        self.current, self.trace = self.trace.record(
+            self.current, inc, self.model, self.t
         )
         self.steps += 1
         self.snapshot()
@@ -558,6 +548,25 @@ def determine_d_star(
         return run.finish(verdict)
 
 
+def optimize(
+    d_all: Distribution,
+    cfg: OptimizerConfig,
+    model: ParticipationModel,
+    t: ProducerTransform,
+) -> OptimizationResult:
+    """Run the whole mechanism on a candidate pool.
+
+    Builds to the crossing D* and classifies the best extension past it,
+    carving along the way where that is called for
+    (``determine_d_star``); on a ``ContinueToD2Star`` verdict, goes on to
+    the second crossing D²* (``continue_to_d2_star``).
+    """
+    result = determine_d_star(d_all, cfg, model, t)
+    if result.verdict.kind == CONTINUE_TO_D2_STAR_THM4:
+        result = continue_to_d2_star(result, d_all, cfg, model, t)
+    return result
+
+
 def generate_carveout(
     d_star: Distribution,
     r2: PointIncrement | Distribution,
@@ -722,7 +731,7 @@ def continue_to_d2_star(
     and records the farther crossing with the value changes it realized
     relative to the first one.  When the adopted mass carries (to the
     producer) no value of its own, both changes are zero to numerical
-    precision, and this is asserted.
+    precision, and this is checked.
     """
     if result.verdict.kind != CONTINUE_TO_D2_STAR_THM4:
         raise ValueError(
@@ -731,77 +740,35 @@ def continue_to_d2_star(
     if not result.pending_increments:
         raise ValueError("no pending extension block to adopt")
 
-    available = d_all
+    run = _Run(d_all, cfg, model, t)
     if result.carved is not None:
-        available = remove_subdistribution(d_all, result.carved)
-
-    current = result.d_star
-    trace = result.trace
-    steps = result.steps
-    evaluations = result.evaluations
-    budget = cfg.step_budget(d_all)
-
-    snapshots: list[tuple[float, Distribution]] = []
-
-    def record(inc: PointIncrement) -> None:
-        nonlocal current, trace, steps
-        dv = delta_v_of_increment(
-            current, inc.point.c, inc.point.p, inc.weight, model, t
-        )
-        current = apply_increment(current, inc)
-        trace = trace.extended(
-            SequenceStep(
-                len(trace.steps),
-                inc,
-                current.n,
-                q_of(current),
-                potential(model, current),
-                dv,
-            )
-        )
-        steps += 1
-        snapshots.append((_w_of(current, model), current))
-
+        run.retire(result.carved)
+    run.current = result.d_star
+    run.trace = result.trace
+    run.steps = result.steps
+    run.evaluations = result.evaluations
+    run.budget += result.steps  # the continuation's steps get a budget of their own
     for inc in result.pending_increments:
-        record(inc)
+        run.record_step(inc)
 
-    exhausted_early = False
-    while True:
-        n = current.n
-        m = potential(model, current)
-        if n > 0 and m / n <= cfg.ratio_threshold:
-            break
-        if steps - result.steps >= budget:
-            exhausted_early = True
-            break
-        pool = remaining_pool(current, available)
-        if not pool:
-            exhausted_early = m / n > cfg.ratio_threshold if n > 0 else True
-            break
-        evaluations += len(pool)
-        record(
-            best_increment(current, available, cfg.sequence, model, t)
+    while run.ratio() > cfg.ratio_threshold:
+        if run.steps >= run.budget or run.pool_dry():
+            return replace(
+                result,
+                trace=run.trace,
+                verdict=result.verdict.with_note(
+                    "pool exhausted before a second crossing"
+                ),
+                d2_star=None,
+                steps=run.steps,
+                evaluations=run.evaluations,
+            )
+        run.count_evaluations(run.current)
+        run.record_step(
+            best_increment(run.current, run.available, cfg.sequence, model, t)
         )
 
-    verdict = result.verdict
-    if exhausted_early:
-        return replace(
-            result,
-            trace=trace,
-            verdict=verdict.with_note(
-                "pool exhausted before a second crossing"
-            ),
-            d2_star=None,
-            steps=steps,
-            evaluations=evaluations,
-        )
-
-    best_w = -math.inf
-    d2 = current
-    for w, d in snapshots:
-        if w > best_w + 1e-12 * max(1.0, abs(best_w)):
-            best_w, d2 = w, d
-
+    d2 = run.current
     dv = delta_v(result.d_star, d2, model, t)
     ds = delta_s(result.d_star, d2, model, t).delta_s
     added = remove_subdistribution(d2, result.d_star)
@@ -823,12 +790,12 @@ def continue_to_d2_star(
             )
     return replace(
         result,
-        trace=trace,
-        verdict=verdict.with_note("second crossing reached"),
+        trace=run.trace,
+        verdict=result.verdict.with_note("second crossing reached"),
         d2_star=d2,
         d2_delta_v=dv,
         d2_delta_s=ds,
         d2_crossing_gap=_gap_of(d2, model),
-        steps=steps,
-        evaluations=evaluations,
+        steps=run.steps,
+        evaluations=run.evaluations,
     )

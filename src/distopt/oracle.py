@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from .core import (
@@ -29,11 +29,9 @@ from .core import (
     PointIncrement,
     ProducerTransform,
     apply_increment,
-    expected_t,
-    q_of,
 )
 from .instances import SCHEMA_VERSION, build_objects
-from .optimizer import OptimizationResult, continue_to_d2_star, determine_d_star
+from .optimizer import OptimizationResult, optimize
 from .participation import ParticipationModel, actual, potential
 from .thresholds import (
     CONTINUE_TO_D2_STAR_THM4,
@@ -397,7 +395,9 @@ def finite_difference_facts(grid_size: int = 50) -> OracleReport:
         ctx = ExtensionContext.synthesize(
             n_r1=n_r1, n_r2=n_r2, tp2_ratio=tp2, c2_ratio=1.0
         )
-        return x_u_kappa(ctx)[0] - x_l_kappa(ctx)
+        standard, _ = x_u_kappa(ctx.n_r1, ctx.n_r2, ctx.tp1_ratio, ctx.tp2_ratio)
+        adaptive, _ = x_l_kappa(ctx.n_r2, ctx.tp2_ratio)
+        return standard - adaptive
 
     for n_r1 in _grid(0.05, 0.6, 10):
         for n_r2 in _grid(0.05, 0.9, 10):
@@ -736,15 +736,6 @@ def _template_scenario(
     raise ValueError(f"no template for target {kind!r}")
 
 
-def run_instance(instance: dict) -> OptimizationResult:
-    """Run the full pipeline (crossing, verdict, continuation) on a dict."""
-    pool, model, transform, cfg = build_objects(instance)
-    result = determine_d_star(pool, cfg, model, transform)
-    if result.verdict.kind == CONTINUE_TO_D2_STAR_THM4:
-        result = continue_to_d2_star(result, pool, cfg, model, transform)
-    return result
-
-
 def find_scenario_instance(
     target: str,
     budget: int = 200,
@@ -772,7 +763,8 @@ def find_scenario_instance(
         else:
             instance = _template_scenario(rng, target, require_carveout)
         try:
-            result = run_instance(instance)
+            pool, model, transform, cfg = build_objects(instance)
+            result = optimize(pool, cfg, model, transform)
         except (ValueError, RuntimeError):
             continue
         kinds = {result.verdict.kind} | {e.kind for e in result.events}

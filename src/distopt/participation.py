@@ -144,15 +144,3 @@ def kappa(
         )
     return (potential(model, d_to) - potential(model, d_from)) / delta_n
 
-
-@dataclass(frozen=True)
-class KappaPair:
-    """Marginal participation of one candidate measured from two bases.
-
-    ``at_d_star`` is the slope when the candidate extends the crossing
-    distribution; ``at_d_a`` is the slope it would have shown one step
-    earlier (used by the viability test).
-    """
-
-    at_d_star: float
-    at_d_a: float

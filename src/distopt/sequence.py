@@ -9,8 +9,7 @@ improving; the caller classifies what the resulting block means.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from .core import (
     Distribution,
@@ -18,9 +17,7 @@ from .core import (
     PointIncrement,
     ProducerTransform,
     apply_increment,
-    expected_t,
     q_of,
-    remove_subdistribution,
     DROP_TOLERANCE,
 )
 from .participation import ParticipationModel, kappa, potential
@@ -31,8 +28,6 @@ KAPPA_IMPROVEMENT_TOL = 1e-12
 
 HIGHEST_VALUE = "highest_value"
 EXPLICIT = "explicit"
-ALL_CANDIDATES = "all"
-TOP_K = "top_k"
 FULL_POINT = "full_point"
 UNIT_CHUNKS = "unit_chunks"
 
@@ -43,20 +38,16 @@ class ExhaustedPoolError(ValueError):
 
 @dataclass(frozen=True)
 class SequenceConfig:
-    """Policies for seeding, candidate filtering, and increment sizing.
+    """Policies for seeding and increment sizing.
 
     ``seed_policy`` decides how an empty distribution starts: pick the
     best-scoring point, or install an explicit id list first.
-    ``candidate_policy`` optionally prunes scoring to the top k candidates
-    by a cheap additive proxy before exact scoring.  ``weight_policy``
-    controls whether increments take a point's full remaining weight or
-    fixed-size chunks of it.
+    ``weight_policy`` controls whether increments take a point's full
+    remaining weight or fixed-size chunks of it.
     """
 
     seed_policy: str = HIGHEST_VALUE
     seed_ids: tuple[str, ...] = ()
-    candidate_policy: str = ALL_CANDIDATES
-    top_k: int | None = None
     weight_policy: str = FULL_POINT
     chunk: float | None = None
 
@@ -65,13 +56,6 @@ class SequenceConfig:
             raise ValueError(f"unknown seed policy {self.seed_policy!r}")
         if self.seed_policy == EXPLICIT and not self.seed_ids:
             raise ValueError("explicit seeding needs at least one id")
-        if self.candidate_policy not in (ALL_CANDIDATES, TOP_K):
-            raise ValueError(
-                f"unknown candidate policy {self.candidate_policy!r}"
-            )
-        if self.candidate_policy == TOP_K:
-            if self.top_k is None or self.top_k < 1:
-                raise ValueError("top-k filtering needs k >= 1")
         if self.weight_policy not in (FULL_POINT, UNIT_CHUNKS):
             raise ValueError(f"unknown weight policy {self.weight_policy!r}")
         if self.weight_policy == UNIT_CHUNKS:
@@ -99,8 +83,19 @@ class SequenceStep:
 class SequenceTrace:
     steps: tuple[SequenceStep, ...] = ()
 
-    def extended(self, step: SequenceStep) -> "SequenceTrace":
-        return SequenceTrace(self.steps + (step,))
+    def record(
+        self,
+        d: Distribution,
+        inc: PointIncrement,
+        model: ParticipationModel,
+        t: ProducerTransform,
+    ) -> tuple[Distribution, "SequenceTrace"]:
+        """Add ``inc`` to ``d``: the grown distribution and this trace with
+        the step appended."""
+        dv = delta_v_of_increment(d, inc.point.c, inc.point.p, inc.weight, model, t)
+        d = apply_increment(d, inc)
+        step = SequenceStep(len(self.steps), inc, d.n, q_of(d), potential(model, d), dv)
+        return d, SequenceTrace(self.steps + (step,))
 
     @property
     def is_monotone_decreasing(self) -> bool:
@@ -187,21 +182,6 @@ def best_increment(
     if not pool:
         raise ExhaustedPoolError("no candidate weight remains")
     scorer = IncrementScorer(d, model, t)
-    e, q = scorer.e, scorer.q
-    if (
-        cfg.candidate_policy == TOP_K
-        and len(pool) > cfg.top_k
-        and e is not None
-        and e > 0
-        and q > 0
-    ):
-        pool.sort(
-            key=lambda cw: (
-                -(cw[0].c / q + t.apply(cw[0].p) / e),
-                _tie_key(cw[0], t.apply(cw[0].p)),
-            )
-        )
-        pool = pool[: cfg.top_k]
 
     def key(cw: tuple[Point, float]) -> tuple[float, tuple[float, float, str]]:
         point, weight = cw
@@ -277,85 +257,6 @@ def best_next_in_sequence(
         prev_kappa = k
 
 
-def order_prefers(
-    first: tuple[Point, float],
-    second: tuple[Point, float],
-    d_a: Distribution,
-    model: ParticipationModel,
-    t: ProducerTransform,
-) -> bool:
-    """Would the greedy order at base ``d_a`` pick ``first`` over ``second``?
-
-    Compares the post-inclusion potential values directly.  Undefined when
-    the base has non-positive mean producer value, since the relative
-    bracket comparison loses its meaning there.
-    """
-    if d_a.is_empty():
-        raise ValueError("ordering needs a non-empty base distribution")
-    e_a = expected_t(d_a, t)
-    if e_a <= 0:
-        raise ValueError(
-            "ordering is undefined on a base with non-positive mean producer value"
-        )
-    scores = []
-    for point, weight in (first, second):
-        phi = weight / (d_a.n + weight)
-        bracket = 1.0 + phi * (t.apply(point.p) / e_a - 1.0)
-        grown = apply_increment(d_a, PointIncrement(point, weight))
-        scores.append(bracket * potential(model, grown))
-    return scores[0] > scores[1]
-
-
-def is_viable(
-    candidate: PointIncrement,
-    at: Distribution,
-    trace: SequenceTrace,
-    model: ParticipationModel,
-    t: ProducerTransform,
-) -> bool:
-    """Could ``candidate`` not have displaced the last accepted increment?
-
-    A candidate reaching the crossing distribution legitimately must not
-    have been preferable one step earlier.  The test bounds the
-    candidate's earlier marginal-participation slope by the ordering
-    limit computed from realized quantities; candidates at or under the
-    limit are viable.  With no earlier step to compare against, viability
-    holds trivially.  Degenerate bases (non-positive mean producer value
-    at either measuring point) never exclude.
-    """
-    if not trace.steps:
-        return True
-    last = trace.steps[-1].added
-    try:
-        d_a = remove_subdistribution(at, last.as_distribution())
-    except Exception:
-        return True
-    if d_a.is_empty():
-        return True
-    n_star = at.n
-    if n_star <= 0:
-        return True
-    e_star = expected_t(at, t)
-    e_a = expected_t(d_a, t)
-    if e_star <= 0 or e_a <= 0:
-        return True
-    n_r1 = last.weight / n_star
-    n_r2 = candidate.weight / n_star
-    tp1 = t.apply(last.point.p) / e_a
-    tp2 = t.apply(candidate.point.p) / e_star
-    denom = 1.0 - n_r1 + tp2 * n_r2
-    if denom <= 0:
-        return True
-    limit = (
-        (1.0 - n_r1 + n_r2) * (tp1 - 1.0) * n_r1 / n_r2 + (1.0 - tp2)
-    ) / denom
-    kappa_a = (
-        potential(model, apply_increment(d_a, candidate)) - potential(model, d_a)
-    ) / candidate.weight
-    # the limit is stated on the volume-normalized scale; kappa is scale-free
-    return kappa_a <= limit + 1e-12
-
-
 def greedy_sweep(
     d_all: Distribution,
     cfg: SequenceConfig,
@@ -381,20 +282,7 @@ def greedy_sweep(
         except ExhaustedPoolError:
             break
         for inc in incs:
-            dv = delta_v_of_increment(
-                d, inc.point.c, inc.point.p, inc.weight, model, t
-            )
-            d = apply_increment(d, inc)
-            trace = trace.extended(
-                SequenceStep(
-                    len(trace.steps),
-                    inc,
-                    d.n,
-                    q_of(d),
-                    potential(model, d),
-                    dv,
-                )
-            )
+            d, trace = trace.record(d, inc, model, t)
         steps += 1
         if not remaining_pool(d, d_all):
             break

@@ -17,19 +17,22 @@ The producer gains from an extension exactly when its marginal
 participation ``kappa`` clears ``x_l_kappa``; the consumer, when it clears
 ``x_c_kappa``; a crossing candidate can only have arrived legitimately
 when its earlier slope stays at or under ``x_u_kappa``.  The classifier
-turns those comparisons into a named outcome.
+turns those comparisons into a named outcome.  ``x_l_kappa`` and
+``x_u_kappa`` take the bare ratios rather than a context, so that a
+caller can sweep the candidate's weight share through the one copy of
+each formula.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import (
     Distribution,
     Point,
     PointIncrement,
     ProducerTransform,
-    apply_increment,
+    SubdistributionError,
     combine,
     expected_t,
     q_of,
@@ -159,38 +162,30 @@ class ExtensionContext:
         m_prime = potential(model, d_prime)
         kappa_r2 = (m_prime - m_star) / w2
 
-        d_a: Distribution | None = None
+        # r1 enters the algebra only when the base it joined, d_a, is
+        # non-empty with positive mean values
+        last: PointIncrement | None = None
         if r1 is not None:
             try:
-                candidate_base = remove_subdistribution(
-                    d_star, r1.as_distribution()
-                )
-            except Exception:
-                candidate_base = None
-            if candidate_base is not None and not candidate_base.is_empty():
-                d_a = candidate_base
-
-        r1_degenerate = False
-        if d_a is not None:
-            q_a = q_of(d_a)
-            e_a = expected_t(d_a, transform)
-            if e_a <= 0 or q_a <= 0:
-                d_a = None
-                r1_degenerate = True
-        if d_a is not None:
-            assert r1 is not None
-            tp1 = transform.apply(r1.point.p) / e_a
-            c1a = r1.point.c / q_a
+                d_a = remove_subdistribution(d_star, r1.as_distribution())
+            except SubdistributionError:  # r1 is not inside the crossing
+                d_a = Distribution()
+            if not d_a.is_empty():
+                q_a = q_of(d_a)
+                e_a = expected_t(d_a, transform)
+                if e_a > 0 and q_a > 0:
+                    last = r1
+        if last is not None:
+            tp1 = transform.apply(last.point.p) / e_a
+            c1a = last.point.c / q_a
             c2a = c2_raw / q_a
             m_a = potential(model, d_a)
             m_ar2 = potential(model, combine(d_a, block_dist))
             kappa_ar2 = (m_ar2 - m_a) / w2
-            n_r1 = r1.weight / n_star
+            n_r1 = last.weight / n_star
         else:
             # no usable earlier base: fall back to treating the crossing
             # itself as the comparison base (neutral last step)
-            if r1 is not None:
-                r1_degenerate = True
             tp1, c1a = 1.0, 1.0
             c2a = c2_raw / q_star
             m_a, m_ar2 = m_star, m_prime
@@ -199,7 +194,7 @@ class ExtensionContext:
 
         return ExtensionContext(
             d_star=d_star,
-            r1=r1 if d_a is not None else None,
+            r1=last,
             r2=pseudo,
             model=model,
             transform=transform,
@@ -220,7 +215,7 @@ class ExtensionContext:
             n_star_raw=n_star,
             q_star_raw=q_star,
             e_star_raw=e_star,
-            r1_degenerate=r1_degenerate,
+            r1_degenerate=r1 is not None and last is None,
             iota=iota,
             consumer_mode=consumer_mode,
         )
@@ -299,33 +294,26 @@ class ExtensionContext:
         return self.q_prime_ratio * self.m_r2_ratio / max(self.m_star_ratio, 1e-300) - 1.0
 
 
-def x_l_kappa(ctx: ExtensionContext) -> float:
+def x_l_kappa(n_r2: float, tp2_ratio: float) -> tuple[float, float]:
     """Producer's break-even marginal participation for the extension.
 
-    Adaptive consumers re-anchor each period, so the producer's gain
-    condition is kappa > (1 − tp2)/(1 + tp2 n_r2); reactive consumers
-    punish the full dilution, giving 1 − tp2 (1 + n_r2).  Extensions at
-    tp2 = 1 are free (threshold 0); worthless additions (tp2 = 0) must
-    pull a full unit of participation per unit volume.
+    Returns ``(adaptive, reactive)``.  Adaptive consumers re-anchor each
+    period, so the producer's gain condition is
+    kappa > (1 − tp2)/(1 + tp2 n_r2), infinite where that denominator
+    vanishes; reactive consumers punish the full dilution, giving
+    1 − tp2 (1 + n_r2).  Extensions at tp2 = 1 are free (threshold 0);
+    worthless additions (tp2 = 0) must pull a full unit of participation
+    per unit volume.
     """
-    tp2, n2 = ctx.tp2_ratio, ctx.n_r2
-    if ctx.consumer_mode == REACTIVE:
-        return 1.0 - tp2 * (1.0 + n2)
-    denom = 1.0 + tp2 * n2
-    if abs(denom) < 1e-12:
-        raise DegenerateContextError("degenerate producer threshold denominator")
-    return (1.0 - tp2) / denom
-
-
-def x_l_kappa_both(ctx: ExtensionContext) -> tuple[float, float]:
-    """(adaptive, reactive) producer thresholds for the same context."""
-    tp2, n2 = ctx.tp2_ratio, ctx.n_r2
+    tp2, n2 = tp2_ratio, n_r2
     denom = 1.0 + tp2 * n2
     adaptive = (1.0 - tp2) / denom if abs(denom) >= 1e-12 else math.inf
     return adaptive, 1.0 - tp2 * (1.0 + n2)
 
 
-def x_u_kappa(ctx: ExtensionContext) -> tuple[float, float]:
+def x_u_kappa(
+    n_r1: float, n_r2: float, tp1_ratio: float, tp2_ratio: float
+) -> tuple[float, float]:
     """Upper ordering limits on the candidate's earlier slope.
 
     Returns ``(standard, adjusted)``.  The standard form assumes the last
@@ -336,12 +324,7 @@ def x_u_kappa(ctx: ExtensionContext) -> tuple[float, float]:
     picked earlier, so reaching the crossing with a higher slope is
     inconsistent with greedy order.
     """
-    n1, n2, tp1, tp2 = (
-        ctx.n_r1,
-        ctx.n_r2,
-        ctx.tp1_ratio,
-        ctx.tp2_ratio,
-    )
+    n1, n2, tp1, tp2 = n_r1, n_r2, tp1_ratio, tp2_ratio
     if n2 <= 0:
         raise ValueError("ordering limits need a candidate with positive weight")
     denom = 1.0 - n1 + tp2 * n2
@@ -518,8 +501,8 @@ class ThresholdReport:
 
 
 def threshold_report(ctx: ExtensionContext) -> ThresholdReport:
-    adaptive, reactive = x_l_kappa_both(ctx)
-    standard, adjusted = x_u_kappa(ctx)
+    adaptive, reactive = x_l_kappa(ctx.n_r2, ctx.tp2_ratio)
+    standard, adjusted = x_u_kappa(ctx.n_r1, ctx.n_r2, ctx.tp1_ratio, ctx.tp2_ratio)
     try:
         tau = tau_tp1(ctx)
     except DegenerateContextError:
@@ -659,13 +642,9 @@ def classify(ctx: ExtensionContext) -> EquilibriumVerdict:
         # no earlier opportunity existed, so order cannot exclude
         viable, viability_indet = True, False
     else:
-        try:
-            _, adjusted = x_u_kappa(ctx)
-            viable = ctx.kappa_ar2 <= adjusted + 1e-12
-            viability_indet = abs(ctx.kappa_ar2 - adjusted) <= DECISION_BAND
-        except DegenerateContextError:
-            viable, viability_indet = True, True
-            notes.append("ordering limit degenerate; candidate not excluded")
+        adjusted = report.x_u_kappa_alt
+        viable = ctx.kappa_ar2 <= adjusted + 1e-12
+        viability_indet = abs(ctx.kappa_ar2 - adjusted) <= DECISION_BAND
     dv = ctx.delta_v_hat()
     indet = (
         abs(k - 1.0) <= DECISION_BAND

@@ -16,14 +16,12 @@ shift straddles it.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 from .core import (
     Distribution,
     EmptyDistributionError,
     ProducerTransform,
-    apply_increment,
     expected_t,
     q_of,
     remove_subdistribution,

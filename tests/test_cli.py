@@ -232,3 +232,40 @@ def test_schema_errors_read_as_jsonschema_validate_reports_them(tmp_path, capsys
     assert capsys.readouterr().err == (
         f"error: {inp} failed schema validation: {expected.value.message}\n"
     )
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda inst: inst["participation"].pop("zeta"),
+        lambda inst: inst.update(participation={"kind": "saturating", "zeta": 1.0, "alpha": 0.5}),
+        lambda inst: inst.update(participation={"kind": "table"}),
+        lambda inst: inst.update(transform={"kind": "affine", "a": 2.0}),
+        lambda inst: inst.update(participation={"kind": "table", "knots": [[2.0, 1.0], [1.0, 2.0]]}),
+        lambda inst: inst["points"][0].update(c=float("nan")),
+        lambda inst: inst.update(transform={"kind": "table", "table": [[2.0, 1.0]]}),
+        lambda inst: inst.update(optimizer={"seed_policy": {"ids": ["ghost"]}}),
+    ],
+    ids=[
+        "power-without-zeta",
+        "saturating-without-cap",
+        "table-curve-without-knots",
+        "affine-without-b",
+        "knots-not-increasing",
+        "nan-score",
+        "table-transform-missing-p",
+        "seed-id-outside-pool",
+    ],
+)
+def test_invalid_instances_end_as_an_error_line(tmp_path, mutate):
+    inst = json.loads(json.dumps(FIVE_POINT))
+    mutate(inst)
+    inp = write(tmp_path, "bad.json", inst)  # json.dumps writes NaN as a bare NaN
+    proc = subprocess.run(
+        [sys.executable, "-m", "distopt.cli", "optimize", "--input", inp],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith(f"error: {inp} ")
+    assert "Traceback" not in proc.stderr

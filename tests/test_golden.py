@@ -1,13 +1,16 @@
 """Report bytes on a fixed corpus match the digests recorded in
-``golden_digests.json``.
+``golden_digests.json`` and ``golden_command_digests.json``.
 
 The corpus covers plain ``uniform`` and ``monotone`` pools, the
 table-transform, table-curve, saturating and ``unit_chunks`` variants, and
 searched ``scenario:`` instances with and without carveouts.  Every
 ``optimize`` output (the JSON report, and the report and both curve files
-of ``--format csv``) is hashed.  A change that is meant to keep report
-bytes must keep every digest; a change that moves them on purpose
-re-records the file with ``PYTHONPATH=src python3 tests/test_golden.py``.
+of ``--format csv``) is hashed into the first file; the ``analyze``
+outputs (JSON, and the thresholds file of ``--format csv``) for the first
+pool point outside D*, and the ``carveout`` report, into the second.  A
+change that is meant to keep report bytes must keep every digest; a change
+that moves them on purpose re-records both files with
+``PYTHONPATH=src python3 tests/test_golden.py``.
 """
 from __future__ import annotations
 
@@ -23,6 +26,7 @@ from distopt.cli import canonical_json, main
 from distopt.oracle import find_scenario_instance, generate_instance
 
 DIGESTS = Path(__file__).with_name("golden_digests.json")
+COMMAND_DIGESTS = Path(__file__).with_name("golden_command_digests.json")
 
 
 def _table_transform(inst: dict) -> None:
@@ -126,6 +130,32 @@ def output_digests(name: str, work: Path) -> dict:
     }
 
 
+def command_digests(name: str, work: Path) -> dict:
+    """sha256 of every file ``analyze`` and ``carveout`` write for one
+    corpus instance; the analyzed candidate is the first pool point that
+    the ``optimize`` report leaves outside D*."""
+    inst = corpus_instance(name)
+    work.mkdir(parents=True, exist_ok=True)
+    src = work / "instance.json"
+    src.write_text(canonical_json(inst))
+    main(["optimize", "--input", str(src), "--output", str(work / "opt.json")])
+    in_d_star = {pt["id"] for pt in json.loads((work / "opt.json").read_text())["d_star"]["points"]}
+    outside = [str(pt["id"]) for pt in inst["points"] if str(pt["id"]) not in in_d_star]
+    got: dict = {"candidate": outside[0] if outside else None}
+    if outside:
+        analyze = ["analyze", "--input", str(src), "--candidate", outside[0], "--output"]
+        got["analyze.exit"] = [
+            main(analyze + [str(work / "ana.report.json")]),
+            main(analyze + [str(work / "ana-csv.json"), "--format", "csv"]),
+        ]
+        got["analyze.json"] = _sha(work / "ana.report.json")
+        got["analyze.csv.report"] = _sha(work / "ana-csv.json")
+        got["analyze.csv.thresholds"] = _sha(work / "ana-csv.thresholds.csv")
+    got["carveout.exit"] = main(["carveout", "--input", str(src), "--output", str(work / "carve.json")])
+    got["carveout.json"] = _sha(work / "carve.json")
+    return got
+
+
 NAMES = list(POOLS) + list(SCENARIOS)
 
 
@@ -137,10 +167,16 @@ def test_optimize_outputs_match_recorded_digests(name: str, tmp_path: Path) -> N
     assert got == recorded
 
 
+@pytest.mark.parametrize("name", NAMES)
+def test_analyze_and_carveout_outputs_match_recorded_digests(name: str, tmp_path: Path) -> None:
+    assert command_digests(name, tmp_path) == json.loads(COMMAND_DIGESTS.read_text())[name]
+
+
 if __name__ == "__main__":
     import tempfile
 
-    with tempfile.TemporaryDirectory() as tmp:
-        table = {name: output_digests(name, Path(tmp) / name) for name in NAMES}
-    DIGESTS.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
-    print(f"recorded {len(table)} digests to {DIGESTS}", file=sys.stderr)
+    for path, digests in ((DIGESTS, output_digests), (COMMAND_DIGESTS, command_digests)):
+        with tempfile.TemporaryDirectory() as tmp:
+            table = {name: digests(name, Path(tmp) / name) for name in NAMES}
+        path.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
+        print(f"recorded {len(table)} digests to {path}", file=sys.stderr)

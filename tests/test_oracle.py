@@ -11,8 +11,8 @@ from distopt.oracle import (
     find_scenario_instance,
     finite_difference_facts,
     generate_instance,
-    run_instance,
 )
+from distopt.optimizer import optimize
 from distopt.participation import potential
 from distopt.thresholds import (
     CONTINUE_TO_D2_STAR_THM4,
@@ -27,6 +27,7 @@ from distopt.thresholds import (
 
 from conftest import make_instance
 
+
 ALL_KINDS = (
     STAY_AT_D_STAR_THM2,
     SCENARIO_I_BOTH_PREFER,
@@ -37,6 +38,12 @@ ALL_KINDS = (
     UNDER_SERVED,
     SATURATED_CONSUMER,
 )
+
+
+def run_instance(instance: dict):
+    """The whole pipeline on an instance dict."""
+    pool, model, t, cfg = build_objects(instance)
+    return optimize(pool, cfg, model, t)
 
 
 def test_single_point_brute_force():
