@@ -383,9 +383,12 @@ def sweep_csv(
 
     Runs the plain sweep of ``pool`` to exhaustion so the supply/demand
     crossing is visible as the sign change of m − n; the row whose prefix
-    equals the crossing distribution is marked.
+    equals the crossing distribution is marked.  The sweep resumes from the
+    leading steps of ``result``'s trace that lie on it.
     """
-    trace = greedy_sweep(pool, cfg.sequence, model, t)
+    trace = greedy_sweep(
+        pool, cfg.sequence, model, t, result.trace.steps[: result.greedy_steps]
+    )
     target = {pid: result.d_star.weight_of(pid) for pid in result.d_star.ids()}
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")

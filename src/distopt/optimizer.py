@@ -20,6 +20,7 @@ from dataclasses import dataclass, field, replace
 
 from .core import (
     Distribution,
+    Point,
     PointIncrement,
     ProducerTransform,
     apply_increment,
@@ -145,6 +146,10 @@ class OptimizationResult:
     budget_exhausted: bool = False
     steps: int = 0
     evaluations: int = 0
+    #: leading ``trace`` steps, up to the one that reached D* (D²* after a
+    #: continuation), that the plain greedy build from the seed takes too;
+    #: ``greedy_sweep`` resumes from them instead of scoring them again
+    greedy_steps: int = 0
 
 
 def _w_of(d: Distribution, model: ParticipationModel) -> float:
@@ -177,6 +182,26 @@ def _assert_no_dominating_extension(ctx: ExtensionContext) -> None:
         )
 
 
+def _degenerate_context_verdict(exc: DegenerateContextError) -> EquilibriumVerdict:
+    return EquilibriumVerdict(
+        kind=STAY_AT_D_STAR_THM2,
+        is_nash=True,
+        is_pareto=True,
+        indeterminate=True,
+        witness=None,
+        notes=(f"crossing context degenerate: {exc}",),
+    )
+
+
+def _classify(ctx: ExtensionContext) -> EquilibriumVerdict:
+    """``classify``, reading a threshold whose denominator vanishes as an
+    indeterminate stay, as a degenerate crossing context is read."""
+    try:
+        return classify(ctx)
+    except DegenerateContextError as exc:
+        return _degenerate_context_verdict(exc)
+
+
 def _degenerate_verdict(kind: str, notes: tuple[str, ...]) -> EquilibriumVerdict:
     return EquilibriumVerdict(
         kind=kind,
@@ -190,7 +215,13 @@ def _degenerate_verdict(kind: str, notes: tuple[str, ...]) -> EquilibriumVerdict
 
 
 class _Run:
-    """Mutable state for one optimizer run."""
+    """Mutable state for one optimizer run.
+
+    ``chain`` counts the leading trace steps that lie on the plain greedy
+    build from the seed (``greedy_sweep``'s): each is the best increment
+    from the state the one before it left, over the whole pool.  It stops
+    growing once a carve retires weight and replaces the current state.
+    """
 
     def __init__(
         self,
@@ -206,30 +237,51 @@ class _Run:
         self.available = d_all  # shrinks as carves retire weight
         self.current = Distribution()
         self.trace = SequenceTrace()
-        self.snapshots: list[tuple[float, Distribution]] = []
+        #: (W, state, trace length when the state was reached)
+        self.snapshots: list[tuple[float, Distribution, int]] = []
         self.events: list[EquilibriumVerdict] = []
         self.carveouts: list[CarveoutResult] = []
         self.carved_entries: list[tuple] = []
         self.steps = 0
         self.evaluations = 0
+        self.chain = 0
         self.budget = cfg.step_budget(d_all)
         self.budget_exhausted = False
+        #: (state, available weight, its remaining pool) of the last pool walked
+        self._pool: tuple = (None, None, [])
 
     # -- bookkeeping ------------------------------------------------------
 
     def snapshot(self) -> None:
         self.snapshots.append(
-            (_w_of(self.current, self.model), self.current)
+            (_w_of(self.current, self.model), self.current, len(self.trace.steps))
         )
 
-    def count_evaluations(self, base: Distribution) -> None:
-        self.evaluations += len(remaining_pool(base, self.available))
+    def pool(self) -> list[tuple[Point, float]]:
+        """The remaining pool of the current state, walked once per state."""
+        state, available, pool = self._pool
+        if state is not self.current or available is not self.available:
+            pool = remaining_pool(self.current, self.available)
+            self._pool = (self.current, self.available, pool)
+        return pool
+
+    def next_increment(self) -> PointIncrement:
+        """The best increment from the current state; each candidate scored
+        counts as one evaluation."""
+        pool = self.pool()
+        self.evaluations += len(pool)
+        return best_increment(self.current, pool, self.cfg.sequence, self.model, self.t)
 
     def record_step(self, inc: PointIncrement) -> None:
+        on_chain = (
+            self.chain == len(self.trace.steps) and self.available is self.d_all
+        )
         self.current, self.trace = self.trace.record(
             self.current, inc, self.model, self.t
         )
         self.steps += 1
+        if on_chain:
+            self.chain += 1
         self.snapshot()
 
     def retire(self, y: Distribution) -> None:
@@ -253,10 +305,7 @@ class _Run:
         of the discrete crossing.
         """
         while self.steps < self.budget and not self.pool_dry():
-            self.count_evaluations(self.current)
-            inc = best_increment(
-                self.current, self.available, self.cfg.sequence, self.model, self.t
-            )
+            inc = self.next_increment()
             w_now = _w_of(self.current, self.model)
             w_next = _w_of(apply_increment(self.current, inc), self.model)
             if w_next <= w_now:
@@ -270,26 +319,27 @@ class _Run:
         return potential(self.model, self.current) / n
 
     def pool_dry(self) -> bool:
-        return not remaining_pool(self.current, self.available)
+        return not self.pool()
 
     # -- result assembly --------------------------------------------------
 
-    def best_snapshot(self) -> Distribution:
+    def best_snapshot(self) -> tuple[Distribution, int]:
+        """The state of greatest W and the trace length that reached it."""
         if not self.snapshots:
-            return self.current
-        best_w, best_d = self.snapshots[0]
-        for w, d in self.snapshots[1:]:
+            return self.current, len(self.trace.steps)
+        best_w, best_d, best_len = self.snapshots[0]
+        for w, d, length in self.snapshots[1:]:
             # strict first-max: later states must beat, not tie, the incumbent
             if w > best_w + 1e-12 * max(1.0, abs(best_w)):
-                best_w, best_d = w, d
-        return best_d
+                best_w, best_d, best_len = w, d, length
+        return best_d, best_len
 
     def finish(
         self,
         verdict: EquilibriumVerdict,
         pending: tuple[PointIncrement, ...] = (),
     ) -> OptimizationResult:
-        d_star = self.best_snapshot()
+        d_star, d_star_len = self.best_snapshot()
         carved = (
             Distribution(self.carved_entries) if self.carved_entries else None
         )
@@ -307,6 +357,9 @@ class _Run:
             budget_exhausted=self.budget_exhausted,
             steps=self.steps,
             evaluations=self.evaluations,
+            # counted no further than D*, so that a continuation from an
+            # earlier state than the last sees that it leaves the chain
+            greedy_steps=min(self.chain, d_star_len),
         )
 
 
@@ -370,11 +423,10 @@ def _lookahead_block(
     extended = probe.distribution
     incs = list(probe.increments)
     for _ in range(run.cfg.lookahead_steps):
-        run.count_evaluations(extended)
+        pool = remaining_pool(extended, run.available)
+        run.evaluations += len(pool)
         try:
-            inc = best_increment(
-                extended, run.available, run.cfg.sequence, run.model, run.t
-            )
+            inc = best_increment(extended, pool, run.cfg.sequence, run.model, run.t)
         except ExhaustedPoolError:
             return None
         extended = apply_increment(extended, inc)
@@ -433,7 +485,7 @@ def determine_d_star(
     run = _Run(d_all, cfg, model, t)
 
     # seed
-    run.count_evaluations(run.current)
+    run.evaluations += len(run.pool())
     for inc in seed_distribution(run.available, cfg.sequence, model, t):
         run.record_step(inc)
 
@@ -458,15 +510,14 @@ def determine_d_star(
 
         if run.ratio() > cfg.ratio_threshold:
             # demand still outruns supply: keep growing
-            run.count_evaluations(run.current)
-            inc = best_increment(run.current, run.available, cfg.sequence, model, t)
-            run.record_step(inc)
+            run.record_step(run.next_increment())
             continue
 
         # at the crossing: probe the best extension
-        run.count_evaluations(run.current)
+        pool = run.pool()
+        run.evaluations += len(pool)
         probe = best_next_in_sequence(
-            run.current, run.available, cfg.sequence, model, t
+            run.current, pool, run.available, cfg.sequence, model, t
         )
         run.evaluations += max(0, len(probe.increments) - 1)
         if probe.kappa is None:
@@ -477,19 +528,12 @@ def determine_d_star(
         try:
             ctx = _context_for_block(run, block)
         except DegenerateContextError as exc:
-            verdict = EquilibriumVerdict(
-                kind=STAY_AT_D_STAR_THM2,
-                is_nash=True,
-                is_pareto=True,
-                indeterminate=True,
-                witness=None,
-                notes=(f"crossing context degenerate: {exc}",),
-            )
+            verdict = _degenerate_context_verdict(exc)
             run.events.append(verdict)
             return run.finish(verdict)
 
         if k <= 0:
-            verdict = classify(ctx)
+            verdict = _classify(ctx)
             run.events.append(verdict)
             run.walk_declining_tail()
             return run.finish(verdict)
@@ -499,12 +543,12 @@ def determine_d_star(
             if promoted is not None:
                 big_block, big_incs = promoted
                 big_ctx = _context_for_block(run, big_block)
-                big_verdict = classify(big_ctx)
+                big_verdict = _classify(big_ctx)
                 if big_verdict.kind == CONTINUE_TO_D2_STAR_THM4:
                     run.events.append(big_verdict)
                     return run.finish(big_verdict, pending=big_incs)
 
-        verdict = classify(ctx)
+        verdict = _classify(ctx)
         run.events.append(verdict)
 
         if verdict.kind == CONTINUE_TO_D2_STAR_THM4:
@@ -747,6 +791,7 @@ def continue_to_d2_star(
     run.trace = result.trace
     run.steps = result.steps
     run.evaluations = result.evaluations
+    run.chain = result.greedy_steps
     run.budget += result.steps  # the continuation's steps get a budget of their own
     for inc in result.pending_increments:
         run.record_step(inc)
@@ -762,11 +807,9 @@ def continue_to_d2_star(
                 d2_star=None,
                 steps=run.steps,
                 evaluations=run.evaluations,
+                greedy_steps=run.chain,
             )
-        run.count_evaluations(run.current)
-        run.record_step(
-            best_increment(run.current, run.available, cfg.sequence, model, t)
-        )
+        run.record_step(run.next_increment())
 
     d2 = run.current
     dv = delta_v(result.d_star, d2, model, t)
@@ -798,4 +841,5 @@ def continue_to_d2_star(
         d2_crossing_gap=_gap_of(d2, model),
         steps=run.steps,
         evaluations=run.evaluations,
+        greedy_steps=run.chain,
     )

@@ -165,12 +165,14 @@ def _increment_weight(cfg: SequenceConfig, available: float) -> float:
 
 def best_increment(
     d: Distribution,
-    d_all: Distribution,
+    pool: list[tuple[Point, float]],
     cfg: SequenceConfig,
     model: ParticipationModel,
     t: ProducerTransform,
 ) -> PointIncrement:
-    """The value-maximizing next increment from the remaining pool.
+    """The value-maximizing next increment from ``pool``, the remaining
+    pool of ``d`` (``remaining_pool(d, d_all)``, which the caller has
+    already walked).
 
     On an empty base the score of a candidate is the potential value of
     its own singleton, T(p) * M(c).  Otherwise candidates are scored by
@@ -178,7 +180,6 @@ def best_increment(
     base's N, E(T|D), Q and V are taken once per call, so a call costs
     O(|D| + |pool|).
     """
-    pool = remaining_pool(d, d_all)
     if not pool:
         raise ExhaustedPoolError("no candidate weight remains")
     scorer = IncrementScorer(d, model, t)
@@ -209,11 +210,13 @@ def seed_distribution(
                 raise KeyError(f"seed id {pid!r} is not in the pool")
             incs.append(PointIncrement(d_all.point_of(pid), d_all.weight_of(pid)))
         return incs
-    return [best_increment(Distribution(), d_all, cfg, model, t)]
+    empty = Distribution()
+    return [best_increment(empty, remaining_pool(empty, d_all), cfg, model, t)]
 
 
 def best_next_in_sequence(
     d: Distribution,
+    pool: list[tuple[Point, float]],
     d_all: Distribution,
     cfg: SequenceConfig,
     model: ParticipationModel,
@@ -221,19 +224,23 @@ def best_next_in_sequence(
 ) -> ProbeResult:
     """Accumulate best increments past ``d`` until the block slope settles.
 
-    Stops at the first accumulated block whose slope versus the entry
-    distribution leaves the open interval (0, 1) — such a block is a
-    complete candidate for the caller to classify — or at the first block
-    whose slope fails to improve on the previous one while still inside
-    (0, 1).  Runs the pool dry otherwise and says so.
+    ``pool`` is the remaining pool of ``d`` in ``d_all``, already walked by
+    the caller; each later state's pool is walked once.  Stops at the
+    first accumulated block whose slope versus the entry distribution
+    leaves the open interval (0, 1) — such a block is a complete candidate
+    for the caller to classify — or at the first block whose slope fails
+    to improve on the previous one while still inside (0, 1).  Runs the
+    pool dry otherwise and says so.
     """
     current = d
     increments: list[PointIncrement] = []
     kappas: list[float] = []
     prev_kappa: float | None = None
     while True:
+        if increments:
+            pool = remaining_pool(current, d_all)
         try:
-            inc = best_increment(current, d_all, cfg, model, t)
+            inc = best_increment(current, pool, cfg, model, t)
         except ExhaustedPoolError:
             return ProbeResult(
                 current,
@@ -262,28 +269,35 @@ def greedy_sweep(
     cfg: SequenceConfig,
     model: ParticipationModel,
     t: ProducerTransform,
-    max_steps: int | None = None,
+    prefix: tuple[SequenceStep, ...] = (),
 ) -> SequenceTrace:
     """Run the plain greedy build to pool exhaustion and record each step.
 
     No stopping rule, no probes: this is the raw supply/participation
-    curve that the optimizer's stopping logic carves a prefix out of.
+    curve that the optimizer's stopping logic carves a prefix out of.  The
+    build stops after ``10 * len(d_all)`` steps, the seed block counting as
+    one.  ``prefix`` holds leading steps already known to lie on this very
+    build, such as the first ``greedy_steps`` of an ``optimize`` trace:
+    they are replayed and kept as they are rather than scored again.
     """
-    trace = SequenceTrace()
+    limit = 10 * max(1, len(d_all))
+    seed_len = len(cfg.seed_ids) if cfg.seed_policy == EXPLICIT else 1
+    if len(prefix) < seed_len:
+        prefix = ()  # a partial seed block is not a step of the build
+    prefix = prefix[: limit + seed_len - 1]
     d = Distribution()
-    steps = 0
-    limit = max_steps if max_steps is not None else 10 * max(1, len(d_all))
-    while steps < limit:
-        try:
-            if d.is_empty():
-                incs = seed_distribution(d_all, cfg, model, t)
-            else:
-                incs = [best_increment(d, d_all, cfg, model, t)]
-        except ExhaustedPoolError:
-            break
+    for step in prefix:
+        d = apply_increment(d, step.added)
+    trace = SequenceTrace(tuple(prefix))
+    steps = len(prefix) - seed_len + 1 if prefix else 0
+    pool = remaining_pool(d, d_all)
+    while steps < limit and pool:
+        if d.is_empty():
+            incs = seed_distribution(d_all, cfg, model, t)
+        else:
+            incs = [best_increment(d, pool, cfg, model, t)]
         for inc in incs:
             d, trace = trace.record(d, inc, model, t)
         steps += 1
-        if not remaining_pool(d, d_all):
-            break
+        pool = remaining_pool(d, d_all)
     return trace

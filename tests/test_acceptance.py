@@ -31,7 +31,7 @@ from distopt.oracle import (
     generate_instance,
 )
 from distopt.optimizer import continue_to_d2_star, determine_d_star
-from distopt.sequence import ExhaustedPoolError, best_increment
+from distopt.sequence import ExhaustedPoolError, best_increment, remaining_pool
 from distopt.participation import ParticipationModel, potential
 from distopt.thresholds import (
     ADAPTIVE,
@@ -147,7 +147,7 @@ def test_crossing_build_matches_brute_force_and_rejects_deviations():
             assert _w_of(d_minus, model) <= bound, f"seed {seed}: step back"
         try:
             nxt = best_increment(
-                res.d_star, pool, cfg.sequence, model, t
+                res.d_star, remaining_pool(res.d_star, pool), cfg.sequence, model, t
             )
         except ExhaustedPoolError:
             continue

@@ -269,3 +269,25 @@ def test_invalid_instances_end_as_an_error_line(tmp_path, mutate):
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.startswith(f"error: {inp} ")
     assert "Traceback" not in proc.stderr
+
+
+def test_a_vanishing_ordering_limit_denominator_ends_in_a_verdict(tmp_path):
+    # the probe block z gives n_r1 = n_r2 = 0.5 and tp2 = -1, so the
+    # ordering-limit denominator 1 - n_r1 + tp2 * n_r2 is exactly 0
+    inst = make_instance(
+        [("a", 3.0, 1.0, 1.0), ("r", 2.0, 1.0, 1.0), ("z", 1.0, -1.0, 1.0)],
+        zeta=0.8,
+        alpha=1.0,
+    )
+    inp = write(tmp_path, "degenerate.json", inst)
+    proc = subprocess.run(
+        [sys.executable, "-m", "distopt.cli", "optimize", "--input", inp],
+        capture_output=True,
+        text=True,
+    )
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    verdict = json.loads(proc.stdout)["verdict"]
+    assert verdict["kind"] == "StayAtDStar_Thm2"
+    assert verdict["indeterminate"]
+    assert verdict["notes"] == ["crossing context degenerate: degenerate ordering-limit denominator"]

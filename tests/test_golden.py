@@ -2,8 +2,10 @@
 ``golden_digests.json`` and ``golden_command_digests.json``.
 
 The corpus covers plain ``uniform`` and ``monotone`` pools, the
-table-transform, table-curve, saturating and ``unit_chunks`` variants, and
-searched ``scenario:`` instances with and without carveouts.  Every
+table-transform, table-curve, saturating and ``unit_chunks`` variants (one
+with chunks small enough that the trace sweep's step limit binds), an
+explicit two-point seed, and searched ``scenario:`` instances with and
+without carveouts.  Every
 ``optimize`` output (the JSON report, and the report and both curve files
 of ``--format csv``) is hashed into the first file; the ``analyze``
 outputs (JSON, and the thresholds file of ``--format csv``) for the first
@@ -61,6 +63,16 @@ def _unit_chunks(inst: dict) -> None:
     inst["optimizer"] = {"increment_policy": {"kind": "unit_chunks", "chunk": 0.5}}
 
 
+def _fine_chunks(inst: dict) -> None:
+    """Chunks so small that the sweep stops at its 10-steps-per-point limit."""
+    inst["optimizer"] = {"increment_policy": {"kind": "unit_chunks", "chunk": 0.05}}
+
+
+def _explicit_seed(inst: dict) -> None:
+    """Seed the build with the last two pool points, as one two-point block."""
+    inst["optimizer"] = {"seed_policy": {"ids": [pt["id"] for pt in inst["points"][-2:]]}}
+
+
 #: name -> (profile, seed, size, variant)
 POOLS = {
     "uniform-40": ("uniform", 11, 40, None),
@@ -72,6 +84,8 @@ POOLS = {
     "saturating-45": ("uniform", 17, 45, _saturating),
     "unit-chunks-40": ("uniform", 18, 40, _unit_chunks),
     "monotone-unit-chunks-35": ("monotone", 19, 35, _unit_chunks),
+    "fine-chunks-12": ("uniform", 20, 12, _fine_chunks),
+    "explicit-seed-30": ("uniform", 20, 30, _explicit_seed),
 }
 
 #: name -> (verdict kind searched for, search seed, carveout required)

@@ -65,7 +65,7 @@ def test_config_validation():
 def test_equal_candidates_break_ties_by_id():
     cur = make_dist(("z", 2.0, 1.0, 1.0))
     pool = make_dist(("z", 2.0, 1.0, 1.0), ("b", 2.0, 1.0, 1.0), ("a", 2.0, 1.0, 1.0))
-    inc = best_increment(cur, pool, SequenceConfig(), M11, IDENT)
+    inc = best_increment(cur, remaining_pool(cur, pool), SequenceConfig(), M11, IDENT)
     assert inc.point.id == "a"
 
 
@@ -92,7 +92,9 @@ def test_sweep_step_bookkeeping_is_consistent():
 def test_probe_stops_at_a_non_positive_slope():
     pool, model, t, cfg = build_objects(LADDER)
     prefix = Distribution([(pt, w) for pt, w in pool.items() if pt.id <= "p06"])
-    probe = best_next_in_sequence(prefix, pool, cfg.sequence, model, t)
+    probe = best_next_in_sequence(
+        prefix, remaining_pool(prefix, pool), pool, cfg.sequence, model, t
+    )
     assert [i.point.id for i in probe.increments] == ["p07"]
     assert probe.kappa == pytest.approx(-1.0 / 13.0, rel=1e-12)
     assert not probe.exhausted
@@ -103,7 +105,9 @@ def test_probe_reports_exhaustion_when_the_pool_runs_dry():
     # and the pool dries up before the probe can settle
     pool = make_dist(("a", 3.0, 1.0, 0.5), ("b", 3.2, 1.0, 0.5))
     prefix = make_dist(("a", 3.0, 1.0, 0.5))
-    probe = best_next_in_sequence(prefix, pool, SequenceConfig(), M11, IDENT)
+    probe = best_next_in_sequence(
+        prefix, remaining_pool(prefix, pool), pool, SequenceConfig(), M11, IDENT
+    )
     assert probe.exhausted
     assert [i.point.id for i in probe.increments] == ["b"]
     assert probe.kappa == pytest.approx(0.2, rel=1e-12)
@@ -214,7 +218,7 @@ def test_best_increment_matches_the_per_candidate_reference(
     base = Distribution([(pt, w * share) for pt, (_, _, w) in zip(points[:k], rows[:k])])
     t = _transform(kind, sorted({p for _, p, _ in rows}))
     want = _reference_best_increment(base, pool, cfg, model, t)
-    assert best_increment(base, pool, cfg, model, t) == want
+    assert best_increment(base, remaining_pool(base, pool), cfg, model, t) == want
 
 
 @pytest.mark.parametrize("size", [8, 80, 320])
@@ -234,5 +238,5 @@ def test_best_increment_passes_over_the_base_a_fixed_number_of_times(size, monke
     base = make_dist(*rows[: size // 2])
     for cfg in (SequenceConfig(), SequenceConfig(weight_policy="unit_chunks", chunk=0.5)):
         calls.clear()
-        best_increment(base, pool, cfg, M11, IDENT)
+        best_increment(base, remaining_pool(base, pool), cfg, M11, IDENT)
         assert len(calls) <= 2, f"{len(calls)} passes over the base at pool size {size}"
