@@ -40,6 +40,7 @@ from . import oracle
 from .core import Distribution, PointIncrement, ProducerTransform, q_of, expected_t
 from .instances import SCHEMA_VERSION, build_objects
 from .optimizer import (
+    BuildOrderError,
     CarveoutInfeasibleError,
     CarveoutResult,
     OptimizationResult,
@@ -489,22 +490,33 @@ def _csv_paths(output: str | None) -> tuple[str, str]:
     return f"{stem}.trace.csv", f"{stem}.thresholds.csv"
 
 
-def _build(
+def _optimize(
     instance: dict, path: str
-) -> tuple[Distribution, ParticipationModel, ProducerTransform, OptimizerConfig]:
-    """``build_objects`` on the instance read from ``path``, with what the
-    schema cannot reject reported as a usage error."""
+) -> tuple[
+    Distribution,
+    ParticipationModel,
+    ProducerTransform,
+    OptimizerConfig,
+    OptimizationResult,
+]:
+    """``build_objects`` and ``optimize`` on the instance read from
+    ``path``, with what the schema cannot reject and a build found off the
+    greedy order (an explicit seed can start it there) reported as errors."""
     try:
-        return build_objects(instance)
+        pool, model, transform, cfg = build_objects(instance)
     except ValueError as exc:
         raise CliError(f"{path} is not a valid instance: {exc}") from exc
+    try:
+        result = optimize(pool, cfg, model, transform)
+    except BuildOrderError as exc:
+        raise CliError(f"{path}: {exc}") from exc
+    return pool, model, transform, cfg, result
 
 
 def _optimize_one(instance: dict, path: str, output: str | None, fmt: str) -> int:
     if fmt == "csv":
         _csv_paths(output)  # reject --format csv without --output up front
-    pool, model, transform, cfg = _build(instance, path)
-    result = optimize(pool, cfg, model, transform)
+    pool, model, transform, cfg, result = _optimize(instance, path)
     report = run_report(instance, result, model, transform)
     _write(output, canonical_json(report))
     if fmt == "csv":
@@ -549,8 +561,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     instance = load_instance(args.input)
-    pool, model, transform, cfg = _build(instance, args.input)
-    result = optimize(pool, cfg, model, transform)
+    pool, model, transform, cfg, result = _optimize(instance, args.input)
     cand_id = str(args.candidate)
     if cand_id not in pool:
         raise CliError(f"candidate {cand_id!r} is not in the instance pool")
@@ -591,8 +602,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_carveout(args: argparse.Namespace) -> int:
     instance = load_instance(args.input)
-    pool, model, transform, cfg = _build(instance, args.input)
-    result = optimize(pool, cfg, model, transform)
+    pool, model, transform, cfg, result = _optimize(instance, args.input)
     report: dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
         "instance": {"fingerprint": fingerprint(instance)},

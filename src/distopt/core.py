@@ -76,7 +76,8 @@ class PointIncrement:
         object.__setattr__(self, "weight", w)
 
     def as_distribution(self) -> "Distribution":
-        return Distribution([(self.point, self.weight)])
+        point = self.point
+        return Distribution._from_checked({point.id: (point, self.weight)})
 
 
 @dataclass(frozen=True)
@@ -157,6 +158,31 @@ class ProducerTransform:
             ) from None
 
 
+def _checked_weight(point: Point, weight: float) -> float:
+    """``weight`` as a float, which must be finite and non-negative."""
+    weight = float(weight)
+    if not math.isfinite(weight):
+        raise ValueError(f"weight of {point.id!r} must be finite, got {weight!r}")
+    if weight < 0:
+        raise ValueError(f"negative weight for point {point.id!r}")
+    return weight
+
+
+def _merge(
+    merged: dict[str, tuple[Point, float]], point: Point, weight: float
+) -> None:
+    """Add ``weight`` at ``point`` into ``merged``; an id already present
+    must carry the same scores, and the incoming point replaces it."""
+    prev = merged.get(point.id)
+    if prev is None:
+        merged[point.id] = (point, weight)
+        return
+    prev_point, prev_weight = prev
+    if prev_point.c != point.c or prev_point.p != point.p:
+        raise ValueError(f"point id {point.id!r} reused with different scores")
+    merged[point.id] = (point, prev_weight + weight)
+
+
 class Distribution:
     """An immutable map from point id to (point, weight).
 
@@ -165,30 +191,36 @@ class Distribution:
     reproducible byte-for-byte.
     """
 
-    __slots__ = ("_entries", "_n", "_q_numerator")
+    __slots__ = ("_entries", "_n", "_q_numerator", "_e_cache")
 
     def __init__(self, entries: Iterable[tuple[Point, float]] = ()):
         merged: dict[str, tuple[Point, float]] = {}
         for point, weight in entries:
-            weight = _require_finite(f"weight of {point.id!r}", weight)
-            if weight < 0:
-                raise ValueError(f"negative weight for point {point.id!r}")
-            if point.id in merged:
-                prev_point, prev_weight = merged[point.id]
-                if prev_point.c != point.c or prev_point.p != point.p:
-                    raise ValueError(
-                        f"point id {point.id!r} reused with different scores"
-                    )
-                merged[point.id] = (point, prev_weight + weight)
-            else:
-                merged[point.id] = (point, weight)
+            _merge(merged, point, _checked_weight(point, weight))
+        self._settle(merged)
+
+    @classmethod
+    def _from_checked(
+        cls, merged: dict[str, tuple[Point, float]]
+    ) -> "Distribution":
+        """A distribution over ``merged``, whose weights are already checked
+        finite and non-negative and whose ids already agree with their
+        scores: the derived operations below vouch for the entries of the
+        distributions they start from, so only new mass is validated."""
+        d = cls.__new__(cls)
+        d._settle(merged)
+        return d
+
+    def _settle(self, merged: dict[str, tuple[Point, float]]) -> None:
         self._entries = {
-            pid: (pt, w) for pid, (pt, w) in merged.items() if w > DROP_TOLERANCE
+            pid: entry for pid, entry in merged.items() if entry[1] > DROP_TOLERANCE
         }
-        self._n = math.fsum(w for _, w in self._entries.values())
-        self._q_numerator = math.fsum(
-            w * pt.c for pt, w in self._entries.values()
-        )
+        entries = self._entries.values()
+        self._n = math.fsum([w for _, w in entries])
+        self._q_numerator = math.fsum([w * pt.c for pt, w in entries])
+        # (transform, E(T|D)) of the last ``expected_t`` taken; it never
+        # goes stale, as neither the distribution nor the transform changes
+        self._e_cache = None
 
     # -- basic views ------------------------------------------------------
 
@@ -257,7 +289,10 @@ EMPTY = Distribution()
 
 def combine(d1: Distribution, d2: Distribution) -> Distribution:
     """Frequency-additive combination: weights add point-wise."""
-    return Distribution(list(d1.items()) + list(d2.items()))
+    merged = dict(d1._entries)
+    for point, weight in d2.items():
+        _merge(merged, point, weight)
+    return Distribution._from_checked(merged)
 
 
 def q_of(d: Distribution) -> float:
@@ -269,23 +304,31 @@ def expected_t(d: Distribution, t: ProducerTransform) -> float:
     """Expected transformed producer value E(T|D) = Σ φ_r T(p_r).
 
     Applied to an increment set this is the increment mean that the
-    incremental value formulas call for.
+    incremental value formulas call for.  The value is kept on ``d`` for
+    the transform object ``t`` it was last taken with.
     """
+    cached = d._e_cache
+    if cached is not None and cached[0] is t:
+        return cached[1]
     if d.is_empty():
         raise EmptyDistributionError(
             "expected producer value is undefined on an empty distribution"
         )
-    return math.fsum(w * t.apply(pt.p) for pt, w in d.items()) / d.n
+    e = math.fsum(w * t.apply(pt.p) for pt, w in d.items()) / d.n
+    d._e_cache = (t, e)
+    return e
 
 
 def apply_increment(d: Distribution, inc: PointIncrement) -> Distribution:
     """Return d with inc.weight added at inc.point (expansive shift)."""
-    return Distribution(list(d.items()) + [(inc.point, inc.weight)])
+    merged = dict(d._entries)
+    _merge(merged, inc.point, _checked_weight(inc.point, inc.weight))
+    return Distribution._from_checked(merged)
 
 
 def remove_subdistribution(d: Distribution, y: Distribution) -> Distribution:
     """Return d − y.  y must be point-wise within d (a true carve)."""
-    remaining: list[tuple[Point, float]] = []
+    remaining: dict[str, tuple[Point, float]] = {}
     for point, weight in d.items():
         removed = y.weight_of(point.id)
         if removed > weight + DROP_TOLERANCE:
@@ -294,10 +337,10 @@ def remove_subdistribution(d: Distribution, y: Distribution) -> Distribution:
             )
         left = weight - removed
         if left > DROP_TOLERANCE:
-            remaining.append((point, left))
+            remaining[point.id] = (point, left)
     for point, weight in y.items():
         if point.id not in d and weight > DROP_TOLERANCE:
             raise SubdistributionError(
                 f"point {point.id!r} is not part of the distribution"
             )
-    return Distribution(remaining)
+    return Distribution._from_checked(remaining)

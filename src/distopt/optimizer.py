@@ -31,6 +31,7 @@ from .core import (
 )
 from .participation import ParticipationModel, actual, kappa, potential
 from .sequence import (
+    EXPLICIT,
     ExhaustedPoolError,
     ProbeResult,
     SequenceConfig,
@@ -55,7 +56,7 @@ from .thresholds import (
     ExtensionContext,
     classify,
 )
-from .valuation import delta_s, delta_v
+from .valuation import delta_s
 
 log = logging.getLogger("distopt.optimizer")
 
@@ -165,21 +166,35 @@ def _gap_of(d: Distribution, model: ParticipationModel) -> float:
     return abs(m - n) / top
 
 
-def _assert_no_dominating_extension(ctx: ExtensionContext) -> None:
+class BuildOrderError(RuntimeError):
+    """An adopted extension beats the crossing on both value and
+    participation, which the greedy build order rules out."""
+
+
+def _assert_no_dominating_extension(
+    ctx: ExtensionContext, seq: SequenceConfig
+) -> None:
     """An adopted extension must not beat the crossing on both axes.
 
     Under greedy order a candidate that raises both the mean producer
     value and potential participation would have been accepted earlier,
-    so adopting one now means the build order was violated.
+    so adopting one now means the build order was violated.  An explicit
+    seed block need not follow that order; the error names it.
     """
     if (
         ctx.tp2_ratio > 1.0 + 1e-9
         and ctx.m_r2_ratio > ctx.m_star_ratio + 1e-9
     ):
-        raise RuntimeError(
+        message = (
             "adopted extension dominates the crossing prefix on both value "
             "and participation; build order violated"
         )
+        if seq.seed_policy == EXPLICIT:
+            message += (
+                "; the build starts from the explicit seed "
+                f"{list(seq.seed_ids)}, which need not follow the greedy order"
+            )
+        raise BuildOrderError(message)
 
 
 def _degenerate_context_verdict(exc: DegenerateContextError) -> EquilibriumVerdict:
@@ -555,7 +570,7 @@ def determine_d_star(
             return run.finish(verdict, pending=probe.increments)
 
         if verdict.kind == SCENARIO_I_BOTH_PREFER:
-            _assert_no_dominating_extension(ctx)
+            _assert_no_dominating_extension(ctx, cfg.sequence)
             for inc in probe.increments:
                 run.record_step(inc)
             log.debug("adopted extension both players prefer (k=%.6g)", k)
@@ -573,7 +588,7 @@ def determine_d_star(
                 return run.finish(
                     verdict.with_note(f"carveout infeasible: {exc.reason}")
                 )
-            _assert_no_dominating_extension(ctx)
+            _assert_no_dominating_extension(ctx, cfg.sequence)
             carve = replace(carve, trigger_kind=verdict.kind)
             run.carveouts.append(carve)
             for inc in probe.increments:
@@ -812,8 +827,8 @@ def continue_to_d2_star(
         run.record_step(run.next_increment())
 
     d2 = run.current
-    dv = delta_v(result.d_star, d2, model, t)
-    ds = delta_s(result.d_star, d2, model, t).delta_s
+    delta = delta_s(result.d_star, d2, model, t)
+    dv, ds = delta.delta_v, delta.delta_s
     added = remove_subdistribution(d2, result.d_star)
     h = expected_t(added, t) if not added.is_empty() else 0.0
     scale = max(1.0, abs(expected_t(result.d_star, t)) * result.d_star.n)

@@ -47,7 +47,7 @@ from .thresholds import (
     x_l_kappa,
     x_u_kappa,
 )
-from .valuation import delta_s, delta_v, v_value
+from .valuation import delta_s, v_value
 
 #: comparisons closer than this to a decision boundary are not scored
 BOUNDARY_BAND = 1e-9
@@ -173,6 +173,8 @@ def crosscheck_thresholds(
     """
     rng = random.Random(rng_seed)
     t = ProducerTransform.identity()
+    base = Point(id="a", c=1.0, p=1.0)
+    last = Point(id="b", c=1.0, p=1.0)
     mismatches: list[dict] = []
     checked = 0
     skipped = 0
@@ -185,8 +187,6 @@ def crosscheck_thresholds(
             s["tp2"],
             s["c2"],
         )
-        base = Point(id="a", c=1.0, p=1.0)
-        last = Point(id="b", c=1.0, p=1.0)
         cand = Point(id="r", c=c2, p=tp2)
         d_a = Distribution([(base, 1.0 - n_r1)])
         d_star = Distribution([(base, 1.0 - n_r1), (last, n_r1)])
@@ -201,8 +201,9 @@ def crosscheck_thresholds(
         # inline producer threshold (adaptive): (1 - tp2) / (1 + tp2 n_r2)
         x_l = (1.0 - tp2) / (1.0 + tp2 * n_r2)
 
+        delta = delta_s(d_star, d_prime, model, t)
+        ds = delta.delta_s
         if kappa <= 1.0:
-            ds = delta_s(d_star, d_prime, model, t).delta_s
             if abs(kappa - x_l) <= BOUNDARY_BAND or abs(ds) <= BOUNDARY_BAND:
                 skipped += 1
             else:
@@ -219,7 +220,6 @@ def crosscheck_thresholds(
                         }
                     )
         else:
-            ds = delta_s(d_star, d_prime, model, t).delta_s
             carried = tp2 * n_r2  # E* = 1
             checked += 1
             if abs(ds - carried) > 1e-9 * max(1.0, abs(carried)):
@@ -232,7 +232,7 @@ def crosscheck_thresholds(
                         "carried": carried,
                     }
                 )
-            dv = delta_v(d_star, d_prime, model, t)
+            dv = delta.delta_v
             if abs(kappa - x_l) > BOUNDARY_BAND and abs(dv) > BOUNDARY_BAND:
                 if (dv > 0) != (kappa > x_l):
                     mismatches.append(

@@ -26,7 +26,7 @@ from .core import (
     q_of,
     remove_subdistribution,
 )
-from .participation import ParticipationModel, actual, potential
+from .participation import ParticipationModel, potential
 
 
 class Regime(enum.Enum):
@@ -48,9 +48,14 @@ def s_value(
     d: Distribution, model: ParticipationModel, t: ProducerTransform
 ) -> float:
     """Realized producer value S(D) = E(T|D) * min(M, N)."""
+    return _s_of(d, potential(model, d), t)
+
+
+def _s_of(d: Distribution, m: float, t: ProducerTransform) -> float:
+    """``s_value`` from M = M(D) already taken."""
     if d.is_empty():
         return 0.0
-    return expected_t(d, t) * actual(model, d)
+    return expected_t(d, t) * min(m, d.n)
 
 
 def v_value(
@@ -63,10 +68,14 @@ def v_value(
 
 
 def _difference_mean_t(
-    smaller: Distribution, larger: Distribution, t: ProducerTransform
+    d: Distribution, d_prime: Distribution, t: ProducerTransform
 ) -> float:
-    """Mean transformed producer value of (larger − smaller)."""
-    diff = remove_subdistribution(larger, smaller)
+    """Mean transformed producer value E(T|Y) of the mass Y between nested
+    d and d' (added when d' is the larger, removed otherwise)."""
+    if d_prime.n >= d.n:
+        diff = remove_subdistribution(d_prime, d)
+    else:
+        diff = remove_subdistribution(d, d_prime)
     if diff.is_empty():
         return 0.0
     return expected_t(diff, t)
@@ -87,19 +96,7 @@ def delta_v(
     which follows from splitting E(T|D') over the shared and added mass.
     The same identity holds for reductions, with Y the removed mass.
     """
-    if d.is_empty() and d_prime.is_empty():
-        return 0.0
-    if d.is_empty():
-        return v_value(d_prime, model, t)
-    if d_prime.is_empty():
-        return -v_value(d, model, t)
-    expansive = d_prime.n >= d.n
-    base, other = (d, d_prime) if expansive else (d_prime, d)
-    h = _difference_mean_t(base, other, t)
-    n, n_p = d.n, d_prime.n
-    m, m_p = potential(model, d), potential(model, d_prime)
-    e = expected_t(d, t)
-    return e * n * (m_p / n_p - m / n) + h * (n_p - n) * (m_p / n_p)
+    return delta_s(d, d_prime, model, t).delta_v
 
 
 def delta_s(
@@ -113,19 +110,28 @@ def delta_s(
     Entirely below the crossing (N <= M at both ends) the change is just
     the added mass's value, E(T|Y)(N' − N); entirely at-or-above it equals
     delta_v; a shift that straddles the crossing is computed directly.
+    M, M' and E(T|Y) are taken once and serve both changes.
     """
-    dv = delta_v(d, d_prime, model, t)
     n, n_p = d.n, d_prime.n
-    m = potential(model, d)
-    m_p = potential(model, d_prime)
+    m, m_p = potential(model, d), potential(model, d_prime)
+    h = None
+    if d.is_empty() and d_prime.is_empty():
+        dv = 0.0
+    elif d.is_empty():
+        dv = expected_t(d_prime, t) * m_p
+    elif d_prime.is_empty():
+        dv = -(expected_t(d, t) * m)
+    else:
+        h = _difference_mean_t(d, d_prime, t)
+        e = expected_t(d, t)
+        dv = e * n * (m_p / n_p - m / n) + h * (n_p - n) * (m_p / n_p)
     if n <= m and n_p <= m_p:
-        expansive = n_p >= n
-        base, other = (d, d_prime) if expansive else (d_prime, d)
-        h = _difference_mean_t(base, other, t)
+        if h is None:
+            h = _difference_mean_t(d, d_prime, t)
         return ValueDelta(h * (n_p - n), dv, Regime.BELOW_CROSSING)
     if n >= m and n_p >= m_p:
         return ValueDelta(dv, dv, Regime.AT_OR_ABOVE_CROSSING)
-    ds = s_value(d_prime, model, t) - s_value(d, model, t)
+    ds = _s_of(d_prime, m_p, t) - _s_of(d, m, t)
     return ValueDelta(ds, dv, Regime.STRADDLES_CROSSING)
 
 

@@ -291,3 +291,26 @@ def test_a_vanishing_ordering_limit_denominator_ends_in_a_verdict(tmp_path):
     assert verdict["kind"] == "StayAtDStar_Thm2"
     assert verdict["indeterminate"]
     assert verdict["notes"] == ["crossing context degenerate: degenerate ordering-limit denominator"]
+
+
+@pytest.mark.parametrize(
+    "command", [["optimize"], ["analyze", "--candidate", "p0"], ["carveout"]]
+)
+def test_an_explicit_seed_off_the_greedy_order_ends_as_an_error_line(tmp_path, command):
+    # seeded by its point of lowest consumer value, this pool's probe block
+    # beats the crossing on both value and participation, which the greedy
+    # order rules out
+    found = find_scenario_instance("StayAtDStar_Thm2", rng_seed=6)
+    inst = dict(found.instance, optimizer={"seed_policy": {"ids": ["p3"]}})
+    inp = write(tmp_path, "seeded.json", inst)
+    proc = subprocess.run(
+        [sys.executable, "-m", "distopt.cli", *command, "--input", inp],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith(f"error: {inp}: ")
+    assert "build order violated" in proc.stderr
+    assert "explicit seed ['p3']" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""

@@ -195,3 +195,169 @@ def test_incremental_build_matches_bulk_build():
         grown = apply_increment(grown, PointIncrement(pt, w))
     assert grown.n == pytest.approx(bulk.n, rel=1e-12)
     assert q_of(grown) == pytest.approx(q_of(bulk), rel=1e-12)
+
+
+# -- derived distributions against the validating constructor ---------------
+
+_IDS = ("a", "b", "c", "d", "e")
+# signed zeros: a merge keeps the incoming point, whose scores compare equal
+_SCORE = st.one_of(st.sampled_from([-0.0, 0.0, 1.0]), st.floats(-3.0, 5.0))
+_WEIGHT = st.one_of(
+    st.sampled_from([DROP_TOLERANCE / 2, DROP_TOLERANCE, 0.5, 1.0]),
+    st.floats(1e-12, 4.0),
+)
+
+
+def _same_point(pt: Point, data) -> Point:
+    """A new point object with pt's id and scores, signs of zero redrawn."""
+    def flip(x: float) -> float:
+        return -x if x == 0.0 and data.draw(st.booleans()) else x
+    return Point(pt.id, flip(pt.c), flip(pt.p))
+
+
+def _draw_dist(data, points: dict[str, Point]) -> Distribution:
+    ids = data.draw(st.lists(st.sampled_from(_IDS), max_size=8))
+    return Distribution([(_same_point(points[i], data), data.draw(_WEIGHT)) for i in ids])
+
+
+def _assert_same(derived: Distribution, reference: Distribution) -> None:
+    """Same ids in the same order, the same point objects and weights, and
+    N and Q equal bit for bit."""
+    assert derived.ids() == reference.ids()
+    for (pd, wd), (pr, wr) in zip(derived.items(), reference.items()):
+        assert pd is pr
+        assert wd.hex() == wr.hex()
+    assert derived.n.hex() == reference.n.hex()
+    if not reference.is_empty():
+        assert derived.q.hex() == reference.q.hex()
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_derived_distributions_match_the_validating_constructor(data):
+    points = {i: Point(i, data.draw(_SCORE), data.draw(_SCORE)) for i in _IDS}
+    d = _draw_dist(data, points)
+
+    # an increment at a new id or merged into an existing one
+    inc = PointIncrement(
+        _same_point(points[data.draw(st.sampled_from(_IDS))], data),
+        data.draw(st.floats(1e-12, 4.0)),
+    )
+    _assert_same(
+        apply_increment(d, inc),
+        Distribution(list(d.items()) + [(inc.point, inc.weight)]),
+    )
+
+    other = _draw_dist(data, points)
+    _assert_same(combine(d, other), Distribution(list(d.items()) + list(other.items())))
+
+    # removals of all, nearly all (left at or just above DROP_TOLERANCE) or part
+    cuts = []
+    for point, weight in d.items():
+        kind = data.draw(st.sampled_from(["skip", "all", "tol", "half_tol", "part"]))
+        removed = {
+            "skip": 0.0,
+            "all": weight,
+            "tol": weight - DROP_TOLERANCE,
+            "half_tol": weight - DROP_TOLERANCE / 2,
+            "part": weight * data.draw(st.floats(0.0, 1.0)),
+        }[kind]
+        cuts.append((point, removed))
+    y = Distribution(cuts)
+    remaining = []
+    for point, weight in d.items():
+        left = weight - y.weight_of(point.id)
+        if left > DROP_TOLERANCE:
+            remaining.append((point, left))
+    _assert_same(remove_subdistribution(d, y), Distribution(remaining))
+
+
+def test_derived_distributions_still_reject_what_the_constructor_rejects():
+    d = make_dist(("a", 2, 1, 1.0), ("b", 4, 2, 2.0))
+    clash = Point("b", 4.0, 3.0)
+    with pytest.raises(ValueError, match="reused with different scores"):
+        apply_increment(d, PointIncrement(clash, 1.0))
+    with pytest.raises(ValueError, match="reused with different scores"):
+        combine(d, Distribution([(clash, 1.0)]))
+    with pytest.raises(SubdistributionError):
+        remove_subdistribution(d, make_dist(("b", 4, 2, 2.0 + 1e-6)))
+    with pytest.raises(SubdistributionError):
+        remove_subdistribution(d, make_dist(("c", 1, 1, 0.5)))
+    # the edge the carve tolerance allows: a hair over the held weight
+    assert "b" not in remove_subdistribution(d, make_dist(("b", 4, 2, 2.0 + 1e-10)))
+
+
+def test_a_removal_leaving_exactly_the_drop_tolerance_drops_the_point():
+    removed = math.nextafter(math.nextafter(DROP_TOLERANCE, 1.0), 1.0)
+    held = removed + DROP_TOLERANCE
+    assert held - removed == DROP_TOLERANCE
+    d = make_dist(("a", 2, 1, 1.0), ("b", 4, 2, held))
+    shrunk = remove_subdistribution(d, make_dist(("b", 4, 2, removed)))
+    assert shrunk.ids() == ("a",)
+    _assert_same(shrunk, Distribution([(d.point_of("a"), 1.0)]))
+
+
+# -- the E(T|D) cache ---------------------------------------------------------
+
+
+def _count_applies(monkeypatch) -> list[float]:
+    seen: list[float] = []
+    original = ProducerTransform.apply
+
+    def apply(self, p):
+        seen.append(p)
+        return original(self, p)
+
+    monkeypatch.setattr(ProducerTransform, "apply", apply)
+    return seen
+
+
+def test_expected_t_is_taken_once_per_distribution_and_transform(monkeypatch):
+    d = make_dist(("a", 1, 0.1, 1.0), ("b", 1, 0.7, 3.0), ("c", 2, 1.3, 0.2))
+    t = ProducerTransform.affine(2.0, 0.3)
+    formula = math.fsum(w * t.apply(pt.p) for pt, w in d.items()) / d.n
+    applies = _count_applies(monkeypatch)
+    first = expected_t(d, t)
+    assert len(applies) == 3
+    assert expected_t(d, t).hex() == first.hex() == formula.hex()
+    assert len(applies) == 3, "the second call reads the cached value"
+
+
+def test_each_transform_object_gets_its_own_expected_t():
+    d = make_dist(("a", 1, 0.5, 1.0), ("b", 1, 1.0, 3.0))
+    ident = ProducerTransform.identity()
+    aff = ProducerTransform.affine(2.0, 1.0)
+    table = ProducerTransform.from_table([(0.5, 10.0), (1.0, 20.0)])
+    expect = {ident: 0.875, aff: 2.75, table: 17.5}
+    for _ in range(2):
+        for t, value in expect.items():
+            assert expected_t(d, t) == value
+    # equal but distinct transform objects are keyed apart and agree
+    twin = ProducerTransform.affine(2.0, 1.0)
+    assert twin == aff and twin is not aff
+    assert expected_t(d, twin) == expected_t(d, aff) == 2.75
+
+
+def test_a_failed_table_lookup_caches_nothing(monkeypatch):
+    d = make_dist(("a", 1, 0.5, 1.0), ("b", 1, 0.9, 3.0))
+    full = ProducerTransform.from_table([(0.5, 1.0), (0.9, 2.0)])
+    partial = ProducerTransform.from_table([(0.5, 1.0)])
+    assert expected_t(d, full) == 1.75
+    applies = _count_applies(monkeypatch)
+    for _ in range(2):
+        with pytest.raises(TableLookupError):
+            expected_t(d, partial)
+    assert applies == [0.5, 0.9, 0.5, 0.9], "each failing call looked up again"
+    applies.clear()
+    assert expected_t(d, full) == 1.75
+    assert applies == [], "the failed calls left the cached value in place"
+
+
+def test_expected_t_on_an_empty_distribution_still_raises():
+    t = ProducerTransform.identity()
+    one = make_dist(("a", 1, 1, 1.0))
+    for empty in (EMPTY, Distribution(), remove_subdistribution(one, one)):
+        with pytest.raises(EmptyDistributionError):
+            expected_t(empty, t)
+        with pytest.raises(EmptyDistributionError):
+            expected_t(empty, t)

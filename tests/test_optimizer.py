@@ -8,6 +8,7 @@ from distopt.core import Distribution, Point, PointIncrement, ProducerTransform
 from distopt.instances import build_objects
 from distopt.oracle import brute_force_w_max, find_scenario_instance
 from distopt.optimizer import (
+    BuildOrderError,
     CarveoutInfeasibleError,
     OptimizerConfig,
     _assert_no_dominating_extension,
@@ -168,8 +169,13 @@ def test_dominating_extension_guard_fires():
     ctx = ExtensionContext.synthesize(
         n_r1=0.2, n_r2=0.5, tp2_ratio=1.5, c2_ratio=3.0, alpha=0.9
     )
-    with pytest.raises(RuntimeError):
-        _assert_no_dominating_extension(ctx)
+    # a RuntimeError still, so the scenario search keeps skipping such pools
+    assert issubclass(BuildOrderError, RuntimeError)
+    with pytest.raises(BuildOrderError, match="build order violated$"):
+        _assert_no_dominating_extension(ctx, SequenceConfig())
+    seeded = SequenceConfig(seed_policy="explicit", seed_ids=("b", "a"))
+    with pytest.raises(BuildOrderError, match=r"explicit seed \['b', 'a'\]"):
+        _assert_no_dominating_extension(ctx, seeded)
 
 
 def test_chunked_build_lands_at_least_as_high_as_full_points():

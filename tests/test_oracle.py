@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from distopt import core
 from distopt.instances import build_objects
 from distopt.oracle import (
     brute_force_w_max,
@@ -129,3 +130,20 @@ def test_search_gives_up_within_budget():
 def test_scenario_generation_goes_through_the_search():
     inst = generate_instance(f"scenario:{SCENARIO_IV_STAY}", 2)
     assert run_instance(inst).verdict.kind == SCENARIO_IV_STAY
+
+
+def test_crosscheck_validates_only_the_distributions_it_builds(monkeypatch):
+    # each sample builds d_a and D* from its sampled weights; every other
+    # distribution is derived from those and is not validated again
+    builds = 0
+    init = core.Distribution.__init__
+
+    def counted(self, *args, **kwargs):
+        nonlocal builds
+        builds += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(core.Distribution, "__init__", counted)
+    report = crosscheck_thresholds(200)
+    assert report.ok
+    assert builds <= 2 * 200, f"{builds / 200:.2f} validating builds per sample"

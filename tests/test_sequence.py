@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+import sys
+from collections import Counter
 
 import hypothesis.strategies as st
 import pytest
@@ -17,7 +19,8 @@ from distopt.core import (
 )
 from distopt.instances import build_objects
 from distopt.participation import ParticipationModel, potential
-from distopt.optimizer import determine_d_star
+from distopt.optimizer import determine_d_star, optimize
+from distopt.oracle import generate_instance
 from distopt.sequence import (
     SequenceConfig,
     best_increment,
@@ -240,3 +243,37 @@ def test_best_increment_passes_over_the_base_a_fixed_number_of_times(size, monke
         calls.clear()
         best_increment(base, remaining_pool(base, pool), cfg, M11, IDENT)
         assert len(calls) <= 2, f"{len(calls)} passes over the base at pool size {size}"
+
+
+def test_a_greedy_step_takes_e_of_its_state_once(monkeypatch):
+    # scoring the step's candidates and recording the chosen one both read
+    # E(T|D) of the step's state; only the first may pass over it
+    passes: Counter[int] = Counter()
+    seen: list[Distribution] = []  # kept alive, so no id is reused
+    applies = 0
+    apply = ProducerTransform.apply
+
+    def counted_apply(self, p):
+        nonlocal applies
+        applies += 1
+        return apply(self, p)
+
+    original = core.expected_t
+
+    def counted(d, t):
+        before = applies
+        value = original(d, t)
+        seen.append(d)
+        if applies > before:
+            passes[id(d)] += 1
+        return value
+
+    monkeypatch.setattr(ProducerTransform, "apply", counted_apply)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("distopt") and getattr(module, "expected_t", None) is original:
+            monkeypatch.setattr(module, "expected_t", counted)
+    pool, model, t, cfg = build_objects(generate_instance("uniform", 7, 80))
+    result = optimize(pool, cfg, model, t)
+    assert len(result.trace.steps) >= 20
+    assert len(passes) >= len(result.trace.steps)
+    assert max(passes.values()) == 1, "a state's E(T|D) was taken more than once"

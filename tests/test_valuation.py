@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from distopt.core import (
     EMPTY,
@@ -12,10 +14,14 @@ from distopt.core import (
     PointIncrement,
     ProducerTransform,
     apply_increment,
+    combine,
+    expected_t,
+    remove_subdistribution,
 )
-from distopt.participation import ParticipationModel
+from distopt.participation import ParticipationModel, actual, potential
 from distopt.valuation import (
     Regime,
+    ValueDelta,
     delta_s,
     delta_v,
     delta_v_of_increment,
@@ -148,3 +154,170 @@ def test_unit_share_value_ranks_like_the_value_delta():
             key=lambda i: delta_v_of_increment(base, cands[i][0], cands[i][1], 1.0, m, t),
         )
         assert by_upsilon == by_delta, f"trial {trial} ranked differently"
+
+
+# -- delta_s against the formulas it shares with delta_v ------------------------
+#
+# The reference below is the earlier implementation, which took M, M', the
+# difference mean and each end's E(T|D) again for every use, kept verbatim
+# under prefixed names.  It runs on fresh copies of the distributions, so it
+# reads no E(T|D) that the implementation under test has cached.
+
+
+def _ref_s_value(
+    d: Distribution, model: ParticipationModel, t: ProducerTransform
+) -> float:
+    """Realized producer value S(D) = E(T|D) * min(M, N)."""
+    if d.is_empty():
+        return 0.0
+    return expected_t(d, t) * actual(model, d)
+
+
+def _ref_v_value(
+    d: Distribution, model: ParticipationModel, t: ProducerTransform
+) -> float:
+    """Potential producer value V(D) = E(T|D) * M(Q(D))."""
+    if d.is_empty():
+        return 0.0
+    return expected_t(d, t) * potential(model, d)
+
+
+def _ref_difference_mean_t(
+    smaller: Distribution, larger: Distribution, t: ProducerTransform
+) -> float:
+    """Mean transformed producer value of (larger − smaller)."""
+    diff = remove_subdistribution(larger, smaller)
+    if diff.is_empty():
+        return 0.0
+    return expected_t(diff, t)
+
+
+def _ref_delta_v(
+    d: Distribution,
+    d_prime: Distribution,
+    model: ParticipationModel,
+    t: ProducerTransform,
+) -> float:
+    if d.is_empty() and d_prime.is_empty():
+        return 0.0
+    if d.is_empty():
+        return _ref_v_value(d_prime, model, t)
+    if d_prime.is_empty():
+        return -_ref_v_value(d, model, t)
+    expansive = d_prime.n >= d.n
+    base, other = (d, d_prime) if expansive else (d_prime, d)
+    h = _ref_difference_mean_t(base, other, t)
+    n, n_p = d.n, d_prime.n
+    m, m_p = potential(model, d), potential(model, d_prime)
+    e = expected_t(d, t)
+    return e * n * (m_p / n_p - m / n) + h * (n_p - n) * (m_p / n_p)
+
+
+def _ref_delta_s(
+    d: Distribution,
+    d_prime: Distribution,
+    model: ParticipationModel,
+    t: ProducerTransform,
+) -> ValueDelta:
+    dv = _ref_delta_v(d, d_prime, model, t)
+    n, n_p = d.n, d_prime.n
+    m = potential(model, d)
+    m_p = potential(model, d_prime)
+    if n <= m and n_p <= m_p:
+        expansive = n_p >= n
+        base, other = (d, d_prime) if expansive else (d_prime, d)
+        h = _ref_difference_mean_t(base, other, t)
+        return ValueDelta(h * (n_p - n), dv, Regime.BELOW_CROSSING)
+    if n >= m and n_p >= m_p:
+        return ValueDelta(dv, dv, Regime.AT_OR_ABOVE_CROSSING)
+    ds = _ref_s_value(d_prime, model, t) - _ref_s_value(d, model, t)
+    return ValueDelta(ds, dv, Regime.STRADDLES_CROSSING)
+
+
+def _fresh(d: Distribution) -> Distribution:
+    return Distribution(list(d.items()))
+
+
+def _assert_delta_s_unchanged(d, d_prime, model, t) -> ValueDelta:
+    got = delta_s(d, d_prime, model, t)
+    assert got == _ref_delta_s(_fresh(d), _fresh(d_prime), model, t)
+    assert delta_v(d, d_prime, model, t) == _ref_delta_v(_fresh(d), _fresh(d_prime), model, t)
+    return got
+
+
+_P_VALUES = (0.0, 0.25, 1.0, 2.0, 3.5)
+_ROW = st.tuples(st.floats(-1.0, 6.0), st.sampled_from(_P_VALUES), st.floats(0.05, 4.0))
+_MODEL = st.one_of(
+    st.builds(ParticipationModel.power, st.floats(0.02, 50.0), st.floats(0.05, 1.0)),
+    st.builds(
+        ParticipationModel.saturating,
+        st.floats(0.02, 50.0),
+        st.floats(0.05, 1.0),
+        st.floats(0.1, 20.0),
+    ),
+    st.builds(
+        ParticipationModel.from_table,
+        st.just([(0.5, 0.2), (1.5, 2.0), (4.0, 3.0)]),
+    ),
+)
+_TRANSFORM = st.sampled_from(
+    [
+        ProducerTransform.identity(),
+        ProducerTransform.affine(-0.5, 2.0),
+        ProducerTransform.from_table([(p, p * p - 1.0) for p in _P_VALUES]),
+    ]
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    base_rows=st.lists(_ROW, max_size=6),
+    ext_rows=st.lists(_ROW, max_size=4),
+    shares=st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6),
+    reductive=st.booleans(),
+    model=_MODEL,
+    t=_TRANSFORM,
+)
+def test_delta_s_matches_the_earlier_implementation(
+    base_rows, ext_rows, shares, reductive, model, t
+):
+    base = Distribution([(Point(f"b{i}", c, p), w) for i, (c, p, w) in enumerate(base_rows)])
+    # new points, plus shares of the base's own points (a merge into an id)
+    ext = Distribution(
+        [(Point(f"x{i}", c, p), w) for i, (c, p, w) in enumerate(ext_rows)]
+        + [(pt, w * share) for (pt, w), share in zip(base.items(), shares)]
+    )
+    grown = combine(base, ext)
+    d, d_prime = (grown, base) if reductive else (base, grown)
+    _assert_delta_s_unchanged(d, d_prime, model, t)
+
+
+def _pair(base_rows, *added_rows):
+    base = make_dist(*base_rows)
+    grown = base
+    for i, c, p, w in added_rows:
+        grown = apply_increment(grown, PointIncrement(Point(i, c, p), w))
+    return base, grown
+
+
+@pytest.mark.parametrize(
+    "d, d_prime, regime",
+    [
+        # M11: M = Q, so (c=2, w=1) has N = 1 below M = 2
+        (*_pair([("b", 2.0, 1.0, 1.0)], ("a", 2.0, 3.0, 0.5)), Regime.BELOW_CROSSING),
+        (*_pair([("b", 2.0, 1.0, 3.0)], ("a", 2.0, 3.0, 1.0)), Regime.AT_OR_ABOVE_CROSSING),
+        (*_pair([("b", 2.0, 1.0, 1.0)], ("a", 0.5, 2.0, 2.0)), Regime.STRADDLES_CROSSING),
+        (*_pair([("b", 2.0, 1.0, 1.0)], ("b", 2.0, 1.0, 0.5)), Regime.BELOW_CROSSING),
+        (*_pair([("b", 2.0, 1.0, 1.5)], ("b", 2.0, 1.0, 1.0)), Regime.STRADDLES_CROSSING),
+        (EMPTY, make_dist(("a", 2.0, 3.0, 1.0)), Regime.BELOW_CROSSING),
+        (make_dist(("a", 2.0, 3.0, 3.0)), EMPTY, Regime.AT_OR_ABOVE_CROSSING),
+        (EMPTY, make_dist(("a", 0.5, 3.0, 2.0)), Regime.AT_OR_ABOVE_CROSSING),
+        (EMPTY, EMPTY, Regime.BELOW_CROSSING),
+    ],
+)
+@pytest.mark.parametrize("reductive", [False, True])
+def test_delta_s_is_unchanged_in_every_regime(d, d_prime, regime, reductive):
+    if reductive:
+        d, d_prime = d_prime, d
+    # the regime conditions are symmetric in the two ends
+    assert _assert_delta_s_unchanged(d, d_prime, M11, IDENT).regime is regime
