@@ -3,7 +3,7 @@
 The library finds the distribution at which potential participation meets
 served volume (the crossing), classifies the equilibrium outcome of the
 best extension beyond it, and synthesizes compensating carveouts when the
-two sides disagree.
+two sides disagree.  ``optimize`` is the one entry point to that pipeline.
 """
 from .core import (
     Distribution,
@@ -29,19 +29,12 @@ from .valuation import (
     Regime,
     ValueDelta,
     delta_s,
-    delta_v,
-    s_value,
-    upsilon,
     v_value,
-    xi,
 )
 from .sequence import (
-    ProbeResult,
     SequenceConfig,
     SequenceStep,
     SequenceTrace,
-    best_increment,
-    best_next_in_sequence,
     greedy_sweep,
 )
 from .thresholds import (
@@ -49,11 +42,7 @@ from .thresholds import (
     ExtensionContext,
     ThresholdReport,
     classify,
-    f_bounds,
-    m_ratio_and_rvv,
-    tau_tp1,
     threshold_report,
-    viability_limit_m_ratio,
     x_c_kappa,
     x_l_kappa,
     x_u_kappa,
@@ -63,9 +52,6 @@ from .optimizer import (
     CarveoutResult,
     OptimizationResult,
     OptimizerConfig,
-    continue_to_d2_star,
-    determine_d_star,
-    generate_carveout,
     optimize,
 )
 from .oracle import (
@@ -100,27 +86,16 @@ __all__ = [
     "Regime",
     "ValueDelta",
     "delta_s",
-    "delta_v",
-    "s_value",
-    "upsilon",
     "v_value",
-    "xi",
-    "ProbeResult",
     "SequenceConfig",
     "SequenceStep",
     "SequenceTrace",
-    "best_increment",
-    "best_next_in_sequence",
     "greedy_sweep",
     "EquilibriumVerdict",
     "ExtensionContext",
     "ThresholdReport",
     "classify",
-    "f_bounds",
-    "m_ratio_and_rvv",
-    "tau_tp1",
     "threshold_report",
-    "viability_limit_m_ratio",
     "x_c_kappa",
     "x_l_kappa",
     "x_u_kappa",
@@ -128,9 +103,6 @@ __all__ = [
     "CarveoutResult",
     "OptimizationResult",
     "OptimizerConfig",
-    "continue_to_d2_star",
-    "determine_d_star",
-    "generate_carveout",
     "optimize",
     "BruteForceResult",
     "FoundInstance",

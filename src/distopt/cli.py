@@ -45,7 +45,9 @@ from .optimizer import (
     CarveoutResult,
     OptimizationResult,
     OptimizerConfig,
-    generate_carveout,
+    _carve_block,
+    _classify,
+    _degenerate_context_verdict,
     optimize,
 )
 from .participation import ParticipationModel, potential
@@ -58,7 +60,6 @@ from .thresholds import (
     EquilibriumVerdict,
     ThresholdReport,
     ExtensionContext,
-    classify,
     x_l_kappa,
     x_u_kappa,
 )
@@ -571,16 +572,21 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         )
     r1 = result.trace.steps[-1].added if result.trace.steps else None
     candidate = PointIncrement(pool.point_of(cand_id), pool.weight_of(cand_id))
-    ctx = ExtensionContext.from_run(
-        result.d_star,
-        r1,
-        candidate,
-        model,
-        transform,
-        iota=cfg.iota,
-        consumer_mode=cfg.consumer_mode,
-    )
-    verdict = classify(ctx)
+    # a degenerate crossing context reads as ``optimize`` reads it
+    try:
+        ctx = ExtensionContext.from_run(
+            result.d_star,
+            r1,
+            candidate,
+            model,
+            transform,
+            iota=cfg.iota,
+            consumer_mode=cfg.consumer_mode,
+        )
+    except DegenerateContextError as exc:
+        verdict = _degenerate_context_verdict(exc)
+    else:
+        verdict = _classify(ctx)
     report = {
         "schema_version": SCHEMA_VERSION,
         "instance": {"fingerprint": fingerprint(instance)},
@@ -619,9 +625,7 @@ def cmd_carveout(args: argparse.Namespace) -> int:
         report["applicable"] = True
         remaining = Distribution(remaining_pool(result.d_star, pool))
         try:
-            carve = generate_carveout(
-                result.d_star, remaining, cfg, model, transform
-            )
+            carve = _carve_block(result.d_star, remaining, cfg, model, transform)
             report["feasible"] = True
             report["carveout"] = _carveout_dict(carve, model, transform)
         except (CarveoutInfeasibleError, ValueError) as exc:
@@ -738,10 +742,6 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-
-
-def entrypoint() -> None:  # console-script shim
-    sys.exit(main())
 
 
 if __name__ == "__main__":

@@ -91,9 +91,6 @@ class ProducerTransform:
     * ``table`` — an explicit finite map p -> T(p); total on the instance's
       p values by contract, so a missing entry is an error rather than an
       interpolation.
-
-    ``is_monotone`` reports whether T is non-decreasing; checks that only
-    hold for monotone transforms are skipped when it is False.
     """
 
     kind: str
@@ -135,15 +132,6 @@ class ProducerTransform:
     @staticmethod
     def from_table(entries: Iterable[tuple[float, float]]) -> "ProducerTransform":
         return ProducerTransform("table", table=tuple(entries))
-
-    @property
-    def is_monotone(self) -> bool:
-        if self.kind == "identity":
-            return True
-        if self.kind == "affine":
-            return self.a >= 0
-        values = [t for _, t in self.table]
-        return all(b >= a for a, b in zip(values, values[1:]))
 
     def apply(self, p: float) -> float:
         if self.kind == "identity":
@@ -261,12 +249,6 @@ class Distribution:
     def point_of(self, point_id: str) -> Point:
         return self._entries[point_id][0]
 
-    def phi(self, point_id: str) -> float:
-        """The weight share φ_r = N_r / N of one point."""
-        if self.is_empty():
-            raise EmptyDistributionError("no shares on an empty distribution")
-        return self.weight_of(point_id) / self._n
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Distribution):
             return NotImplemented
@@ -281,10 +263,6 @@ class Distribution:
             f"{pt.id}:{w:g}" for pt, w in self._entries.values()
         )
         return f"Distribution({{{inner}}}, n={self._n:g})"
-
-
-#: the canonical empty distribution, legal only as a build seed
-EMPTY = Distribution()
 
 
 def combine(d1: Distribution, d2: Distribution) -> Distribution:

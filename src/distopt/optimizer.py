@@ -41,6 +41,7 @@ from .sequence import (
     best_next_in_sequence,
     remaining_pool,
     seed_distribution,
+    step_limit,
 )
 from .thresholds import (
     ADAPTIVE,
@@ -63,6 +64,10 @@ log = logging.getLogger("distopt.optimizer")
 #: participation spreads below this (relative) count as a flat curve
 FLAT_PARTICIPATION_TOL = 1e-9
 
+#: the relative |M − N| gap a carve must land within to count as "at the
+#: crossing"
+CROSSING_REL_TOL = 0.05
+
 
 class CarveoutInfeasibleError(ValueError):
     """No carve of the crossing distribution can balance the extension."""
@@ -74,19 +79,18 @@ class CarveoutInfeasibleError(ValueError):
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Stopping, probing, and carving knobs.
+    """The instance's optimizer settings.
 
     ``ratio_threshold`` is the demand/supply ratio below which growth
-    stops and probing starts; ``crossing_rel_tol`` is the relative
-    |M − N| gap accepted as "at the crossing" for carve landings;
-    ``lookahead_steps`` bounds how far a probe block may be extended in
-    search of participation that keeps pace with volume.
+    stops and probing starts; ``lookahead_steps`` bounds how far a probe
+    block may be extended in search of participation that keeps pace
+    with volume; ``iota`` and ``consumer_mode`` set the consumer's side of
+    the threshold algebra; ``sequence`` holds the seeding and increment
+    policies.
     """
 
     ratio_threshold: float = 1.05
-    crossing_rel_tol: float = 0.05
     lookahead_steps: int = 5
-    max_steps: int | None = None
     iota: float = 0.1
     consumer_mode: str = ADAPTIVE
     sequence: SequenceConfig = field(default_factory=SequenceConfig)
@@ -94,17 +98,8 @@ class OptimizerConfig:
     def __post_init__(self) -> None:
         if self.ratio_threshold < 1.0:
             raise ValueError("ratio_threshold must be >= 1")
-        if not (0 < self.crossing_rel_tol < 1):
-            raise ValueError("crossing_rel_tol must lie in (0, 1)")
         if self.lookahead_steps < 0:
             raise ValueError("lookahead_steps must be >= 0")
-        if self.max_steps is not None and self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1 when given")
-
-    def step_budget(self, d_all: Distribution) -> int:
-        if self.max_steps is not None:
-            return self.max_steps
-        return 10 * max(1, len(d_all))
 
 
 @dataclass(frozen=True)
@@ -151,10 +146,6 @@ class OptimizationResult:
     #: continuation), that the plain greedy build from the seed takes too;
     #: ``greedy_sweep`` resumes from them instead of scoring them again
     greedy_steps: int = 0
-
-
-def _w_of(d: Distribution, model: ParticipationModel) -> float:
-    return actual(model, d)
 
 
 def _gap_of(d: Distribution, model: ParticipationModel) -> float:
@@ -260,7 +251,7 @@ class _Run:
         self.steps = 0
         self.evaluations = 0
         self.chain = 0
-        self.budget = cfg.step_budget(d_all)
+        self.budget = step_limit(d_all)
         self.budget_exhausted = False
         #: (state, available weight, its remaining pool) of the last pool walked
         self._pool: tuple = (None, None, [])
@@ -269,7 +260,7 @@ class _Run:
 
     def snapshot(self) -> None:
         self.snapshots.append(
-            (_w_of(self.current, self.model), self.current, len(self.trace.steps))
+            (actual(self.model, self.current), self.current, len(self.trace.steps))
         )
 
     def pool(self) -> list[tuple[Point, float]]:
@@ -321,8 +312,8 @@ class _Run:
         """
         while self.steps < self.budget and not self.pool_dry():
             inc = self.next_increment()
-            w_now = _w_of(self.current, self.model)
-            w_next = _w_of(apply_increment(self.current, inc), self.model)
+            w_now = actual(self.model, self.current)
+            w_next = actual(self.model, apply_increment(self.current, inc))
             if w_next <= w_now:
                 break
             self.record_step(inc)
@@ -626,26 +617,6 @@ def optimize(
     return result
 
 
-def generate_carveout(
-    d_star: Distribution,
-    r2: PointIncrement | Distribution,
-    cfg: OptimizerConfig,
-    model: ParticipationModel,
-    t: ProducerTransform,
-) -> CarveoutResult:
-    """Balance a sub-unit extension by carving cheap mass out of the base.
-
-    Preconditions: the extension's marginal participation lies strictly
-    inside (0, 1).  The carve removes the lowest-consumer-value points
-    whose cumulative consumer and producer value stay within what the
-    extension brings, until volume meets potential participation within
-    the configured relative gap.  Raises ``CarveoutInfeasibleError`` when
-    no such carve exists; never returns a violating carve.
-    """
-    block = r2.as_distribution() if isinstance(r2, PointIncrement) else r2
-    return _carve_block(d_star, block, cfg, model, t)
-
-
 def _carve_block(
     d_star: Distribution,
     block: Distribution,
@@ -653,6 +624,15 @@ def _carve_block(
     model: ParticipationModel,
     t: ProducerTransform,
 ) -> CarveoutResult:
+    """Balance a sub-unit extension by carving cheap mass out of the base.
+
+    Preconditions: the extension ``block``'s marginal participation lies
+    strictly inside (0, 1).  The carve removes the lowest-consumer-value
+    points whose cumulative consumer and producer value stay within what
+    the extension brings, until volume meets potential participation
+    within ``CROSSING_REL_TOL``.  Raises ``CarveoutInfeasibleError`` when
+    no such carve exists; never returns a violating carve.
+    """
     if block.is_empty():
         raise ValueError("extension block must carry positive weight")
     d_prime = combine(d_star, block)
@@ -696,7 +676,7 @@ def _carve_block(
     carved_w: list[float] = []
     cur = d_prime
     iterations = 0
-    tol = cfg.crossing_rel_tol
+    tol = CROSSING_REL_TOL
     while _gap_of(cur, model) > tol:
         m_cur = potential(model, cur)
         if m_cur > cur.n * (1.0 + tol):

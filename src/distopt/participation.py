@@ -101,20 +101,6 @@ class ParticipationModel:
         span = knot_q - prev_q
         return prev_m + (knot_m - prev_m) * (q - prev_q) / span
 
-    def scaled(self, factor: float) -> "ParticipationModel":
-        """A copy with M multiplied by ``factor`` (> 0) everywhere."""
-        if not (factor > 0 and math.isfinite(factor)):
-            raise ValueError(f"scale factor must be > 0, got {factor!r}")
-        if self.kind == "power":
-            return ParticipationModel.power(self.zeta * factor, self.alpha)
-        if self.kind == "saturating":
-            return ParticipationModel.saturating(
-                self.zeta * factor, self.alpha, self.cap * factor
-            )
-        return ParticipationModel.from_table(
-            tuple((q, m * factor) for q, m in self.knots)
-        )
-
 
 def potential(model: ParticipationModel, d: Distribution) -> float:
     """M(Q(D)): the volume the consumer would absorb at D's mean value."""

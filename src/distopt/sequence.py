@@ -97,25 +97,6 @@ class SequenceTrace:
         step = SequenceStep(len(self.steps), inc, d.n, q_of(d), potential(model, d), dv)
         return d, SequenceTrace(self.steps + (step,))
 
-    @property
-    def is_monotone_decreasing(self) -> bool:
-        """Mean consumer value never rises along the build (within fp tol)."""
-        qs = [s.q_after for s in self.steps]
-        return all(b <= a + 1e-12 * max(1.0, abs(a)) for a, b in zip(qs, qs[1:]))
-
-    @property
-    def is_generally_decreasing(self) -> bool:
-        """Starts consumer-attractive and never beats the opening value."""
-        if not self.steps:
-            return False
-        first = self.steps[0]
-        if first.m_after <= first.n_after:
-            return False
-        top = first.q_after
-        return all(
-            s.q_after <= top + 1e-12 * max(1.0, abs(top)) for s in self.steps
-        )
-
 
 @dataclass(frozen=True)
 class ProbeResult:
@@ -131,7 +112,6 @@ class ProbeResult:
     kappa: float | None
     exhausted: bool
     increments: tuple[PointIncrement, ...] = ()
-    kappas: tuple[float, ...] = ()
 
     @property
     def block(self) -> Distribution:
@@ -155,6 +135,11 @@ def remaining_pool(
 def _tie_key(point: Point, tp: float) -> tuple[float, float, str]:
     """Higher c, then higher T(p) = ``tp``, then smaller id sorts first."""
     return (-point.c, -tp, point.id)
+
+
+def step_limit(d_all: Distribution) -> int:
+    """The most greedy steps a build of pool ``d_all`` may take."""
+    return 10 * max(1, len(d_all))
 
 
 def _increment_weight(cfg: SequenceConfig, available: float) -> float:
@@ -234,7 +219,6 @@ def best_next_in_sequence(
     """
     current = d
     increments: list[PointIncrement] = []
-    kappas: list[float] = []
     prev_kappa: float | None = None
     while True:
         if increments:
@@ -242,25 +226,14 @@ def best_next_in_sequence(
         try:
             inc = best_increment(current, pool, cfg, model, t)
         except ExhaustedPoolError:
-            return ProbeResult(
-                current,
-                prev_kappa,
-                True,
-                tuple(increments),
-                tuple(kappas),
-            )
+            return ProbeResult(current, prev_kappa, True, tuple(increments))
         current = apply_increment(current, inc)
         k = kappa(model, d, current)
         increments.append(inc)
-        kappas.append(k)
         if k >= 1 or k <= 0:
-            return ProbeResult(
-                current, k, False, tuple(increments), tuple(kappas)
-            )
+            return ProbeResult(current, k, False, tuple(increments))
         if prev_kappa is not None and k <= prev_kappa + KAPPA_IMPROVEMENT_TOL:
-            return ProbeResult(
-                current, k, False, tuple(increments), tuple(kappas)
-            )
+            return ProbeResult(current, k, False, tuple(increments))
         prev_kappa = k
 
 
@@ -275,12 +248,12 @@ def greedy_sweep(
 
     No stopping rule, no probes: this is the raw supply/participation
     curve that the optimizer's stopping logic carves a prefix out of.  The
-    build stops after ``10 * len(d_all)`` steps, the seed block counting as
-    one.  ``prefix`` holds leading steps already known to lie on this very
+    build stops after ``step_limit(d_all)`` steps, the seed block counting
+    as one.  ``prefix`` holds leading steps already known to lie on this very
     build, such as the first ``greedy_steps`` of an ``optimize`` trace:
     they are replayed and kept as they are rather than scored again.
     """
-    limit = 10 * max(1, len(d_all))
+    limit = step_limit(d_all)
     seed_len = len(cfg.seed_ids) if cfg.seed_policy == EXPLICIT else 1
     if len(prefix) < seed_len:
         prefix = ()  # a partial seed block is not a step of the build

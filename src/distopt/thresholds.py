@@ -84,7 +84,6 @@ class ExtensionContext:
     r1: PointIncrement | None
     r2: PointIncrement
     model: ParticipationModel
-    transform: ProducerTransform
     n_r1: float
     n_r2: float
     tp1_ratio: float
@@ -100,8 +99,6 @@ class ExtensionContext:
     m_ar2_ratio: float
     q_prime_ratio: float
     n_star_raw: float
-    q_star_raw: float
-    e_star_raw: float
     r1_degenerate: bool = False
     iota: float = 0.1
     consumer_mode: str = ADAPTIVE
@@ -197,7 +194,6 @@ class ExtensionContext:
             r1=last,
             r2=pseudo,
             model=model,
-            transform=transform,
             n_r1=n_r1,
             n_r2=w2 / n_star,
             tp1_ratio=tp1,
@@ -213,8 +209,6 @@ class ExtensionContext:
             m_ar2_ratio=m_ar2 / n_star,
             q_prime_ratio=q_of(d_prime) / q_star,
             n_star_raw=n_star,
-            q_star_raw=q_star,
-            e_star_raw=e_star,
             r1_degenerate=r1 is not None and last is None,
             iota=iota,
             consumer_mode=consumer_mode,
@@ -227,28 +221,27 @@ class ExtensionContext:
         tp2_ratio: float,
         c2_ratio: float,
         tp1_ratio: float = 1.0,
-        c1a_ratio: float = 1.0,
         alpha: float = 0.5,
-        model: ParticipationModel | None = None,
         iota: float = 0.1,
         consumer_mode: str = ADAPTIVE,
     ) -> "ExtensionContext":
         """Realize bare ratios as a minimal concrete crossing state.
 
         Builds a two-point crossing distribution (a base point plus the
-        last increment) with unit volume and unit mean consumer value,
-        scaled so potential participation exactly meets volume there, then
-        measures it with ``from_run``.  With ``tp1_ratio = c1a_ratio = 1``
-        the last increment is indistinguishable from the base.
+        last increment, both of the same consumer value) with unit volume
+        and unit mean consumer value, under M(q) = q**alpha so potential
+        participation exactly meets volume there, then measures it with
+        ``from_run``.  With ``tp1_ratio = 1`` the last increment is
+        indistinguishable from the base.
         """
         if not (0 < n_r1 < 1):
             raise ValueError("n_r1 must lie in (0, 1)")
         if not (n_r2 > 0):
             raise ValueError("n_r2 must be positive")
         base_share = 1.0 - n_r1
-        q_a = 1.0 / (base_share + c1a_ratio * n_r1)
+        q_a = 1.0 / (base_share + n_r1)
         a = Point(id="base", c=q_a, p=1.0)
-        r1 = PointIncrement(Point(id="last", c=c1a_ratio * q_a, p=tp1_ratio), n_r1)
+        r1 = PointIncrement(Point(id="last", c=q_a, p=tp1_ratio), n_r1)
         e_star = base_share + tp1_ratio * n_r1
         if e_star <= 0:
             raise DegenerateContextError(
@@ -257,19 +250,12 @@ class ExtensionContext:
         r2 = PointIncrement(
             Point(id="cand", c=c2_ratio, p=tp2_ratio * e_star), n_r2
         )
-        base_model = model if model is not None else ParticipationModel.power(1.0, alpha)
-        at_unit = base_model.m(1.0)
-        if at_unit <= 0:
-            raise DegenerateContextError(
-                "participation at the crossing mean value must be positive"
-            )
-        scaled = base_model.scaled(1.0 / at_unit)
         d_star = Distribution([(a, base_share), (r1.point, r1.weight)])
         return ExtensionContext.from_run(
             d_star,
             r1,
             r2,
-            scaled,
+            ParticipationModel.power(1.0, alpha),
             ProducerTransform.identity(),
             iota=iota,
             consumer_mode=consumer_mode,
@@ -349,7 +335,7 @@ def x_c_kappa(ctx: ExtensionContext) -> float:
     return (1.0 - c2 * growth + iota * growth) / (1.0 + iota * growth)
 
 
-def tau_tp1(ctx: ExtensionContext) -> float:
+def _tau_tp1(ctx: ExtensionContext) -> float:
     """Least tp1 at which the adjusted ordering limit can exceed the
     producer threshold, i.e. where an ordering-consistent candidate can
     still be profitable.  Below the crossing value 1 whenever tp2 < 1.
@@ -361,7 +347,7 @@ def tau_tp1(ctx: ExtensionContext) -> float:
     return ((1.0 - n1) + (2.0 - n1 + n2) * tp2 * n2) / denom
 
 
-def f_bounds(ctx: ExtensionContext) -> tuple[float, float]:
+def _f_bounds(ctx: ExtensionContext) -> tuple[float, float]:
     """Bounds on the candidate's participation pull factor f.
 
     ``f`` scales how strongly the candidate's own appeal converts into
@@ -386,7 +372,7 @@ def f_bounds(ctx: ExtensionContext) -> tuple[float, float]:
     return low, up
 
 
-def m_ratio_and_rvv(ctx: ExtensionContext) -> tuple[float, float]:
+def _m_ratio_and_rvv(ctx: ExtensionContext) -> tuple[float, float]:
     """Placement-advantage ratio m and the appeal multiple RVV.
 
     ``m`` is the participation the candidate would have drawn from the
@@ -421,22 +407,6 @@ def m_ratio_and_rvv(ctx: ExtensionContext) -> tuple[float, float]:
         / (n2 * n1 * (1.0 - tp2))
     )
     return m, rvv
-
-
-def gain_exclusion_holds(ctx: ExtensionContext) -> bool:
-    """Whether profitable crossing candidates are ruled out outright.
-
-    The bound compares the volume headroom the candidate would need
-    against the weight of the last accepted increment; in the extreme of
-    a worthless candidate joining an even base it reduces to
-    1 − n_r2 > n_r1.
-    """
-    n1, n2 = ctx.n_r1, ctx.n_r2
-    c1a, c2a = ctx.c1a_ratio, ctx.c2a_ratio
-    denom = 1.0 - n2 * (1.0 - c1a)
-    if abs(denom) < 1e-12:
-        return False
-    return (1.0 + c2a * n2) * (1.0 - n2) / denom > n1
 
 
 def viability_limit_m_ratio(
@@ -504,11 +474,11 @@ def threshold_report(ctx: ExtensionContext) -> ThresholdReport:
     adaptive, reactive = x_l_kappa(ctx.n_r2, ctx.tp2_ratio)
     standard, adjusted = x_u_kappa(ctx.n_r1, ctx.n_r2, ctx.tp1_ratio, ctx.tp2_ratio)
     try:
-        tau = tau_tp1(ctx)
+        tau = _tau_tp1(ctx)
     except DegenerateContextError:
         tau = math.nan
-    low, up = f_bounds(ctx)
-    m, rvv = m_ratio_and_rvv(ctx)
+    low, up = _f_bounds(ctx)
+    m, rvv = _m_ratio_and_rvv(ctx)
     return ThresholdReport(
         x_l_kappa=adaptive if ctx.consumer_mode == ADAPTIVE else reactive,
         x_l_kappa_adaptive=adaptive,

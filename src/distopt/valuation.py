@@ -8,10 +8,11 @@ Two value functions matter:
   participation, which upper-bounds S and is the quantity the greedy
   builder climbs below the crossing.
 
-``delta_v`` has an exact closed form that needs only the mean value of the
-added (or removed) mass; ``delta_s`` reduces to simple expressions on
-either side of the supply/demand crossing and is computed directly when a
-shift straddles it.
+``delta_s`` gives both changes for a shift between nested distributions.
+The potential-value change has an exact closed form that needs only the
+mean value of the added (or removed) mass; the realized-value change
+reduces to simple expressions on either side of the supply/demand
+crossing and is computed directly when a shift straddles it.
 """
 from __future__ import annotations
 
@@ -20,7 +21,6 @@ from dataclasses import dataclass
 
 from .core import (
     Distribution,
-    EmptyDistributionError,
     ProducerTransform,
     expected_t,
     q_of,
@@ -44,15 +44,9 @@ class ValueDelta:
     regime: Regime
 
 
-def s_value(
-    d: Distribution, model: ParticipationModel, t: ProducerTransform
-) -> float:
-    """Realized producer value S(D) = E(T|D) * min(M, N)."""
-    return _s_of(d, potential(model, d), t)
-
-
 def _s_of(d: Distribution, m: float, t: ProducerTransform) -> float:
-    """``s_value`` from M = M(D) already taken."""
+    """Realized producer value S(D) = E(T|D) * min(M, N), from M = M(D)
+    already taken."""
     if d.is_empty():
         return 0.0
     return expected_t(d, t) * min(m, d.n)
@@ -81,36 +75,25 @@ def _difference_mean_t(
     return expected_t(diff, t)
 
 
-def delta_v(
-    d: Distribution,
-    d_prime: Distribution,
-    model: ParticipationModel,
-    t: ProducerTransform,
-) -> float:
-    """Exact potential-value change V(D') − V(D) for nested distributions.
-
-    For D ⊂ D' with difference mass Y (either direction),
-
-        ΔV = E(T|D) N (M'/N' − M/N) + E(T|Y) (N' − N) M'/N'
-
-    which follows from splitting E(T|D') over the shared and added mass.
-    The same identity holds for reductions, with Y the removed mass.
-    """
-    return delta_s(d, d_prime, model, t).delta_v
-
-
 def delta_s(
     d: Distribution,
     d_prime: Distribution,
     model: ParticipationModel,
     t: ProducerTransform,
 ) -> ValueDelta:
-    """Realized-value change S(D') − S(D), with the regime it fell in.
+    """Realized-value change S(D') − S(D), with the potential-value change
+    V(D') − V(D) and the regime it fell in.
 
-    Entirely below the crossing (N <= M at both ends) the change is just
-    the added mass's value, E(T|Y)(N' − N); entirely at-or-above it equals
-    delta_v; a shift that straddles the crossing is computed directly.
-    M, M' and E(T|Y) are taken once and serve both changes.
+    For D ⊂ D' with difference mass Y (either direction),
+
+        ΔV = E(T|D) N (M'/N' − M/N) + E(T|Y) (N' − N) M'/N'
+
+    which follows from splitting E(T|D') over the shared and added mass;
+    the same identity holds for reductions, with Y the removed mass.
+    Entirely below the crossing (N <= M at both ends) ΔS is just the added
+    mass's value, E(T|Y)(N' − N); entirely at-or-above it equals ΔV; a
+    shift that straddles the crossing is computed directly.  M, M' and
+    E(T|Y) are taken once and serve both changes.
     """
     n, n_p = d.n, d_prime.n
     m, m_p = potential(model, d), potential(model, d_prime)
@@ -138,48 +121,13 @@ def delta_s(
 def _extended_value(
     e: float, q: float, c: float, tp: float, phi: float, model: ParticipationModel
 ) -> float:
-    """[E + φ (T(p) − E)] * M(Q + φ (c − Q)): the one copy of xi's formula."""
+    """Potential value of a base with mean values E and Q extended by a
+    share φ of a point with consumer value c and T(p) = ``tp``:
+    [E + φ (T(p) − E)] * M(Q + φ (c − Q)).  At φ = N_r/(N + N_r) this is
+    V(D + I_r) exactly."""
     if not (0 <= phi < 1):
         raise ValueError(f"share must lie in [0, 1), got {phi!r}")
     return (e + phi * (tp - e)) * model.m(q + phi * (c - q))
-
-
-def xi(
-    c: float,
-    p: float,
-    phi_r: float,
-    d: Distribution,
-    model: ParticipationModel,
-    t: ProducerTransform,
-) -> float:
-    """Potential value of d extended by a share ``phi_r`` of point (c, p).
-
-    Xi = [E + φ (T(p) − E)] * M(Q + φ (c − Q)) where E and Q are taken on
-    d.  At φ = N_r/(N + N_r) this equals V(D + I_r) exactly, so ranking
-    candidates by xi is ranking them by potential value after inclusion.
-    """
-    if d.is_empty():
-        raise EmptyDistributionError(
-            "xi needs a non-empty base; score a seed by its own value instead"
-        )
-    return _extended_value(expected_t(d, t), q_of(d), c, t.apply(p), phi_r, model)
-
-
-def upsilon(
-    c: float,
-    p: float,
-    d: Distribution,
-    model: ParticipationModel,
-    t: ProducerTransform,
-) -> float:
-    """xi at the unit-increment share φ = 1/(N + 1).
-
-    A weight-free candidate score: what one unit of (c, p) would do to the
-    potential value.  Rankings by upsilon, xi at the true share, and
-    delta_v agree (for unit weights) because all three are V(D + I_r) up
-    to the constant V(D).
-    """
-    return xi(c, p, 1.0 / (d.n + 1.0), d, model, t)
 
 
 class IncrementScorer:
@@ -187,9 +135,9 @@ class IncrementScorer:
 
     N(D), E(T|D), Q(D) and V(D) = E * M(Q) are taken once, on
     construction, so scoring every candidate of a greedy step costs one
-    pass over the base instead of one per candidate.  ``delta_v`` is xi at
-    the realized share minus V(D), term for term, so its scores equal the
-    direct computation bit for bit.  An empty base scores a candidate by
+    pass over the base instead of one per candidate.  ``delta_v`` is the
+    extended value at the realized share minus V(D), term for term, so its
+    scores equal the direct computation bit for bit.  An empty base scores a candidate by
     the potential value of its own singleton, T(p) * M(c); ``e`` and ``q``
     are None there.
     """
@@ -225,5 +173,6 @@ def delta_v_of_increment(
     model: ParticipationModel,
     t: ProducerTransform,
 ) -> float:
-    """ΔV for adding ``weight`` at (c, p): xi at the realized share − V(D)."""
+    """ΔV for adding ``weight`` at (c, p): the extended value at the
+    realized share − V(D)."""
     return IncrementScorer(d, model, t).delta_v(c, t.apply(p), weight)

@@ -30,7 +30,7 @@ from distopt.oracle import (
     finite_difference_facts,
     generate_instance,
 )
-from distopt.optimizer import continue_to_d2_star, determine_d_star
+from distopt.optimizer import CROSSING_REL_TOL, continue_to_d2_star, determine_d_star
 from distopt.sequence import ExhaustedPoolError, best_increment, remaining_pool
 from distopt.participation import ParticipationModel, potential
 from distopt.thresholds import (
@@ -41,11 +41,10 @@ from distopt.thresholds import (
     SCENARIO_III_PRODUCER_PREFERS,
     STAY_AT_D_STAR_THM2,
     ExtensionContext,
-    gain_exclusion_holds,
     threshold_report,
     viability_limit_m_ratio,
 )
-from distopt.valuation import delta_v, delta_v_of_increment, upsilon, v_value, xi
+from distopt.valuation import delta_s, delta_v_of_increment, v_value
 
 from conftest import FIVE_POINT, LADDER, make_instance
 
@@ -91,8 +90,9 @@ def test_distribution_algebra_is_additive_and_order_invariant():
 
 
 def test_value_delta_closed_form_and_rankings_agree():
-    """The closed-form value delta matches direct differencing, and the
-    three candidate-scoring forms pick the same winner."""
+    """The closed-form value delta matches direct differencing, and ranking
+    unit candidates by the potential value after inclusion picks the same
+    winner as ranking them by their value delta."""
     rng = random.Random(31337)
     model = ParticipationModel.power(1.2, 0.55)
     t = ProducerTransform.affine(1.1, 0.3)
@@ -105,21 +105,27 @@ def test_value_delta_closed_form_and_rankings_agree():
             pt, w = _rand_point(rng, "x", i)
             d2 = apply_increment(d2, PointIncrement(pt, w))
         direct = v_value(d2, model, t) - v_value(base, model, t)
-        assert delta_v(base, d2, model, t) == pytest.approx(
+        assert delta_s(base, d2, model, t).delta_v == pytest.approx(
             direct, rel=1e-10, abs=1e-12
         ), f"pair {trial}"
 
     for trial in range(200):
         base = _rand_dist(rng, "b", rng.randint(1, 5))
         cands = [(rng.uniform(0.1, 9.0), rng.uniform(0.0, 2.0)) for _ in range(7)]
+        e, q = expected_t(base, t), q_of(base)
+
+        def xi(c: float, p: float, share: float) -> float:
+            """Potential value of the base extended by a share of (c, p)."""
+            return (e + share * (t.apply(p) - e)) * model.m(q + share * (c - q))
+
+        # the share of one unit joining the base
         share = 1.0 / (base.n + 1.0)
-        by_xi = max(range(7), key=lambda i: xi(cands[i][0], cands[i][1], share, base, model, t))
-        by_upsilon = max(range(7), key=lambda i: upsilon(cands[i][0], cands[i][1], base, model, t))
+        by_xi = max(range(7), key=lambda i: xi(*cands[i], share))
         by_delta = max(
             range(7),
             key=lambda i: delta_v_of_increment(base, cands[i][0], cands[i][1], 1.0, model, t),
         )
-        assert by_xi == by_upsilon == by_delta, f"set {trial}"
+        assert by_xi == by_delta, f"set {trial}"
     assert time.monotonic() - start < 5.0
 
 
@@ -206,17 +212,15 @@ def test_threshold_boundary_identities():
             assert r.tau < 1.0
 
     # worthless candidate joining an even base: exclusion is purely volumetric
-    import dataclasses
+    def gain_exclusion_holds(n1: float, n2: float, c1a: float, c2a: float) -> bool:
+        denom = 1.0 - n2 * (1.0 - c1a)
+        if abs(denom) < 1e-12:
+            return False
+        return (1.0 + c2a * n2) * (1.0 - n2) / denom > n1
 
-    base_ctx = ExtensionContext.synthesize(
-        n_r1=0.2, n_r2=0.5, tp2_ratio=0.5, c2_ratio=2.0, alpha=0.5
-    )
     for n1 in (0.05, 0.3, 0.51, 0.8):
         for n2 in (0.04, 0.3, 0.52, 0.9):
-            ctx = dataclasses.replace(
-                base_ctx, n_r1=n1, n_r2=n2, c1a_ratio=1.0, c2a_ratio=0.0
-            )
-            assert gain_exclusion_holds(ctx) == (1.0 - n2 > n1)
+            assert gain_exclusion_holds(n1, n2, 1.0, 0.0) == (1.0 - n2 > n1)
 
 
 def test_finite_difference_sign_suites():
@@ -243,8 +247,8 @@ def test_carveouts_are_certified_and_survive_exhaustive_recheck():
 
     for found in instances:
         carve = found.result.carveouts[-1]
-        _, model, t, cfg = build_objects(found.instance)
-        tol = cfg.crossing_rel_tol
+        _, model, t, _ = build_objects(found.instance)
+        tol = CROSSING_REL_TOL
 
         d_prime = combine(carve.d_plus, carve.y)
         pre = remove_subdistribution(d_prime, carve.r2)
@@ -313,7 +317,7 @@ def test_second_crossing_preserves_both_values():
         assert sorted(res.d2_star.ids()) == ["a", "b", "f"]
         assert abs(res.d2_delta_v) < 1e-9
         assert abs(res.d2_delta_s) < 1e-9
-        assert res.d2_crossing_gap <= cfg.crossing_rel_tol
+        assert res.d2_crossing_gap <= CROSSING_REL_TOL
 
 
 def _signs(rows) -> list[int]:

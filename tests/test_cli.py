@@ -294,6 +294,51 @@ def test_a_vanishing_ordering_limit_denominator_ends_in_a_verdict(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "p, candidate, note",
+    [
+        # as above: the probe z leaves the ordering limit without a scale
+        (
+            {"a": 1.0, "r": 1.0, "z": -1.0},
+            "z",
+            "degenerate ordering-limit denominator",
+        ),
+        # every point is worthless to the producer, so E(T|D*) < 0
+        (
+            {"a": -1.0, "r": -1.0, "z": -1.0},
+            "a",
+            "mean transformed producer value at the crossing must be positive",
+        ),
+    ],
+    ids=["vanishing-ordering-limit", "negative-crossing-value"],
+)
+def test_analyze_reads_a_degenerate_context_as_optimize_does(tmp_path, p, candidate, note):
+    inst = make_instance(
+        [("a", 3.0, p["a"], 1.0), ("r", 2.0, p["r"], 1.0), ("z", 1.0, p["z"], 1.0)],
+        zeta=0.8,
+        alpha=1.0,
+    )
+    inp = write(tmp_path, "degenerate.json", inst)
+    proc = subprocess.run(
+        [sys.executable, "-m", "distopt.cli", "analyze", "--input", inp,
+         "--candidate", candidate],
+        capture_output=True,
+        text=True,
+    )
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["thresholds"] is None
+    assert report["verdict"] == {
+        "kind": "StayAtDStar_Thm2",
+        "is_nash": True,
+        "is_pareto": True,
+        "carveout_recommended": False,
+        "indeterminate": True,
+        "notes": [f"crossing context degenerate: {note}"],
+    }
+
+
+@pytest.mark.parametrize(
     "command", [["optimize"], ["analyze", "--candidate", "p0"], ["carveout"]]
 )
 def test_an_explicit_seed_off_the_greedy_order_ends_as_an_error_line(tmp_path, command):

@@ -1,20 +1,19 @@
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from distopt.core import Distribution, Point, PointIncrement, ProducerTransform
 from distopt.instances import build_objects
 from distopt.oracle import brute_force_w_max, find_scenario_instance
 from distopt.optimizer import (
+    CROSSING_REL_TOL,
     BuildOrderError,
     CarveoutInfeasibleError,
     OptimizerConfig,
     _assert_no_dominating_extension,
+    _carve_block,
     continue_to_d2_star,
     determine_d_star,
-    generate_carveout,
 )
 from distopt.participation import ParticipationModel, potential
 from distopt.sequence import SequenceConfig
@@ -86,10 +85,15 @@ def test_flat_participation_is_reported_as_saturation():
 
 
 def test_step_budget_halts_the_build():
-    pool, model, t, cfg = build_objects(LADDER)
-    res = determine_d_star(pool, dataclasses.replace(cfg, max_steps=1), model, t)
+    # in 0.01-unit chunks the ladder is still short of a conclusion after
+    # ten steps per pool point, the budget of every build
+    chunked = dict(
+        LADDER, optimizer={"increment_policy": {"kind": "unit_chunks", "chunk": 0.01}}
+    )
+    pool, model, t, cfg = build_objects(chunked)
+    res = determine_d_star(pool, cfg, model, t)
     assert res.budget_exhausted
-    assert res.steps == 1
+    assert res.steps == 10 * len(pool)
     assert any("budget" in note for note in res.verdict.notes)
 
 
@@ -111,7 +115,7 @@ def test_second_crossing_chain_preserves_both_values():
     assert sorted(chained.d2_star.ids()) == ["a", "b", "f"]
     assert chained.d2_delta_v == pytest.approx(0.0, abs=1e-9)
     assert chained.d2_delta_s == pytest.approx(0.0, abs=1e-9)
-    assert chained.d2_crossing_gap <= cfg.crossing_rel_tol
+    assert chained.d2_crossing_gap <= CROSSING_REL_TOL
 
 
 # -- carveouts ---------------------------------------------------------------
@@ -125,14 +129,16 @@ def test_carveout_requires_a_fractional_slope():
     base = make_dist(("a", 2.0, 1.0, 1.0))
     steep = PointIncrement(Point("x", 50.0, 1.0), 1.0)
     with pytest.raises(ValueError):
-        generate_carveout(base, steep, CFG, ParticipationModel.power(1.0, 1.0), IDENT)
+        _carve_block(
+            base, steep.as_distribution(), CFG, ParticipationModel.power(1.0, 1.0), IDENT
+        )
 
 
 def test_carveout_reports_budget_infeasibility():
     base = make_dist(("hi", 1.9, 1.0, 1.3), ("lo", 0.1, 1.0, 0.02))
     ext = PointIncrement(Point("x", 3.0, 0.5), 0.4)
     with pytest.raises(CarveoutInfeasibleError):
-        generate_carveout(base, ext, CFG, M05, IDENT)
+        _carve_block(base, ext.as_distribution(), CFG, M05, IDENT)
 
 
 def test_carveout_cannot_consume_the_extension_itself():
@@ -144,7 +150,7 @@ def test_carveout_cannot_consume_the_extension_itself():
     )
     ext = PointIncrement(Point("x", 4.0, 0.6), 0.5)
     with pytest.raises(CarveoutInfeasibleError):
-        generate_carveout(base, ext, CFG, M05, IDENT)
+        _carve_block(base, ext.as_distribution(), CFG, M05, IDENT)
 
 
 def test_searcher_found_carveout_satisfies_its_contract():

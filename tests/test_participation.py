@@ -100,13 +100,6 @@ def test_table_knots_must_be_sane():
         ParticipationModel.from_table([(1.0, 2.0), (2.0, 1.0)])
 
 
-def test_scaled_multiplies_the_curve():
-    m = ParticipationModel.power(1.0, 0.5)
-    half = m.scaled(0.5)
-    for q in (0.3, 1.0, 7.7):
-        assert half.m(q) == pytest.approx(0.5 * m.m(q), rel=1e-15)
-
-
 def test_potential_and_actual(linear_model):
     d = make_dist(("a", 4.0, 1.0, 1.0))
     assert potential(linear_model, d) == 4.0

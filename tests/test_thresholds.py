@@ -21,7 +21,6 @@ from distopt.thresholds import (
     STAY_AT_D_STAR_THM2,
     ExtensionContext,
     classify,
-    gain_exclusion_holds,
     threshold_report,
     viability_limit_m_ratio,
 )
@@ -110,13 +109,6 @@ def test_viability_limit_base_cases():
     assert viability_limit_m_ratio(0.2, 0.5, 1.0, 0.5) == pytest.approx(
         1.3 / 1.05, rel=1e-12
     )
-
-
-def test_extreme_substitution_reduces_to_a_volume_comparison():
-    for n1 in (0.05, 0.2, 0.55, 0.9):
-        for n2 in (0.05, 0.3, 0.6, 0.94):
-            ctx = dataclasses.replace(CTX, n_r1=n1, n_r2=n2, c1a_ratio=1.0, c2a_ratio=0.0)
-            assert gain_exclusion_holds(ctx) == (1.0 - n2 > n1), (n1, n2)
 
 
 def test_transform_cutoff_stays_below_one_for_non_dominant_candidates():

@@ -7,9 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from distopt.core import (
-    EMPTY,
     Distribution,
-    EmptyDistributionError,
     Point,
     PointIncrement,
     ProducerTransform,
@@ -22,19 +20,17 @@ from distopt.participation import ParticipationModel, actual, potential
 from distopt.valuation import (
     Regime,
     ValueDelta,
+    _extended_value,
     delta_s,
-    delta_v,
     delta_v_of_increment,
-    s_value,
-    upsilon,
     v_value,
-    xi,
 )
 
 from conftest import make_dist
 
 M11 = ParticipationModel.power(1.0, 1.0)
 IDENT = ProducerTransform.identity()
+EMPTY = Distribution()
 
 
 def test_v_is_expected_transform_times_potential():
@@ -45,15 +41,15 @@ def test_v_is_expected_transform_times_potential():
 
 def test_s_is_expected_transform_times_actual():
     d = make_dist(("b", 2.0, 3.0, 1.0))
-    # M = 2 but only one unit of volume is on offer
-    assert s_value(d, M11, IDENT) == 3.0
+    # M = 2 but only one unit of volume is on offer; S(∅) = 0
+    assert delta_s(EMPTY, d, M11, IDENT).delta_s == 3.0
 
 
 def test_value_delta_on_a_hand_checked_pair():
     base = make_dist(("b", 2.0, 1.0, 1.0))
     d2 = apply_increment(base, PointIncrement(Point("a", 4.0, 3.0), 1.0))
     # V: 1*2 -> 2*3
-    assert delta_v(base, d2, M11, IDENT) == 4.0
+    assert delta_s(base, d2, M11, IDENT).delta_v == 4.0
     assert delta_v_of_increment(base, 4.0, 3.0, 1.0, M11, IDENT) == 4.0
 
 
@@ -79,7 +75,7 @@ def test_realized_delta_above_the_crossing_equals_potential_delta():
     out = delta_s(base, d2, M11, IDENT)
     assert out.regime is Regime.AT_OR_ABOVE_CROSSING
     assert out.delta_s == pytest.approx(1.0, rel=1e-12)
-    assert out.delta_s == pytest.approx(delta_v(base, d2, M11, IDENT), rel=1e-12)
+    assert out.delta_s == pytest.approx(out.delta_v, rel=1e-12)
 
 
 def test_realized_delta_straddling_the_crossing():
@@ -90,22 +86,13 @@ def test_realized_delta_straddling_the_crossing():
     assert out.delta_s == pytest.approx(2.0 / 3.0, rel=1e-12)
 
 
-def test_share_weighted_value_and_its_unit_share_form():
-    base = make_dist(("b", 2.0, 1.0, 1.0))
-    got = xi(4.0, 3.0, 0.5, base, M11, IDENT)
-    assert got == 6.0
-    # at one unit joining one unit the share is exactly 1/2
-    assert upsilon(4.0, 3.0, base, M11, IDENT) == got
-
-
 def test_share_bounds_are_enforced():
-    base = make_dist(("b", 2.0, 1.0, 1.0))
+    # a base with E = 1 and Q = 2 extended by a share of (c, T(p)) = (1, 1)
+    assert _extended_value(1.0, 2.0, 1.0, 1.0, 0.5, M11) == 1.5
     with pytest.raises(ValueError):
-        xi(1.0, 1.0, 1.0, base, M11, IDENT)
+        _extended_value(1.0, 2.0, 1.0, 1.0, 1.0, M11)
     with pytest.raises(ValueError):
-        xi(1.0, 1.0, -0.1, base, M11, IDENT)
-    with pytest.raises(EmptyDistributionError):
-        xi(1.0, 1.0, 0.5, EMPTY, M11, IDENT)
+        _extended_value(1.0, 2.0, 1.0, 1.0, -0.1, M11)
 
 
 def _random_dist(rng: random.Random, prefix: str, size: int) -> Distribution:
@@ -131,7 +118,7 @@ def test_closed_form_delta_matches_direct_difference():
         for pt, w in ext.items():
             d2 = apply_increment(d2, PointIncrement(pt, w))
         direct = v_value(d2, m, t) - v_value(base, m, t)
-        closed = delta_v(base, d2, m, t)
+        closed = delta_s(base, d2, m, t).delta_v
         assert closed == pytest.approx(direct, rel=1e-10, abs=1e-12), (
             f"trial {trial}: closed {closed} vs direct {direct}"
         )
@@ -146,9 +133,13 @@ def test_unit_share_value_ranks_like_the_value_delta():
         cands = [
             (rng.uniform(0.1, 8.0), rng.uniform(0.0, 2.0)) for _ in range(6)
         ]
-        by_upsilon = max(
-            range(len(cands)), key=lambda i: upsilon(cands[i][0], cands[i][1], base, m, t)
-        )
+        e, q, share = expected_t(base, t), base.q, 1.0 / (base.n + 1.0)
+
+        def upsilon(c: float, p: float) -> float:
+            """Potential value after one unit of (c, p) joins the base."""
+            return (e + share * (t.apply(p) - e)) * m.m(q + share * (c - q))
+
+        by_upsilon = max(range(len(cands)), key=lambda i: upsilon(*cands[i]))
         by_delta = max(
             range(len(cands)),
             key=lambda i: delta_v_of_increment(base, cands[i][0], cands[i][1], 1.0, m, t),
@@ -241,7 +232,6 @@ def _fresh(d: Distribution) -> Distribution:
 def _assert_delta_s_unchanged(d, d_prime, model, t) -> ValueDelta:
     got = delta_s(d, d_prime, model, t)
     assert got == _ref_delta_s(_fresh(d), _fresh(d_prime), model, t)
-    assert delta_v(d, d_prime, model, t) == _ref_delta_v(_fresh(d), _fresh(d_prime), model, t)
     return got
 
 
