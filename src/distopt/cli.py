@@ -570,7 +570,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         raise CliError(
             f"candidate {cand_id!r} is already inside the crossing distribution"
         )
-    r1 = result.trace.steps[-1].added if result.trace.steps else None
+    # the step that reached D*: the declining-tail walk may record more
+    steps = result.trace.steps[: result.d_star_steps]
+    r1 = steps[-1].added if steps else None
     candidate = PointIncrement(pool.point_of(cand_id), pool.weight_of(cand_id))
     # a degenerate crossing context reads as ``optimize`` reads it
     try:

@@ -59,20 +59,21 @@ def build_transform(spec: dict[str, Any] | None) -> ProducerTransform:
 
 
 def _sequence_config(opt: dict[str, Any]) -> SequenceConfig:
-    kwargs: dict[str, Any] = {}
+    seed_ids: tuple[str, ...] = ()
     seed_policy = opt.get("seed_policy")
     if isinstance(seed_policy, dict):
-        kwargs["seed_policy"] = "explicit"
-        kwargs["seed_ids"] = tuple(str(i) for i in seed_policy["ids"])
+        seed_ids = tuple(str(i) for i in seed_policy["ids"])
+        if not seed_ids:
+            raise ValueError("explicit seeding needs at least one id")
     elif isinstance(seed_policy, str) and seed_policy != "highest_value":
         raise ValueError(f"unknown seed policy {seed_policy!r}")
+    chunk = None
     inc = opt.get("increment_policy")
     if isinstance(inc, dict):
-        kwargs["weight_policy"] = "unit_chunks"
-        kwargs["chunk"] = float(inc["chunk"])
+        chunk = float(inc["chunk"])
     elif isinstance(inc, str) and inc != "full_point":
         raise ValueError(f"unknown increment policy {inc!r}")
-    return SequenceConfig(**kwargs)
+    return SequenceConfig(seed_ids, chunk)
 
 
 def build_optimizer_config(opt: dict[str, Any] | None) -> OptimizerConfig:

@@ -5,8 +5,8 @@
 participation outruns volume, then probes the best extension past the
 crossing and acts on its classification: adopt extensions both players
 want, carve compensation out of disagreements when feasible, stop when
-the crossing is the equilibrium, and hand off to ``continue_to_d2_star``
-when participation keeps pace with volume.
+the crossing is the equilibrium; when participation keeps pace with
+volume, ``continue_to_d2_star`` carries the same run on to D²*.
 
 Instances whose crossing is never reached are reported as degenerate:
 ``UnderServed`` when the pool runs out with demand still above supply,
@@ -31,7 +31,6 @@ from .core import (
 )
 from .participation import ParticipationModel, actual, kappa, potential
 from .sequence import (
-    EXPLICIT,
     ExhaustedPoolError,
     ProbeResult,
     SequenceConfig,
@@ -126,16 +125,14 @@ class CarveoutResult:
 @dataclass(frozen=True)
 class OptimizationResult:
     d_star: Distribution
-    n_star: float
     trace: SequenceTrace
     verdict: EquilibriumVerdict
     crossing_gap: float
+    #: leading ``trace`` steps that built D*; the trace may run past it
+    d_star_steps: int
     d2_star: Distribution | None = None
-    carveout: CarveoutResult | None = None
     carveouts: tuple[CarveoutResult, ...] = ()
     events: tuple[EquilibriumVerdict, ...] = ()
-    pending_increments: tuple[PointIncrement, ...] = ()
-    carved: Distribution | None = None
     d2_delta_v: float | None = None
     d2_delta_s: float | None = None
     d2_crossing_gap: float | None = None
@@ -146,6 +143,15 @@ class OptimizationResult:
     #: continuation), that the plain greedy build from the seed takes too;
     #: ``greedy_sweep`` resumes from them instead of scoring them again
     greedy_steps: int = 0
+
+    @property
+    def n_star(self) -> float:
+        return self.d_star.n
+
+    @property
+    def carveout(self) -> CarveoutResult | None:
+        """The last carve the run made."""
+        return self.carveouts[-1] if self.carveouts else None
 
 
 def _gap_of(d: Distribution, model: ParticipationModel) -> float:
@@ -180,7 +186,7 @@ def _assert_no_dominating_extension(
             "adopted extension dominates the crossing prefix on both value "
             "and participation; build order violated"
         )
-        if seq.seed_policy == EXPLICIT:
+        if seq.seed_ids:
             message += (
                 "; the build starts from the explicit seed "
                 f"{list(seq.seed_ids)}, which need not follow the greedy order"
@@ -227,6 +233,7 @@ class _Run:
     build from the seed (``greedy_sweep``'s): each is the best increment
     from the state the one before it left, over the whole pool.  It stops
     growing once a carve retires weight and replaces the current state.
+    ``pending`` holds the block a ``ContinueToD2Star`` verdict adopts.
     """
 
     def __init__(
@@ -247,7 +254,7 @@ class _Run:
         self.snapshots: list[tuple[float, Distribution, int]] = []
         self.events: list[EquilibriumVerdict] = []
         self.carveouts: list[CarveoutResult] = []
-        self.carved_entries: list[tuple] = []
+        self.pending: tuple[PointIncrement, ...] = ()
         self.steps = 0
         self.evaluations = 0
         self.chain = 0
@@ -292,7 +299,6 @@ class _Run:
 
     def retire(self, y: Distribution) -> None:
         """Carved weight leaves the game: it can never be re-added."""
-        self.carved_entries.extend(y.items())
         self.available = remove_subdistribution(self.available, y)
 
     def last_accepted(self) -> PointIncrement | None:
@@ -340,32 +346,23 @@ class _Run:
                 best_w, best_d, best_len = w, d, length
         return best_d, best_len
 
-    def finish(
-        self,
-        verdict: EquilibriumVerdict,
-        pending: tuple[PointIncrement, ...] = (),
-    ) -> OptimizationResult:
+    def finish(self, verdict: EquilibriumVerdict) -> OptimizationResult:
         d_star, d_star_len = self.best_snapshot()
-        carved = (
-            Distribution(self.carved_entries) if self.carved_entries else None
-        )
+        # counted no further than D*, so that a continuation from an
+        # earlier state than the last sees that it leaves the chain
+        self.chain = min(self.chain, d_star_len)
         return OptimizationResult(
             d_star=d_star,
-            n_star=d_star.n,
             trace=self.trace,
             verdict=verdict,
             crossing_gap=_gap_of(d_star, self.model),
-            carveout=self.carveouts[-1] if self.carveouts else None,
+            d_star_steps=d_star_len,
             carveouts=tuple(self.carveouts),
             events=tuple(self.events),
-            pending_increments=pending,
-            carved=carved,
             budget_exhausted=self.budget_exhausted,
             steps=self.steps,
             evaluations=self.evaluations,
-            # counted no further than D*, so that a continuation from an
-            # earlier state than the last sees that it leaves the chain
-            greedy_steps=min(self.chain, d_star_len),
+            greedy_steps=self.chain,
         )
 
 
@@ -448,19 +445,15 @@ def _lookahead_block(
     return None
 
 
-def determine_d_star(
-    d_all: Distribution,
-    cfg: OptimizerConfig,
-    model: ParticipationModel,
-    t: ProducerTransform,
-) -> OptimizationResult:
+def determine_d_star(run: _Run) -> OptimizationResult:
     """Find the crossing distribution and classify what lies beyond it.
 
     Returns the volume-maximizing prefix (the crossing), its build trace,
     any carves performed along the way, and the equilibrium verdict for
     the best extension past it.  A ``ContinueToD2Star`` verdict leaves the
-    adopted block pending for ``continue_to_d2_star`` to resume from.
+    adopted block pending on ``run`` for ``continue_to_d2_star``.
     """
+    d_all, cfg, model, t = run.d_all, run.cfg, run.model, run.t
     if d_all.is_empty():
         raise ValueError("candidate pool is empty")
     if all(point.c <= 0 for point, _ in d_all.items()):
@@ -479,16 +472,14 @@ def determine_d_star(
         )
         return OptimizationResult(
             d_star=d0,
-            n_star=d0.n,
             trace=trace,
             verdict=_degenerate_verdict(
                 SATURATED_CONSUMER,
                 ("no point has positive consumer value; participation is zero",),
             ),
             crossing_gap=_gap_of(d0, model),
+            d_star_steps=1,
         )
-
-    run = _Run(d_all, cfg, model, t)
 
     # seed
     run.evaluations += len(run.pool())
@@ -552,13 +543,15 @@ def determine_d_star(
                 big_verdict = _classify(big_ctx)
                 if big_verdict.kind == CONTINUE_TO_D2_STAR_THM4:
                     run.events.append(big_verdict)
-                    return run.finish(big_verdict, pending=big_incs)
+                    run.pending = big_incs
+                    return run.finish(big_verdict)
 
         verdict = _classify(ctx)
         run.events.append(verdict)
 
         if verdict.kind == CONTINUE_TO_D2_STAR_THM4:
-            return run.finish(verdict, pending=probe.increments)
+            run.pending = probe.increments
+            return run.finish(verdict)
 
         if verdict.kind == SCENARIO_I_BOTH_PREFER:
             _assert_no_dominating_extension(ctx, cfg.sequence)
@@ -609,11 +602,12 @@ def optimize(
     Builds to the crossing D* and classifies the best extension past it,
     carving along the way where that is called for
     (``determine_d_star``); on a ``ContinueToD2Star`` verdict, goes on to
-    the second crossing D²* (``continue_to_d2_star``).
+    the second crossing D²* (``continue_to_d2_star``), in the same run.
     """
-    result = determine_d_star(d_all, cfg, model, t)
+    run = _Run(d_all, cfg, model, t)
+    result = determine_d_star(run)
     if result.verdict.kind == CONTINUE_TO_D2_STAR_THM4:
-        result = continue_to_d2_star(result, d_all, cfg, model, t)
+        result = continue_to_d2_star(run, result)
     return result
 
 
@@ -660,11 +654,7 @@ def _carve_block(
             "no point in the base is cheaper than the extension"
         )
 
-    chunk = (
-        cfg.sequence.chunk
-        if cfg.sequence.weight_policy == "unit_chunks"
-        else None
-    )
+    chunk = cfg.sequence.chunk
     bound = sum(
         (1 if chunk is None else max(1, math.ceil(w / chunk)))
         for _, w in candidates
@@ -756,42 +746,24 @@ def _carve_block(
     )
 
 
-def continue_to_d2_star(
-    result: OptimizationResult,
-    d_all: Distribution,
-    cfg: OptimizerConfig,
-    model: ParticipationModel,
-    t: ProducerTransform,
-) -> OptimizationResult:
+def continue_to_d2_star(run: _Run, result: OptimizationResult) -> OptimizationResult:
     """Resume past a keeps-pace extension and find the farther crossing.
 
-    Only valid on a result whose verdict is ``ContinueToD2Star``: adopts
-    the pending block, grows greedily until demand again meets supply,
-    and records the farther crossing with the value changes it realized
-    relative to the first one.  When the adopted mass carries (to the
-    producer) no value of its own, both changes are zero to numerical
-    precision, and this is checked.
+    Carries on ``run``, which ``determine_d_star`` left with a
+    ``ContinueToD2Star`` verdict in ``result``: from D*, adopts the pending
+    block, grows greedily until demand again meets supply, and records the
+    farther crossing with the value changes it realized relative to the
+    first one.  When the adopted mass carries (to the producer) no value
+    of its own, both changes are zero to numerical precision, and this is
+    checked.
     """
-    if result.verdict.kind != CONTINUE_TO_D2_STAR_THM4:
-        raise ValueError(
-            "continuation applies only to a ContinueToD2Star verdict"
-        )
-    if not result.pending_increments:
-        raise ValueError("no pending extension block to adopt")
-
-    run = _Run(d_all, cfg, model, t)
-    if result.carved is not None:
-        run.retire(result.carved)
+    model, t = run.model, run.t
     run.current = result.d_star
-    run.trace = result.trace
-    run.steps = result.steps
-    run.evaluations = result.evaluations
-    run.chain = result.greedy_steps
-    run.budget += result.steps  # the continuation's steps get a budget of their own
-    for inc in result.pending_increments:
+    run.budget = run.steps + step_limit(run.d_all)  # a budget of its own
+    for inc in run.pending:
         run.record_step(inc)
 
-    while run.ratio() > cfg.ratio_threshold:
+    while run.ratio() > run.cfg.ratio_threshold:
         if run.steps >= run.budget or run.pool_dry():
             return replace(
                 result,
@@ -799,7 +771,6 @@ def continue_to_d2_star(
                 verdict=result.verdict.with_note(
                     "pool exhausted before a second crossing"
                 ),
-                d2_star=None,
                 steps=run.steps,
                 evaluations=run.evaluations,
                 greedy_steps=run.chain,

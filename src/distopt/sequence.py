@@ -26,11 +26,6 @@ from .valuation import IncrementScorer, delta_v_of_increment
 #: a kappa sequence must rise by more than this to count as still improving
 KAPPA_IMPROVEMENT_TOL = 1e-12
 
-HIGHEST_VALUE = "highest_value"
-EXPLICIT = "explicit"
-FULL_POINT = "full_point"
-UNIT_CHUNKS = "unit_chunks"
-
 
 class ExhaustedPoolError(ValueError):
     """No candidate weight remains to extend the distribution with."""
@@ -38,29 +33,20 @@ class ExhaustedPoolError(ValueError):
 
 @dataclass(frozen=True)
 class SequenceConfig:
-    """Policies for seeding and increment sizing.
+    """Seeding and increment sizing.
 
-    ``seed_policy`` decides how an empty distribution starts: pick the
-    best-scoring point, or install an explicit id list first.
-    ``weight_policy`` controls whether increments take a point's full
-    remaining weight or fixed-size chunks of it.
+    An empty distribution starts from the ids in ``seed_ids``, in order,
+    or from the best-scoring point when there are none.  Increments take
+    at most ``chunk`` of a point's remaining weight, or all of it when
+    ``chunk`` is None.
     """
 
-    seed_policy: str = HIGHEST_VALUE
     seed_ids: tuple[str, ...] = ()
-    weight_policy: str = FULL_POINT
     chunk: float | None = None
 
     def __post_init__(self) -> None:
-        if self.seed_policy not in (HIGHEST_VALUE, EXPLICIT):
-            raise ValueError(f"unknown seed policy {self.seed_policy!r}")
-        if self.seed_policy == EXPLICIT and not self.seed_ids:
-            raise ValueError("explicit seeding needs at least one id")
-        if self.weight_policy not in (FULL_POINT, UNIT_CHUNKS):
-            raise ValueError(f"unknown weight policy {self.weight_policy!r}")
-        if self.weight_policy == UNIT_CHUNKS:
-            if self.chunk is None or not (self.chunk > 0):
-                raise ValueError("chunked increments need a chunk size > 0")
+        if self.chunk is not None and not (self.chunk > 0):
+            raise ValueError("chunked increments need a chunk size > 0")
 
 
 @dataclass(frozen=True)
@@ -104,13 +90,11 @@ class ProbeResult:
 
     ``kappa`` is the marginal-participation slope of the whole accumulated
     block measured against the entry distribution (None when the pool was
-    empty at entry).  ``exhausted`` reports that the pool ran out before
-    the slope left (0, 1) or stopped improving.
+    empty at entry).
     """
 
     distribution: Distribution
     kappa: float | None
-    exhausted: bool
     increments: tuple[PointIncrement, ...] = ()
 
     @property
@@ -143,7 +127,7 @@ def step_limit(d_all: Distribution) -> int:
 
 
 def _increment_weight(cfg: SequenceConfig, available: float) -> float:
-    if cfg.weight_policy == UNIT_CHUNKS:
+    if cfg.chunk is not None:
         return min(cfg.chunk, available)
     return available
 
@@ -188,7 +172,7 @@ def seed_distribution(
     t: ProducerTransform,
 ) -> list[PointIncrement]:
     """Increments that install the configured seed into an empty base."""
-    if cfg.seed_policy == EXPLICIT:
+    if cfg.seed_ids:
         incs = []
         for pid in cfg.seed_ids:
             if pid not in d_all:
@@ -215,7 +199,7 @@ def best_next_in_sequence(
     leaves the open interval (0, 1) — such a block is a complete candidate
     for the caller to classify — or at the first block whose slope fails
     to improve on the previous one while still inside (0, 1).  Runs the
-    pool dry otherwise and says so.
+    pool dry otherwise.
     """
     current = d
     increments: list[PointIncrement] = []
@@ -226,14 +210,14 @@ def best_next_in_sequence(
         try:
             inc = best_increment(current, pool, cfg, model, t)
         except ExhaustedPoolError:
-            return ProbeResult(current, prev_kappa, True, tuple(increments))
+            return ProbeResult(current, prev_kappa, tuple(increments))
         current = apply_increment(current, inc)
         k = kappa(model, d, current)
         increments.append(inc)
         if k >= 1 or k <= 0:
-            return ProbeResult(current, k, False, tuple(increments))
+            return ProbeResult(current, k, tuple(increments))
         if prev_kappa is not None and k <= prev_kappa + KAPPA_IMPROVEMENT_TOL:
-            return ProbeResult(current, k, False, tuple(increments))
+            return ProbeResult(current, k, tuple(increments))
         prev_kappa = k
 
 
@@ -254,7 +238,7 @@ def greedy_sweep(
     they are replayed and kept as they are rather than scored again.
     """
     limit = step_limit(d_all)
-    seed_len = len(cfg.seed_ids) if cfg.seed_policy == EXPLICIT else 1
+    seed_len = len(cfg.seed_ids) or 1
     if len(prefix) < seed_len:
         prefix = ()  # a partial seed block is not a step of the build
     prefix = prefix[: limit + seed_len - 1]

@@ -30,7 +30,7 @@ from distopt.oracle import (
     finite_difference_facts,
     generate_instance,
 )
-from distopt.optimizer import CROSSING_REL_TOL, continue_to_d2_star, determine_d_star
+from distopt.optimizer import CROSSING_REL_TOL, optimize
 from distopt.sequence import ExhaustedPoolError, best_increment, remaining_pool
 from distopt.participation import ParticipationModel, potential
 from distopt.thresholds import (
@@ -137,7 +137,7 @@ def test_crossing_build_matches_brute_force_and_rejects_deviations():
     for seed in range(500):
         inst = generate_instance("monotone", seed, size=4 + seed % 9)
         pool, model, t, cfg = build_objects(inst)
-        res = determine_d_star(pool, cfg, model, t)
+        res = optimize(pool, cfg, model, t)
         w_star = _w_of(res.d_star, model)
         bf = brute_force_w_max(pool, model, t, subset_cap=0)
         assert w_star == bf.best_prefix_w, f"seed {seed}"
@@ -165,7 +165,7 @@ def test_crossing_build_matches_brute_force_and_rejects_deviations():
 def test_five_point_checkpoint():
     start = time.monotonic()
     pool, model, t, cfg = build_objects(FIVE_POINT)
-    res = determine_d_star(pool, cfg, model, t)
+    res = optimize(pool, cfg, model, t)
     assert sorted(res.d_star.ids()) == ["c2", "c3", "c4", "c5"]
     assert res.n_star == 4.0
     assert res.verdict.witness is not None
@@ -310,9 +310,8 @@ def test_second_crossing_preserves_both_values():
             "transform": {"kind": "identity"},
         }
         pool, model, t, cfg = build_objects(inst)
-        res = determine_d_star(pool, cfg, model, t)
+        res = optimize(pool, cfg, model, t)
         assert res.verdict.kind == CONTINUE_TO_D2_STAR_THM4, scale
-        res = continue_to_d2_star(res, pool, cfg, model, t)
         assert res.d2_star is not None
         assert sorted(res.d2_star.ids()) == ["a", "b", "f"]
         assert abs(res.d2_delta_v) < 1e-9
@@ -352,7 +351,7 @@ def test_csv_curves_reproduce_the_crossing_and_threshold_bands(tmp_path):
          ("c2", 2.0, 0.97, 1.0), ("c1", 1.0, 0.5, 1.0)]
     )
     pool, model, t, cfg = build_objects(inst)
-    res = determine_d_star(pool, cfg, model, t)
+    res = optimize(pool, cfg, model, t)
     witness = res.verdict.witness
     assert witness is not None
     text = cli.threshold_csv(witness, res.n_star, q_of(res.d_star), model)

@@ -111,6 +111,20 @@ def test_analyze_reports_the_probe_candidate(tmp_path):
     assert report["thresholds"]["kappa_r2"] == pytest.approx(-0.5)
 
 
+def test_analyze_measures_the_candidate_against_the_step_that_reached_d_star(tmp_path):
+    # the declining-tail walk records p06 past D* = p00-p04; the base the
+    # ordering limits need is p03, the step that reached D*
+    inp = str(tmp_path / "monotone.json")
+    assert cli.main(["gen", "--profile", "monotone", "--seed", "2", "--size", "7",
+                     "--output", inp]) == 0
+    out = tmp_path / "ana.json"
+    assert cli.main(["analyze", "--input", inp, "--candidate", "p06",
+                     "--output", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["thresholds"]["n_r1"] > 0
+    assert not any("unusable" in note for note in report["verdict"]["notes"])
+
+
 def test_analyze_validates_the_candidate(tmp_path, capsys):
     inp = write(tmp_path, "five.json", FIVE_POINT)
     assert cli.main(["analyze", "--input", inp, "--candidate", "ghost"]) == 1

@@ -12,8 +12,7 @@ from distopt.optimizer import (
     OptimizerConfig,
     _assert_no_dominating_extension,
     _carve_block,
-    continue_to_d2_star,
-    determine_d_star,
+    optimize,
 )
 from distopt.participation import ParticipationModel, potential
 from distopt.sequence import SequenceConfig
@@ -31,7 +30,7 @@ from conftest import FIVE_POINT, LADDER, SECOND_CROSSING, make_dist, make_instan
 
 def run(instance):
     pool, model, t, cfg = build_objects(instance)
-    return determine_d_star(pool, cfg, model, t), pool, model, t, cfg
+    return optimize(pool, cfg, model, t), pool, model, t, cfg
 
 
 def test_five_point_reference_build():
@@ -91,7 +90,7 @@ def test_step_budget_halts_the_build():
         LADDER, optimizer={"increment_policy": {"kind": "unit_chunks", "chunk": 0.01}}
     )
     pool, model, t, cfg = build_objects(chunked)
-    res = determine_d_star(pool, cfg, model, t)
+    res = optimize(pool, cfg, model, t)
     assert res.budget_exhausted
     assert res.steps == 10 * len(pool)
     assert any("budget" in note for note in res.verdict.notes)
@@ -108,9 +107,8 @@ def test_runs_are_deterministic():
 
 
 def test_second_crossing_chain_preserves_both_values():
-    res, pool, model, t, cfg = run(SECOND_CROSSING)
-    assert res.verdict.kind == CONTINUE_TO_D2_STAR_THM4
-    chained = continue_to_d2_star(res, pool, cfg, model, t)
+    chained, *_ = run(SECOND_CROSSING)
+    assert chained.verdict.kind == CONTINUE_TO_D2_STAR_THM4
     assert chained.d2_star is not None
     assert sorted(chained.d2_star.ids()) == ["a", "b", "f"]
     assert chained.d2_delta_v == pytest.approx(0.0, abs=1e-9)
@@ -179,7 +177,7 @@ def test_dominating_extension_guard_fires():
     assert issubclass(BuildOrderError, RuntimeError)
     with pytest.raises(BuildOrderError, match="build order violated$"):
         _assert_no_dominating_extension(ctx, SequenceConfig())
-    seeded = SequenceConfig(seed_policy="explicit", seed_ids=("b", "a"))
+    seeded = SequenceConfig(seed_ids=("b", "a"))
     with pytest.raises(BuildOrderError, match=r"explicit seed \['b', 'a'\]"):
         _assert_no_dominating_extension(ctx, seeded)
 

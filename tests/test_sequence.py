@@ -19,7 +19,7 @@ from distopt.core import (
 )
 from distopt.instances import build_objects
 from distopt.participation import ParticipationModel, potential
-from distopt.optimizer import determine_d_star, optimize
+from distopt.optimizer import optimize
 from distopt.oracle import generate_instance
 from distopt.sequence import (
     SequenceConfig,
@@ -32,7 +32,7 @@ from distopt.sequence import (
 from distopt.thresholds import ExtensionContext, x_u_kappa
 from distopt.valuation import delta_v_of_increment
 
-from conftest import LADDER, make_dist
+from conftest import LADDER, make_dist, make_instance
 
 M11 = ParticipationModel.power(1.0, 1.0)
 IDENT = ProducerTransform.identity()
@@ -54,15 +54,29 @@ def test_seed_picks_the_highest_first_content_value():
 
 def test_explicit_seed_policy_uses_listed_ids():
     pool = make_dist(("hi", 5.0, 1.0, 1.0), ("mix", 2.0, 3.0, 1.0))
-    cfg = SequenceConfig(seed_policy="explicit", seed_ids=("hi",))
+    cfg = SequenceConfig(seed_ids=("hi",))
     assert [i.point.id for i in seed_distribution(pool, cfg, M11, IDENT)] == ["hi"]
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SequenceConfig(weight_policy="unit_chunks")
-    with pytest.raises(ValueError):
-        SequenceConfig(seed_policy="explicit")
+    for chunk in (0.0, -0.5, math.nan):
+        with pytest.raises(ValueError):
+            SequenceConfig(chunk=chunk)
+
+
+@pytest.mark.parametrize(
+    "optimizer, message",
+    [
+        ({"seed_policy": "lowest"}, "unknown seed policy 'lowest'"),
+        ({"increment_policy": "half_point"}, "unknown increment policy 'half_point'"),
+        ({"seed_policy": {"ids": []}}, "explicit seeding needs at least one id"),
+    ],
+)
+def test_build_objects_rejects_policies_without_the_schema(optimizer, message):
+    # library callers can skip the schema, which rejects these too
+    inst = make_instance([("a", 1.0, 1.0, 1.0)], optimizer=optimizer)
+    with pytest.raises(ValueError, match=message):
+        build_objects(inst)
 
 
 def test_equal_candidates_break_ties_by_id():
@@ -74,7 +88,7 @@ def test_equal_candidates_break_ties_by_id():
 
 def test_chunked_weights_split_points():
     pool = make_dist(("a", 2.0, 1.0, 0.26))
-    cfg = SequenceConfig(weight_policy="unit_chunks", chunk=0.1)
+    cfg = SequenceConfig(chunk=0.1)
     trace = greedy_sweep(pool, cfg, M11, IDENT)
     assert [round(s.added.weight, 10) for s in trace.steps] == [0.1, 0.1, 0.06]
 
@@ -103,7 +117,6 @@ def test_probe_stops_at_a_non_positive_slope():
     )
     assert [i.point.id for i in probe.increments] == ["p07"]
     assert probe.kappa == pytest.approx(-1.0 / 13.0, rel=1e-12)
-    assert not probe.exhausted
 
 
 def test_probe_reports_exhaustion_when_the_pool_runs_dry():
@@ -114,14 +127,13 @@ def test_probe_reports_exhaustion_when_the_pool_runs_dry():
     probe = best_next_in_sequence(
         prefix, remaining_pool(prefix, pool), pool, SequenceConfig(), M11, IDENT
     )
-    assert probe.exhausted
     assert [i.point.id for i in probe.increments] == ["b"]
     assert probe.kappa == pytest.approx(0.2, rel=1e-12)
 
 
 def test_viability_respects_the_build_order():
     pool, model, t, cfg = build_objects(LADDER)
-    res = determine_d_star(pool, cfg, model, t)
+    res = optimize(pool, cfg, model, t)
     last = res.trace.steps[-1].added
 
     def viable(candidate: PointIncrement) -> bool:
@@ -156,7 +168,7 @@ def _reference_best_increment(d, d_all, cfg, model, t):
     """The per-candidate loop that rescored the whole base for every candidate."""
     best = best_inc = None
     for point, available in remaining_pool(d, d_all):
-        weight = min(cfg.chunk, available) if cfg.weight_policy == "unit_chunks" else available
+        weight = available if cfg.chunk is None else min(cfg.chunk, available)
         score = delta_v_of_increment(d, point.c, point.p, weight, model, t)
         assert score == _direct_delta_v(d, point.c, point.p, weight, model, t)
         key = (-score, (-point.c, -t.apply(point.p), point.id))
@@ -188,7 +200,7 @@ _MODELS = st.one_of(
 _CONFIGS = st.one_of(
     st.just(SequenceConfig()),
     st.builds(
-        lambda chunk: SequenceConfig(weight_policy="unit_chunks", chunk=chunk),
+        lambda chunk: SequenceConfig(chunk=chunk),
         st.sampled_from([0.3, 0.5, 1.0]),
     ),
 )
@@ -243,7 +255,7 @@ def test_best_increment_passes_over_the_base_a_fixed_number_of_times(size, monke
     rows = [(f"x{i:03d}", 1.0 + (i * 37 % 101) / 50.0, (i % 5) / 2.0, 1.0) for i in range(size)]
     pool = make_dist(*rows)
     base = make_dist(*rows[: size // 2])
-    for cfg in (SequenceConfig(), SequenceConfig(weight_policy="unit_chunks", chunk=0.5)):
+    for cfg in (SequenceConfig(), SequenceConfig(chunk=0.5)):
         calls.clear()
         best_increment(base, remaining_pool(base, pool), cfg, M11, IDENT)
         assert len(calls) <= 2, f"{len(calls)} passes over the base at pool size {size}"
