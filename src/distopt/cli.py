@@ -13,6 +13,9 @@ Subcommands:
 * ``oracle-check`` — run the independent sampled and finite-difference
   verifications and report mismatches.
 
+Instances are read, checked and built by ``instances``; this module
+handles the arguments, the reports and the CSV curves.
+
 Exit codes: 0 success, 1 schema/usage error, 2 degenerate instance (the
 report is still written) or an unmet generation target.  All randomness
 comes from explicit ``--seed`` values; identical inputs and seeds produce
@@ -23,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import hashlib
 import io
 import json
@@ -34,11 +36,9 @@ import sys
 from pathlib import Path
 from typing import Any
 
-import jsonschema
-
 from . import oracle
 from .core import Distribution, PointIncrement, ProducerTransform, q_of, expected_t
-from .instances import SCHEMA_VERSION, build_objects
+from .instances import SCHEMA_VERSION, InstanceError, build_objects, load_instance
 from .optimizer import (
     BuildOrderError,
     CarveoutInfeasibleError,
@@ -66,194 +66,13 @@ from .thresholds import (
 
 log = logging.getLogger("distopt.cli")
 
-_NUMBER = {"type": "number"}
-
-
-def _kind_requires(fields: dict[str, list[str]]) -> dict:
-    """Schema clauses by which an object of each listed ``kind`` needs its
-    fields.
-
-    An if/else chain that tests the kinds in the order given: a failed
-    test costs the validator far more than a passed one, so the commonest
-    kind goes first.
-    """
-    clause: dict = {}
-    for kind, names in reversed(fields.items()):
-        step: dict = {"if": {"properties": {"kind": {"const": kind}}}}
-        if names:
-            step["then"] = {"required": names}
-        if clause:
-            step["else"] = clause
-        clause = step
-    return clause
-
-
-_POINT_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "id": {"type": ["string", "integer"]},
-        "c": _NUMBER,
-        "p": _NUMBER,
-        "n": {"type": "number", "exclusiveMinimum": 0},
-    },
-    "required": ["id", "c", "p", "n"],
-    "additionalProperties": False,
-}
-
-_PARTICIPATION_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "kind": {"enum": ["power", "saturating", "table"]},
-        "zeta": {"type": "number", "exclusiveMinimum": 0},
-        "alpha": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-        "cap": {"type": "number", "exclusiveMinimum": 0},
-        "knots": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "array",
-                "items": _NUMBER,
-                "minItems": 2,
-                "maxItems": 2,
-            },
-        },
-    },
-    "required": ["kind"],
-    **_kind_requires(
-        {
-            "power": ["zeta", "alpha"],
-            "saturating": ["zeta", "alpha", "cap"],
-            "table": ["knots"],
-        }
-    ),
-    "additionalProperties": False,
-}
-
-_TRANSFORM_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "kind": {"enum": ["identity", "affine", "table"]},
-        "a": _NUMBER,
-        "b": _NUMBER,
-        "table": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "array",
-                "items": _NUMBER,
-                "minItems": 2,
-                "maxItems": 2,
-            },
-        },
-    },
-    "required": ["kind"],
-    **_kind_requires({"identity": [], "affine": ["a", "b"], "table": ["table"]}),
-    "additionalProperties": False,
-}
-
-_OPTIMIZER_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "ratio_threshold": {"type": "number", "minimum": 1},
-        "lookahead_steps": {"type": "integer", "minimum": 0},
-        "consumer_mode": {"enum": ["adaptive", "reactive"]},
-        "iota": {"type": "number", "minimum": 0},
-        "seed_policy": {
-            "oneOf": [
-                {"const": "highest_value"},
-                {
-                    "type": "object",
-                    "properties": {
-                        "ids": {
-                            "type": "array",
-                            "minItems": 1,
-                            "items": {"type": ["string", "integer"]},
-                        }
-                    },
-                    "required": ["ids"],
-                    "additionalProperties": False,
-                },
-            ]
-        },
-        "increment_policy": {
-            "oneOf": [
-                {"const": "full_point"},
-                {
-                    "type": "object",
-                    "properties": {
-                        "kind": {"const": "unit_chunks"},
-                        "chunk": {"type": "number", "exclusiveMinimum": 0},
-                    },
-                    "required": ["kind", "chunk"],
-                    "additionalProperties": False,
-                },
-            ]
-        },
-    },
-    "additionalProperties": False,
-}
-
-INSTANCE_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "schema_version": {"const": SCHEMA_VERSION},
-        "points": {"type": "array", "minItems": 1, "items": _POINT_SCHEMA},
-        "participation": _PARTICIPATION_SCHEMA,
-        "transform": _TRANSFORM_SCHEMA,
-        "optimizer": _OPTIMIZER_SCHEMA,
-    },
-    "required": ["points", "participation"],
-    "additionalProperties": False,
-}
-
 
 class CliError(Exception):
-    def __init__(self, message: str, exit_code: int = 1):
-        super().__init__(message)
-        self.exit_code = exit_code
+    """A usage error, or a run the pipeline cannot finish."""
 
 
 def canonical_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
-
-
-@functools.cache
-def _instance_validator() -> Any:
-    """The validator of ``INSTANCE_SCHEMA``, checked against its metaschema
-    once, on first use rather than at import."""
-    cls = jsonschema.validators.validator_for(INSTANCE_SCHEMA)
-    cls.check_schema(INSTANCE_SCHEMA)
-    return cls(INSTANCE_SCHEMA)
-
-
-def _validate_instance(instance: Any) -> None:
-    """Raise the error ``jsonschema.validate`` would raise for ``instance``."""
-    error = jsonschema.exceptions.best_match(_instance_validator().iter_errors(instance))
-    if error is not None:
-        raise error
-
-
-def _reject_constant(name: str) -> float:
-    raise ValueError(f"{name} is not a JSON number")
-
-
-def load_instance(path: str) -> dict:
-    try:
-        raw = Path(path).read_text()
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from exc
-    try:
-        instance = json.loads(raw, parse_constant=_reject_constant)
-    except ValueError as exc:
-        raise CliError(f"{path} is not valid JSON: {exc}") from exc
-    try:
-        _validate_instance(instance)
-    except jsonschema.ValidationError as exc:
-        raise CliError(f"{path} failed schema validation: {exc.message}") from exc
-    ids = [str(p["id"]) for p in instance["points"]]
-    if len(set(ids)) != len(ids):
-        raise CliError(f"{path} has duplicate point ids")
-    return instance
 
 
 def fingerprint(instance: dict) -> str:
@@ -421,8 +240,8 @@ def sweep_csv(
 
 def threshold_csv(
     report: ThresholdReport,
-    d_star_n: float,
-    d_star_q: float,
+    n_star: float,
+    q_star: float,
     model: ParticipationModel,
 ) -> str:
     """Threshold landscape versus candidate weight.
@@ -432,8 +251,6 @@ def threshold_csv(
     participation curve directly.  A threshold whose denominator vanishes
     reads ``inf``.
     """
-    n_star = d_star_n
-    q_star = d_star_q
     m_star = report.m_star_ratio * n_star
     c2_raw = report.c2_ratio * q_star
     n_r1 = report.n_r1
@@ -484,7 +301,10 @@ def _write(path: str | None, text: str) -> None:
         Path(path).write_text(text)
 
 
-def _csv_paths(output: str | None) -> tuple[str, str]:
+def _csv_paths(output: str | None, fmt: str) -> tuple[str, str] | None:
+    """The CSV paths next to ``output`` under ``--format csv``, else None."""
+    if fmt != "csv":
+        return None
     if output is None:
         raise CliError("--format csv requires --output")
     stem = output[: -len(".json")] if output.endswith(".json") else output
@@ -501,12 +321,9 @@ def _optimize(
     OptimizationResult,
 ]:
     """``build_objects`` and ``optimize`` on the instance read from
-    ``path``, with what the schema cannot reject and a build found off the
-    greedy order (an explicit seed can start it there) reported as errors."""
-    try:
-        pool, model, transform, cfg = build_objects(instance)
-    except ValueError as exc:
-        raise CliError(f"{path} is not a valid instance: {exc}") from exc
+    ``path``, with a build found off the greedy order (an explicit seed can
+    start it there) reported as an error."""
+    pool, model, transform, cfg = build_objects(instance, path)
     try:
         result = optimize(pool, cfg, model, transform)
     except BuildOrderError as exc:
@@ -514,14 +331,15 @@ def _optimize(
     return pool, model, transform, cfg, result
 
 
-def _optimize_one(instance: dict, path: str, output: str | None, fmt: str) -> int:
-    if fmt == "csv":
-        _csv_paths(output)  # reject --format csv without --output up front
+def _optimize_one(
+    path: str, output: str | None, csv_paths: tuple[str, str] | None
+) -> int:
+    instance = load_instance(path)
     pool, model, transform, cfg, result = _optimize(instance, path)
     report = run_report(instance, result, model, transform)
     _write(output, canonical_json(report))
-    if fmt == "csv":
-        trace_path, thresh_path = _csv_paths(output)
+    if csv_paths is not None:
+        trace_path, thresh_path = csv_paths
         Path(trace_path).write_text(sweep_csv(pool, cfg, result, model, transform))
         if result.verdict.witness is not None:
             Path(thresh_path).write_text(
@@ -548,19 +366,21 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         for path in sorted(in_dir.glob("*.json")):
             if path.name.endswith(".report.json"):
                 continue
-            instance = load_instance(str(path))
             out = out_dir / f"{path.stem}.report.json"
-            code = _optimize_one(instance, str(path), str(out), args.format)
+            code = _optimize_one(
+                str(path), str(out), _csv_paths(str(out), args.format)
+            )
             log.info("%s -> %s (exit %d)", path.name, out.name, code)
             worst = max(worst, code)
         return worst
     if not args.input:
         raise CliError("optimize needs --input or --batch")
-    instance = load_instance(args.input)
-    return _optimize_one(instance, args.input, args.output, args.format)
+    csv_paths = _csv_paths(args.output, args.format)
+    return _optimize_one(args.input, args.output, csv_paths)
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    csv_paths = _csv_paths(args.output, args.format)
     instance = load_instance(args.input)
     pool, model, transform, cfg, result = _optimize(instance, args.input)
     cand_id = str(args.candidate)
@@ -598,9 +418,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "verdict": _verdict_dict(verdict),
     }
     _write(args.output, canonical_json(report))
-    if args.format == "csv" and verdict.witness is not None:
-        _, thresh_path = _csv_paths(args.output)
-        Path(thresh_path).write_text(
+    if csv_paths is not None and verdict.witness is not None:
+        Path(csv_paths[1]).write_text(
             threshold_csv(
                 verdict.witness, result.n_star, q_of(result.d_star), model
             )
@@ -646,14 +465,16 @@ def cmd_gen(args: argparse.Namespace) -> int:
         return 2
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    _validate_instance(instance)
     _write(args.output, canonical_json(instance))
     return 0
 
 
 def cmd_oracle_check(args: argparse.Namespace) -> int:
-    cross = oracle.crosscheck_thresholds(args.samples, args.seed)
-    fd = oracle.finite_difference_facts(args.grid)
+    try:
+        cross = oracle.crosscheck_thresholds(args.samples, args.seed)
+        fd = oracle.finite_difference_facts(args.grid)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     report = {
         "schema_version": SCHEMA_VERSION,
         "threshold_crosscheck": {
@@ -705,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_car = sub.add_parser("carveout", help="attempt a compensating carve")
     p_car.add_argument("--input", required=True)
-    common(p_car)
+    p_car.add_argument("--output", default=None, help="output path (stdout if omitted)")
     p_car.set_defaults(func=cmd_carveout)
 
     p_gen = sub.add_parser("gen", help="generate an instance file")
@@ -741,9 +562,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, InstanceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
+        return 1
 
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ from .core import (
     ProducerTransform,
     apply_increment,
 )
-from .instances import SCHEMA_VERSION, build_objects
+from .instances import SCHEMA_VERSION, build_objects, check_instance
 from .optimizer import OptimizationResult, optimize
 from .participation import ParticipationModel, actual, potential
 from .thresholds import (
@@ -309,6 +309,8 @@ def finite_difference_facts(grid_size: int = 50) -> OracleReport:
       narrows as the candidate's value ratio rises, at a diminishing
       rate, and collapses as that ratio approaches one.
     """
+    if grid_size < 2:
+        raise ValueError(f"grid size must be at least 2, got {grid_size}")
     mismatches: list[dict] = []
     checked = 0
     skipped = 0
@@ -458,7 +460,6 @@ class FoundInstance:
     instance: dict
     result: OptimizationResult
     kind: str
-    attempts: int
 
 
 def _round6(x: float) -> float:
@@ -473,6 +474,17 @@ def _power_spec(zeta: float, alpha: float) -> dict:
     return {"kind": "power", "zeta": _round6(zeta), "alpha": _round6(alpha)}
 
 
+def _instance(points: list[dict], participation: dict, **extra: Any) -> dict:
+    """An instance over ``points`` with the identity transform."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "points": points,
+        "participation": participation,
+        "transform": {"kind": "identity"},
+        **extra,
+    }
+
+
 def _template_underserved(rng: random.Random) -> dict:
     count = rng.randint(2, 4)
     points = [
@@ -484,12 +496,7 @@ def _template_underserved(rng: random.Random) -> dict:
         )
         for i in range(count)
     ]
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "points": points,
-        "participation": _power_spec(1.0, rng.uniform(0.6, 0.9)),
-        "transform": {"kind": "identity"},
-    }
+    return _instance(points, _power_spec(1.0, rng.uniform(0.6, 0.9)))
 
 
 def _template_saturated(rng: random.Random) -> dict:
@@ -505,17 +512,10 @@ def _template_saturated(rng: random.Random) -> dict:
     ]
     total = sum(p["n"] for p in points)
     cap = _round6(total * rng.uniform(1.2, 1.6))
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "points": points,
-        "participation": {
-            "kind": "saturating",
-            "zeta": _round6(cap * 12.0),
-            "alpha": 0.5,
-            "cap": cap,
-        },
-        "transform": {"kind": "identity"},
-    }
+    return _instance(
+        points,
+        {"kind": "saturating", "zeta": _round6(cap * 12.0), "alpha": 0.5, "cap": cap},
+    )
 
 
 def _template_stay(rng: random.Random) -> dict:
@@ -529,12 +529,7 @@ def _template_stay(rng: random.Random) -> dict:
     prefix = max(2, count - 2)
     q_prefix = sum(cs[:prefix]) / prefix
     zeta = prefix / q_prefix**alpha
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "points": points,
-        "participation": _power_spec(zeta, alpha),
-        "transform": {"kind": "identity"},
-    }
+    return _instance(points, _power_spec(zeta, alpha))
 
 
 def _template_continue(rng: random.Random) -> dict:
@@ -547,12 +542,7 @@ def _template_continue(rng: random.Random) -> dict:
         _point("f", c_mid * scale, 0.0, 0.5),
     ]
     zeta = 1.0 / math.sqrt(scale)
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "points": points,
-        "participation": _power_spec(zeta, 0.5),
-        "transform": {"kind": "identity"},
-    }
+    return _instance(points, _power_spec(zeta, 0.5))
 
 
 def _scenario_base(
@@ -619,13 +609,7 @@ def _scenario_base(
             "kind": "unit_chunks",
             "chunk": _round6(0.05 * v),
         }
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "points": points,
-        "participation": _power_spec(zeta, alpha),
-        "transform": {"kind": "identity"},
-        "optimizer": optimizer,
-    }
+    return _instance(points, _power_spec(zeta, alpha), optimizer=optimizer)
 
 
 def _solve_alpha(kappa_target: float, c2_over_qstar: float, m_cal: float) -> float:
@@ -757,7 +741,7 @@ def find_scenario_instance(
         STAY_AT_D_STAR_THM2: _template_stay,
         CONTINUE_TO_D2_STAR_THM4: _template_continue,
     }
-    for attempt in range(1, budget + 1):
+    for _ in range(budget):
         if target in degenerate:
             instance = degenerate[target](rng)
         else:
@@ -775,7 +759,7 @@ def find_scenario_instance(
             for c in result.carveouts
         ):
             continue
-        return FoundInstance(instance, result, target, attempt)
+        return FoundInstance(instance, result, target)
     return None
 
 
@@ -795,12 +779,7 @@ def _uniform_template(rng: random.Random, size: int) -> dict:
     n_prefix = sum(p["n"] for p in ordered)
     q_prefix = sum(p["n"] * p["c"] for p in ordered) / n_prefix
     zeta = n_prefix / q_prefix**alpha
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "points": points,
-        "participation": _power_spec(zeta, alpha),
-        "transform": {"kind": "identity"},
-    }
+    return _instance(points, _power_spec(zeta, alpha))
 
 
 def _monotone_template(rng: random.Random, size: int) -> dict:
@@ -822,25 +801,15 @@ def _monotone_template(rng: random.Random, size: int) -> dict:
     n_prefix = sum(p["n"] for p in points[:k])
     q_prefix = sum(p["n"] * p["c"] for p in points[:k]) / n_prefix
     zeta = round(n_prefix * rng.uniform(0.9, 1.1) / q_prefix**alpha, 6)
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "points": points,
-        "participation": _power_spec(zeta, alpha),
-        "transform": {"kind": "identity"},
-    }
+    return _instance(points, _power_spec(zeta, alpha))
 
 
 def generate_instance(profile: str, seed: int, size: int = 8) -> dict:
-    """Deterministic instance generation for the named profile."""
+    """Deterministic instance generation for the named profile; the result
+    has passed ``check_instance`` (a searched one in ``build_objects``)."""
+    if size < 1:
+        raise ValueError(f"size must be at least 1, got {size}")
     rng = random.Random(seed)
-    if profile == "uniform":
-        return _uniform_template(rng, size)
-    if profile == "monotone":
-        return _monotone_template(rng, size)
-    if profile == "underserved":
-        return _template_underserved(rng)
-    if profile == "saturated":
-        return _template_saturated(rng)
     if profile.startswith("scenario:"):
         kind = profile.split(":", 1)[1]
         found = find_scenario_instance(kind, budget=300, rng_seed=seed)
@@ -849,4 +818,15 @@ def generate_instance(profile: str, seed: int, size: int = 8) -> dict:
                 f"no instance realizing {kind!r} found within the search budget"
             )
         return found.instance
-    raise ValueError(f"unknown generation profile {profile!r}")
+    if profile == "uniform":
+        instance = _uniform_template(rng, size)
+    elif profile == "monotone":
+        instance = _monotone_template(rng, size)
+    elif profile == "underserved":
+        instance = _template_underserved(rng)
+    elif profile == "saturated":
+        instance = _template_saturated(rng)
+    else:
+        raise ValueError(f"unknown generation profile {profile!r}")
+    check_instance(instance)
+    return instance

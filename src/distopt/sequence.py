@@ -47,6 +47,8 @@ class SequenceConfig:
     def __post_init__(self) -> None:
         if self.chunk is not None and not (self.chunk > 0):
             raise ValueError("chunked increments need a chunk size > 0")
+        if len(set(self.seed_ids)) != len(self.seed_ids):
+            raise ValueError(f"seed ids {list(self.seed_ids)} repeat an id")
 
 
 @dataclass(frozen=True)

@@ -80,9 +80,7 @@ class ExtensionContext:
     can be compared on the same object).
     """
 
-    d_star: Distribution
     r1: PointIncrement | None
-    r2: PointIncrement
     model: ParticipationModel
     n_r1: float
     n_r2: float
@@ -124,8 +122,8 @@ class ExtensionContext:
         """Measure a realized crossing state.
 
         ``block`` may be a single increment or a multi-point block; a
-        block enters the algebra as a pseudo-increment carrying its
-        aggregate mean consumer value and total weight.
+        block enters the algebra through its total weight and its mean
+        consumer and transformed producer values.
         """
         if isinstance(block, PointIncrement):
             block_dist = block.as_distribution()
@@ -149,10 +147,6 @@ class ExtensionContext:
         w2 = block_dist.n
         c2_raw = q_of(block_dist)
         t2_raw = expected_t(block_dist, transform)
-        pseudo = PointIncrement(
-            Point(id="+".join(sorted(block_dist.ids())), c=c2_raw, p=t2_raw),
-            w2,
-        )
 
         d_prime = combine(d_star, block_dist)
         m_star = potential(model, d_star)
@@ -190,9 +184,7 @@ class ExtensionContext:
             n_r1 = 0.0
 
         return ExtensionContext(
-            d_star=d_star,
             r1=last,
-            r2=pseudo,
             model=model,
             n_r1=n_r1,
             n_r2=w2 / n_star,

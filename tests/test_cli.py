@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from distopt import cli
+from distopt import cli, instances
 from distopt.oracle import find_scenario_instance
 from distopt.thresholds import SCENARIO_II_CONSUMER_PREFERS
 
@@ -40,9 +40,24 @@ def test_optimize_to_stdout(tmp_path, capsys):
 
 
 def test_csv_format_needs_an_output_path(tmp_path, capsys):
+    # the usage error comes before the instance is read, so nothing is
+    # written to stdout first
     inp = write(tmp_path, "five.json", FIVE_POINT)
-    assert cli.main(["optimize", "--input", inp, "--format", "csv"]) == 1
-    assert "error" in capsys.readouterr().err
+    for command in (["optimize"], ["analyze", "--candidate", "c1"]):
+        assert cli.main([*command, "--input", inp, "--format", "csv"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "", command
+        assert captured.err == "error: --format csv requires --output\n"
+
+
+def test_carveout_has_no_format_option(tmp_path, capsys):
+    inp = write(tmp_path, "five.json", FIVE_POINT)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["carveout", "--input", inp, "--format", "csv",
+                  "--output", str(tmp_path / "c.json")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format csv" in capsys.readouterr().err
+    assert not (tmp_path / "c.json").exists()
 
 
 def test_csv_curves_are_written(tmp_path):
@@ -71,6 +86,45 @@ def test_schema_violations_exit_one(tmp_path, capsys):
     (tmp_path / "noise.json").write_text("{not json")
     assert cli.main(["optimize", "--input", str(tmp_path / "noise.json")]) == 1
     capsys.readouterr()
+
+
+def test_duplicate_point_ids_end_as_one_error_line(tmp_path, capsys):
+    dup = make_instance([("a", 1.0, 1.0, 1.0), ("b", 2.0, 1.0, 1.0)])
+    dup["points"][1]["id"] = "a"
+    inp = write(tmp_path, "dup.json", dup)
+    assert cli.main(["optimize", "--input", inp]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {inp} has duplicate point ids\n"
+    with pytest.raises(instances.InstanceError, match="^instance has duplicate point ids$"):
+        instances.build_objects(dup)
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (None, "cannot read {inp}: [Errno 2] No such file or directory: '{inp}'"),
+        (b"{not json", "{inp} is not valid JSON: Expecting property name enclosed "
+                       "in double quotes: line 1 column 2 (char 1)"),
+        (b'{"points": NaN}', "{inp} is not valid JSON: NaN is not a JSON number"),
+        (b'{"points": -Infinity}', "{inp} is not valid JSON: -Infinity is not a JSON number"),
+        (b"\xff{}", "{inp} is not valid JSON: 'utf-8' codec can't decode byte 0xff "
+                    "in position 0: invalid start byte"),
+    ],
+    ids=["missing", "not-json", "nan", "infinity", "not-utf8"],
+)
+def test_unreadable_instances_end_as_an_error_line(tmp_path, content, message):
+    inp = str(tmp_path / "bad.json")
+    if content is not None:
+        (tmp_path / "bad.json").write_bytes(content)
+    proc = subprocess.run(
+        [sys.executable, "-m", "distopt.cli", "optimize", "--input", inp],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == f"error: {message.format(inp=inp)}\n"
+    assert proc.stdout == ""
 
 
 def test_unknown_schema_keys_are_rejected(tmp_path, capsys):
@@ -167,12 +221,30 @@ def test_gen_profiles_validate_and_are_deterministic(tmp_path):
         # generated files themselves pass the input gate
         import jsonschema
 
-        jsonschema.validate(inst, cli.INSTANCE_SCHEMA)
+        jsonschema.validate(inst, instances.INSTANCE_SCHEMA)
 
 
 def test_gen_rejects_unknown_profiles(tmp_path, capsys):
     assert cli.main(["gen", "--profile", "mystery"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gen", "--profile", "uniform", "--size", "0"], "size must be at least 1, got 0"),
+        (["gen", "--profile", "monotone", "--size", "-3"], "size must be at least 1, got -3"),
+        (["oracle-check", "--samples", "10", "--grid", "1"], "grid size must be at least 2, got 1"),
+        (["oracle-check", "--samples", "10", "--grid", "0"], "grid size must be at least 2, got 0"),
+    ],
+)
+def test_sizes_below_their_minimum_end_as_an_error_line(argv, message):
+    proc = subprocess.run(
+        [sys.executable, "-m", "distopt.cli", *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == f"error: {message}\n"
+    assert proc.stdout == ""
 
 
 def test_oracle_check_passes_at_small_sizes(tmp_path):
@@ -241,7 +313,7 @@ def test_schema_errors_read_as_jsonschema_validate_reports_them(tmp_path, capsys
     mutate(inst)
     inp = write(tmp_path, "bad.json", inst)
     with pytest.raises(jsonschema.ValidationError) as expected:
-        jsonschema.validate(inst, cli.INSTANCE_SCHEMA)
+        jsonschema.validate(inst, instances.INSTANCE_SCHEMA)
     assert cli.main(["optimize", "--input", inp]) == 1
     assert capsys.readouterr().err == (
         f"error: {inp} failed schema validation: {expected.value.message}\n"
@@ -259,6 +331,7 @@ def test_schema_errors_read_as_jsonschema_validate_reports_them(tmp_path, capsys
         lambda inst: inst["points"][0].update(c=float("nan")),
         lambda inst: inst.update(transform={"kind": "table", "table": [[2.0, 1.0]]}),
         lambda inst: inst.update(optimizer={"seed_policy": {"ids": ["ghost"]}}),
+        lambda inst: inst.update(optimizer={"seed_policy": {"ids": ["c5", "c5"]}}),
     ],
     ids=[
         "power-without-zeta",
@@ -269,6 +342,7 @@ def test_schema_errors_read_as_jsonschema_validate_reports_them(tmp_path, capsys
         "nan-score",
         "table-transform-missing-p",
         "seed-id-outside-pool",
+        "seed-id-repeated",
     ],
 )
 def test_invalid_instances_end_as_an_error_line(tmp_path, mutate):

@@ -17,7 +17,7 @@ from distopt.core import (
     expected_t,
     q_of,
 )
-from distopt.instances import build_objects
+from distopt.instances import INSTANCE_SCHEMA, InstanceError, build_objects
 from distopt.participation import ParticipationModel, potential
 from distopt.optimizer import optimize
 from distopt.oracle import generate_instance
@@ -62,21 +62,32 @@ def test_config_validation():
     for chunk in (0.0, -0.5, math.nan):
         with pytest.raises(ValueError):
             SequenceConfig(chunk=chunk)
+    # a repeated seed id would install the point's weight twice
+    with pytest.raises(ValueError, match="repeat an id"):
+        SequenceConfig(seed_ids=("a", "b", "a"))
 
 
 @pytest.mark.parametrize(
-    "optimizer, message",
+    "optimizer, case",
     [
         ({"seed_policy": "lowest"}, "unknown seed policy 'lowest'"),
         ({"increment_policy": "half_point"}, "unknown increment policy 'half_point'"),
         ({"seed_policy": {"ids": []}}, "explicit seeding needs at least one id"),
     ],
 )
-def test_build_objects_rejects_policies_without_the_schema(optimizer, message):
-    # library callers can skip the schema, which rejects these too
+def test_build_objects_rejects_policies_without_the_schema(optimizer, case):
+    # library callers go through the schema just as the CLI does, and get
+    # the error ``jsonschema.validate`` reports for the case
+    import jsonschema
+
     inst = make_instance([("a", 1.0, 1.0, 1.0)], optimizer=optimizer)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(jsonschema.ValidationError) as expected:
+        jsonschema.validate(inst, INSTANCE_SCHEMA)
+    with pytest.raises(InstanceError) as raised:
         build_objects(inst)
+    assert str(raised.value) == (
+        f"instance failed schema validation: {expected.value.message}"
+    ), case
 
 
 def test_equal_candidates_break_ties_by_id():

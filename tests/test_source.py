@@ -2,6 +2,9 @@
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import distopt
@@ -49,3 +52,47 @@ def test_every_public_name_has_a_caller_in_the_library():
     }
     exempt = {"__version__", "brute_force_w_max"}
     assert sorted(set(distopt.__all__) - used - exempt) == []
+
+
+def _names(node: ast.AST) -> set[str]:
+    """The top-level module, alias, variable or attribute names ``node``
+    mentions."""
+    if isinstance(node, ast.Import):
+        return {a.name.split(".")[0] for a in node.names}
+    if isinstance(node, ast.ImportFrom):
+        return {(node.module or "").split(".")[0]} | {a.name for a in node.names}
+    if isinstance(node, ast.Name):
+        return {node.id}
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    return set()
+
+
+def test_only_instances_knows_the_schema():
+    # the instance contract lives in one module: the others neither import
+    # ``jsonschema`` nor name the schema
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        if path.name != "instances.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if _names(node) & {"jsonschema", "INSTANCE_SCHEMA"}
+    ]
+    assert found == []
+
+
+def test_importing_the_package_leaves_jsonschema_unloaded():
+    # ``jsonschema`` is imported on the first instance check, not with the
+    # package
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, distopt, distopt.cli; print('jsonschema' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(distopt.__file__).parent.parent)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
