@@ -26,7 +26,6 @@ from .participation import (
     potential,
 )
 from .valuation import (
-    Regime,
     ValueDelta,
     delta_s,
     v_value,
@@ -83,7 +82,6 @@ __all__ = [
     "actual",
     "kappa",
     "potential",
-    "Regime",
     "ValueDelta",
     "delta_s",
     "v_value",

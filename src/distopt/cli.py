@@ -7,8 +7,9 @@ Subcommands:
   the threshold landscape.
 * ``analyze`` — threshold report and verdict for one designated candidate
   against the instance's crossing distribution.
-* ``carveout`` — attempt a compensating carve for the instance's
-  disagreement extension.
+* ``carveout`` — the compensating carve ``optimize`` made for the
+  instance's disagreement extension, or why the recommended one could
+  not be made.
 * ``gen`` — deterministically generate instance files from named profiles.
 * ``oracle-check`` — run the independent sampled and finite-difference
   verifications and report mismatches.
@@ -41,17 +42,14 @@ from .core import Distribution, PointIncrement, ProducerTransform, q_of, expecte
 from .instances import SCHEMA_VERSION, InstanceError, build_objects, load_instance
 from .optimizer import (
     BuildOrderError,
-    CarveoutInfeasibleError,
     CarveoutResult,
     OptimizationResult,
     OptimizerConfig,
-    _carve_block,
-    _classify,
-    _degenerate_context_verdict,
+    extension_verdict,
     optimize,
 )
 from .participation import ParticipationModel, potential
-from .sequence import greedy_sweep, remaining_pool
+from .sequence import greedy_sweep
 from .thresholds import (
     REACTIVE,
     SATURATED_CONSUMER,
@@ -59,7 +57,6 @@ from .thresholds import (
     DegenerateContextError,
     EquilibriumVerdict,
     ThresholdReport,
-    ExtensionContext,
     x_l_kappa,
     x_u_kappa,
 )
@@ -251,10 +248,11 @@ def threshold_csv(
     participation curve directly.  A threshold whose denominator vanishes
     reads ``inf``.
     """
-    m_star = report.m_star_ratio * n_star
-    c2_raw = report.c2_ratio * q_star
-    n_r1 = report.n_r1
-    c1a = report.c1a_ratio
+    ctx = report.context
+    m_star = ctx.m_star_ratio * n_star
+    c2_raw = ctx.c2_ratio * q_star
+    n_r1 = ctx.n_r1
+    c1a = ctx.c1a_ratio
     w1 = n_r1 * n_star
     denom_a = n_star - w1 + c1a * w1
     q_a = q_star * n_star / denom_a if denom_a > 0 else q_star
@@ -270,10 +268,10 @@ def threshold_csv(
     for i in range(1, steps + 1):
         n2 = 0.02 * i
         w2 = n2 * n_star
-        adaptive, reactive = x_l_kappa(n2, report.tp2_ratio)
-        x_l = reactive if report.consumer_mode == REACTIVE else adaptive
+        adaptive, reactive = x_l_kappa(n2, ctx.tp2_ratio)
+        x_l = reactive if ctx.consumer_mode == REACTIVE else adaptive
         try:
-            x_u, x_u_alt = x_u_kappa(n_r1, n2, report.tp1_ratio, report.tp2_ratio)
+            x_u, x_u_alt = x_u_kappa(n_r1, n2, ctx.tp1_ratio, ctx.tp2_ratio)
         except DegenerateContextError:
             x_u = x_u_alt = math.inf
         q_mix = (q_star * n_star + c2_raw * w2) / (n_star + w2)
@@ -367,9 +365,13 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             if path.name.endswith(".report.json"):
                 continue
             out = out_dir / f"{path.stem}.report.json"
-            code = _optimize_one(
-                str(path), str(out), _csv_paths(str(out), args.format)
-            )
+            try:
+                code = _optimize_one(
+                    str(path), str(out), _csv_paths(str(out), args.format)
+                )
+            except (CliError, InstanceError) as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                code = 1
             log.info("%s -> %s (exit %d)", path.name, out.name, code)
             worst = max(worst, code)
         return worst
@@ -394,21 +396,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     steps = result.trace.steps[: result.d_star_steps]
     r1 = steps[-1].added if steps else None
     candidate = PointIncrement(pool.point_of(cand_id), pool.weight_of(cand_id))
-    # a degenerate crossing context reads as ``optimize`` reads it
-    try:
-        ctx = ExtensionContext.from_run(
-            result.d_star,
-            r1,
-            candidate,
-            model,
-            transform,
-            iota=cfg.iota,
-            consumer_mode=cfg.consumer_mode,
-        )
-    except DegenerateContextError as exc:
-        verdict = _degenerate_context_verdict(exc)
-    else:
-        verdict = _classify(ctx)
+    verdict, _ = extension_verdict(
+        result.d_star, r1, candidate, model, transform, cfg
+    )
     report = {
         "schema_version": SCHEMA_VERSION,
         "instance": {"fingerprint": fingerprint(instance)},
@@ -444,13 +434,7 @@ def cmd_carveout(args: argparse.Namespace) -> int:
         report["carveout"] = _carveout_dict(result.carveouts[-1], model, transform)
     elif result.verdict.carveout_recommended:
         report["applicable"] = True
-        remaining = Distribution(remaining_pool(result.d_star, pool))
-        try:
-            carve = _carve_block(result.d_star, remaining, cfg, model, transform)
-            report["feasible"] = True
-            report["carveout"] = _carveout_dict(carve, model, transform)
-        except (CarveoutInfeasibleError, ValueError) as exc:
-            report["reason"] = str(exc)
+        report["reason"] = result.carve_failure
     else:
         report["reason"] = "no disagreement extension at the crossing"
     _write(args.output, canonical_json(report))
@@ -524,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_ana)
     p_ana.set_defaults(func=cmd_analyze)
 
-    p_car = sub.add_parser("carveout", help="attempt a compensating carve")
+    p_car = sub.add_parser("carveout", help="report the run's compensating carve")
     p_car.add_argument("--input", required=True)
     p_car.add_argument("--output", default=None, help="output path (stdout if omitted)")
     p_car.set_defaults(func=cmd_carveout)

@@ -143,6 +143,8 @@ class OptimizationResult:
     #: continuation), that the plain greedy build from the seed takes too;
     #: ``greedy_sweep`` resumes from them instead of scoring them again
     greedy_steps: int = 0
+    #: why the carve the final verdict recommends could not be made
+    carve_failure: str | None = None
 
     @property
     def n_star(self) -> float:
@@ -194,24 +196,42 @@ def _assert_no_dominating_extension(
         raise BuildOrderError(message)
 
 
-def _degenerate_context_verdict(exc: DegenerateContextError) -> EquilibriumVerdict:
-    return EquilibriumVerdict(
-        kind=STAY_AT_D_STAR_THM2,
-        is_nash=True,
-        is_pareto=True,
-        indeterminate=True,
-        witness=None,
-        notes=(f"crossing context degenerate: {exc}",),
-    )
+def extension_verdict(
+    d_star: Distribution,
+    r1: PointIncrement | None,
+    block: Distribution | PointIncrement,
+    model: ParticipationModel,
+    t: ProducerTransform,
+    cfg: OptimizerConfig,
+) -> tuple[EquilibriumVerdict, ExtensionContext | None]:
+    """Measure the extension ``block`` past the crossing ``d_star``, which
+    ``r1`` reached, and classify it.
 
-
-def _classify(ctx: ExtensionContext) -> EquilibriumVerdict:
-    """``classify``, reading a threshold whose denominator vanishes as an
-    indeterminate stay, as a degenerate crossing context is read."""
+    A crossing context without a usable ratio scale, in the measurement or
+    in a threshold's denominator, reads as an indeterminate stay.  The
+    context is None only when the measurement itself failed.
+    """
+    ctx = None
     try:
-        return classify(ctx)
+        ctx = ExtensionContext.from_run(
+            d_star,
+            r1,
+            block,
+            model,
+            t,
+            iota=cfg.iota,
+            consumer_mode=cfg.consumer_mode,
+        )
+        return classify(ctx), ctx
     except DegenerateContextError as exc:
-        return _degenerate_context_verdict(exc)
+        verdict = EquilibriumVerdict(
+            kind=STAY_AT_D_STAR_THM2,
+            is_nash=True,
+            is_pareto=True,
+            indeterminate=True,
+            notes=(f"crossing context degenerate: {exc}",),
+        )
+        return verdict, ctx
 
 
 def _degenerate_verdict(kind: str, notes: tuple[str, ...]) -> EquilibriumVerdict:
@@ -405,20 +425,6 @@ def _exhaustion_verdict(run: _Run) -> EquilibriumVerdict:
     )
 
 
-def _context_for_block(
-    run: _Run, block: Distribution
-) -> ExtensionContext:
-    return ExtensionContext.from_run(
-        run.current,
-        run.last_accepted(),
-        block,
-        run.model,
-        run.t,
-        iota=run.cfg.iota,
-        consumer_mode=run.cfg.consumer_mode,
-    )
-
-
 def _lookahead_block(
     run: _Run, probe: ProbeResult
 ) -> tuple[Distribution, tuple[PointIncrement, ...]] | None:
@@ -521,16 +527,15 @@ def determine_d_star(run: _Run) -> OptimizationResult:
             return run.finish(_exhaustion_verdict(run))
         block = probe.block
         k = probe.kappa
+        r1 = run.last_accepted()
+        verdict, ctx = extension_verdict(run.current, r1, block, model, t, cfg)
 
-        try:
-            ctx = _context_for_block(run, block)
-        except DegenerateContextError as exc:
-            verdict = _degenerate_context_verdict(exc)
+        if ctx is None:
+            # no measurable crossing: nothing to walk past
             run.events.append(verdict)
             return run.finish(verdict)
 
         if k <= 0:
-            verdict = _classify(ctx)
             run.events.append(verdict)
             run.walk_declining_tail()
             return run.finish(verdict)
@@ -539,14 +544,14 @@ def determine_d_star(run: _Run) -> OptimizationResult:
             promoted = _lookahead_block(run, probe)
             if promoted is not None:
                 big_block, big_incs = promoted
-                big_ctx = _context_for_block(run, big_block)
-                big_verdict = _classify(big_ctx)
+                big_verdict, _ = extension_verdict(
+                    run.current, r1, big_block, model, t, cfg
+                )
                 if big_verdict.kind == CONTINUE_TO_D2_STAR_THM4:
                     run.events.append(big_verdict)
                     run.pending = big_incs
                     return run.finish(big_verdict)
 
-        verdict = _classify(ctx)
         run.events.append(verdict)
 
         if verdict.kind == CONTINUE_TO_D2_STAR_THM4:
@@ -569,9 +574,10 @@ def determine_d_star(run: _Run) -> OptimizationResult:
                     run.current, block, cfg, model, t
                 )
             except CarveoutInfeasibleError as exc:
-                return run.finish(
+                result = run.finish(
                     verdict.with_note(f"carveout infeasible: {exc.reason}")
                 )
+                return replace(result, carve_failure=exc.reason)
             _assert_no_dominating_extension(ctx, cfg.sequence)
             carve = replace(carve, trigger_kind=verdict.kind)
             run.carveouts.append(carve)

@@ -171,6 +171,8 @@ def crosscheck_thresholds(
 
     Samples inside the boundary band are skipped, not scored.
     """
+    if n_samples < 1:
+        raise ValueError(f"sample count must be at least 1, got {n_samples}")
     rng = random.Random(rng_seed)
     t = ProducerTransform.identity()
     base = Point(id="a", c=1.0, p=1.0)

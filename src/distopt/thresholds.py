@@ -96,7 +96,7 @@ class ExtensionContext:
     m_r2_ratio: float
     m_ar2_ratio: float
     q_prime_ratio: float
-    n_star_raw: float
+    n_star: float
     r1_degenerate: bool = False
     iota: float = 0.1
     consumer_mode: str = ADAPTIVE
@@ -200,7 +200,7 @@ class ExtensionContext:
             m_r2_ratio=m_prime / n_star,
             m_ar2_ratio=m_ar2 / n_star,
             q_prime_ratio=q_of(d_prime) / q_star,
-            n_star_raw=n_star,
+            n_star=n_star,
             r1_degenerate=r1 is not None and last is None,
             iota=iota,
             consumer_mode=consumer_mode,
@@ -418,9 +418,17 @@ def viability_limit_m_ratio(
     )
 
 
+#: fields ``ThresholdReport.to_dict`` leaves out: the objects, and the
+#: context ratios that only feed the report's own values
+_UNREPORTED = frozenset(
+    {"context", "r1", "model", "q_prime_ratio", "r1_degenerate"}
+)
+
+
 @dataclass(frozen=True)
 class ThresholdReport:
-    """All thresholds and diagnostics for one candidate extension."""
+    """All thresholds and diagnostics for one candidate extension, with
+    the context they were computed from."""
 
     x_l_kappa: float
     x_l_kappa_adaptive: float
@@ -429,8 +437,6 @@ class ThresholdReport:
     x_u_kappa_alt: float
     x_c_kappa: float
     tau: float
-    kappa_r2: float
-    kappa_ar2: float
     f_low: float
     f_up: float
     m_ratio: float
@@ -438,20 +444,7 @@ class ThresholdReport:
     delta_u: float
     delta_v_hat: float
     delta_s_hat: float
-    n_r1: float
-    n_r2: float
-    tp1_ratio: float
-    tp2_ratio: float
-    c1a_ratio: float
-    c2_ratio: float
-    c2a_ratio: float
-    iota: float
-    consumer_mode: str
-    n_star: float
-    m_star_ratio: float
-    m_a_ratio: float
-    m_r2_ratio: float
-    m_ar2_ratio: float
+    context: ExtensionContext
 
     def to_dict(self) -> dict:
         def clean(x):
@@ -459,7 +452,8 @@ class ThresholdReport:
                 return repr(x)
             return x
 
-        return {k: clean(v) for k, v in self.__dict__.items()}
+        fields = (*self.__dict__.items(), *self.context.__dict__.items())
+        return {k: clean(v) for k, v in fields if k not in _UNREPORTED}
 
 
 def threshold_report(ctx: ExtensionContext) -> ThresholdReport:
@@ -479,8 +473,6 @@ def threshold_report(ctx: ExtensionContext) -> ThresholdReport:
         x_u_kappa_alt=adjusted,
         x_c_kappa=x_c_kappa(ctx),
         tau=tau,
-        kappa_r2=ctx.kappa_r2,
-        kappa_ar2=ctx.kappa_ar2,
         f_low=low,
         f_up=up,
         m_ratio=m,
@@ -488,20 +480,7 @@ def threshold_report(ctx: ExtensionContext) -> ThresholdReport:
         delta_u=ctx.delta_u(),
         delta_v_hat=ctx.delta_v_hat(),
         delta_s_hat=ctx.delta_s_hat(),
-        n_r1=ctx.n_r1,
-        n_r2=ctx.n_r2,
-        tp1_ratio=ctx.tp1_ratio,
-        tp2_ratio=ctx.tp2_ratio,
-        c1a_ratio=ctx.c1a_ratio,
-        c2_ratio=ctx.c2_ratio,
-        c2a_ratio=ctx.c2a_ratio,
-        iota=ctx.iota,
-        consumer_mode=ctx.consumer_mode,
-        n_star=ctx.n_star_raw,
-        m_star_ratio=ctx.m_star_ratio,
-        m_a_ratio=ctx.m_a_ratio,
-        m_r2_ratio=ctx.m_r2_ratio,
-        m_ar2_ratio=ctx.m_ar2_ratio,
+        context=ctx,
     )
 
 
@@ -607,7 +586,7 @@ def classify(ctx: ExtensionContext) -> EquilibriumVerdict:
         adjusted = report.x_u_kappa_alt
         viable = ctx.kappa_ar2 <= adjusted + 1e-12
         viability_indet = abs(ctx.kappa_ar2 - adjusted) <= DECISION_BAND
-    dv = ctx.delta_v_hat()
+    dv = report.delta_v_hat
     indet = (
         abs(k - 1.0) <= DECISION_BAND
         or viability_indet

@@ -16,7 +16,6 @@ crossing and is computed directly when a shift straddles it.
 """
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 from .core import (
@@ -29,19 +28,10 @@ from .core import (
 from .participation import ParticipationModel, potential
 
 
-class Regime(enum.Enum):
-    """Where a shift sits relative to the supply/demand crossing."""
-
-    BELOW_CROSSING = "below_crossing"  # volume <= potential on both ends
-    AT_OR_ABOVE_CROSSING = "at_or_above_crossing"
-    STRADDLES_CROSSING = "straddles_crossing"
-
-
 @dataclass(frozen=True)
 class ValueDelta:
     delta_s: float
     delta_v: float
-    regime: Regime
 
 
 def _s_of(d: Distribution, m: float, t: ProducerTransform) -> float:
@@ -82,7 +72,7 @@ def delta_s(
     t: ProducerTransform,
 ) -> ValueDelta:
     """Realized-value change S(D') − S(D), with the potential-value change
-    V(D') − V(D) and the regime it fell in.
+    V(D') − V(D).
 
     For D ⊂ D' with difference mass Y (either direction),
 
@@ -111,11 +101,11 @@ def delta_s(
     if n <= m and n_p <= m_p:
         if h is None:
             h = _difference_mean_t(d, d_prime, t)
-        return ValueDelta(h * (n_p - n), dv, Regime.BELOW_CROSSING)
+        return ValueDelta(h * (n_p - n), dv)
     if n >= m and n_p >= m_p:
-        return ValueDelta(dv, dv, Regime.AT_OR_ABOVE_CROSSING)
+        return ValueDelta(dv, dv)
     ds = _s_of(d_prime, m_p, t) - _s_of(d, m, t)
-    return ValueDelta(ds, dv, Regime.STRADDLES_CROSSING)
+    return ValueDelta(ds, dv)
 
 
 def _extended_value(

@@ -169,7 +169,7 @@ def test_five_point_checkpoint():
     assert sorted(res.d_star.ids()) == ["c2", "c3", "c4", "c5"]
     assert res.n_star == 4.0
     assert res.verdict.witness is not None
-    assert res.verdict.witness.kappa_r2 == pytest.approx(-0.5, rel=1e-12)
+    assert res.verdict.witness.context.kappa_r2 == pytest.approx(-0.5, rel=1e-12)
     assert time.monotonic() - start < 1.0
 
 
@@ -355,7 +355,8 @@ def test_csv_curves_reproduce_the_crossing_and_threshold_bands(tmp_path):
     witness = res.verdict.witness
     assert witness is not None
     text = cli.threshold_csv(witness, res.n_star, q_of(res.d_star), model)
-    tp1, tp2, n1 = witness.tp1_ratio, witness.tp2_ratio, witness.n_r1
+    ctx = witness.context
+    tp1, tp2, n1 = ctx.tp1_ratio, ctx.tp2_ratio, ctx.n_r1
     held = 0
     for row in csv.DictReader(io.StringIO(text)):
         n2 = float(row["n_r2"])

@@ -8,7 +8,10 @@ import pytest
 
 from distopt import cli, instances
 from distopt.oracle import find_scenario_instance
-from distopt.thresholds import SCENARIO_II_CONSUMER_PREFERS
+from distopt.thresholds import (
+    SCENARIO_II_CONSUMER_PREFERS,
+    SCENARIO_III_PRODUCER_PREFERS,
+)
 
 from conftest import FIVE_POINT, LADDER, SECOND_CROSSING, make_instance
 
@@ -154,6 +157,17 @@ def test_batch_mode_reports_every_file(tmp_path):
     assert not (tmp_path / "stale.report.report.json").exists()
 
 
+def test_batch_mode_carries_on_past_an_invalid_file(tmp_path, capsys):
+    write(tmp_path, "a.json", {**FIVE_POINT, "optimizer": {"seed_policy": {"ids": ["c5", "c5"]}}})
+    write(tmp_path, "b.json", FIVE_POINT)
+    assert cli.main(["optimize", "--batch", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert "a.json" in err[0]
+    assert not (tmp_path / "a.report.json").exists()
+    assert json.loads((tmp_path / "b.report.json").read_text())["n_star"] == 4.0
+
+
 def test_analyze_reports_the_probe_candidate(tmp_path):
     inp = write(tmp_path, "five.json", FIVE_POINT)
     out = tmp_path / "ana.json"
@@ -199,6 +213,23 @@ def test_carveout_command_on_a_carving_instance(tmp_path):
     assert report["carveout"]["n_y"] > 0.0
 
 
+def test_carveout_reports_why_the_recommended_carve_was_not_made(tmp_path):
+    # the run's own carve of the probe block fails; ``carveout`` reports
+    # that failure rather than carving anything else
+    found = find_scenario_instance(SCENARIO_III_PRODUCER_PREFERS, budget=300, rng_seed=3)
+    assert found is not None
+    reason = "carve volume exceeded the extension's participation gap"
+    assert found.result.verdict.carveout_recommended
+    assert f"carveout infeasible: {reason}" in found.result.verdict.notes
+    inp = write(tmp_path, "iii.json", found.instance)
+    out = tmp_path / "iii.carveout.json"
+    assert cli.main(["carveout", "--input", inp, "--output", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["applicable"] and not report["feasible"]
+    assert report["carveout"] is None
+    assert report["reason"] == reason == found.result.carve_failure
+
+
 def test_carveout_command_without_a_disagreement(tmp_path):
     inp = write(tmp_path, "five.json", FIVE_POINT)
     out = tmp_path / "carve.json"
@@ -236,6 +267,8 @@ def test_gen_rejects_unknown_profiles(tmp_path, capsys):
         (["gen", "--profile", "monotone", "--size", "-3"], "size must be at least 1, got -3"),
         (["oracle-check", "--samples", "10", "--grid", "1"], "grid size must be at least 2, got 1"),
         (["oracle-check", "--samples", "10", "--grid", "0"], "grid size must be at least 2, got 0"),
+        (["oracle-check", "--samples", "0"], "sample count must be at least 1, got 0"),
+        (["oracle-check", "--samples", "-4"], "sample count must be at least 1, got -4"),
     ],
 )
 def test_sizes_below_their_minimum_end_as_an_error_line(argv, message):

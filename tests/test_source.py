@@ -81,6 +81,36 @@ def test_only_instances_knows_the_schema():
     assert found == []
 
 
+def test_the_cli_imports_no_private_name():
+    # the CLI goes through the library's public entry points, so it reads
+    # what ``optimize`` decided instead of running a step of it again
+    cli = Path(distopt.__file__).with_name("cli.py")
+    found = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(ast.parse(cli.read_text(), str(cli)))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert found == []
+
+
+def test_one_library_path_measures_a_crossing_candidate():
+    # ``extension_verdict`` measures and classifies every candidate the
+    # optimizer and the CLI look at; ``synthesize`` builds contexts from
+    # bare ratios
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for func in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(func, ast.FunctionDef)
+        and func.name not in ("extension_verdict", "synthesize")
+        for node in ast.walk(func)
+        if isinstance(node, ast.Attribute) and node.attr == "from_run"
+    ]
+    assert found == []
+
+
 def test_importing_the_package_leaves_jsonschema_unloaded():
     # ``jsonschema`` is imported on the first instance check, not with the
     # package

@@ -86,8 +86,8 @@ def test_participation_ratio_and_recovered_volume_value():
 def test_measured_slopes_match_the_power_curve():
     r = threshold_report(CTX)
     # appeal mix of the synthetic realization: (1 + 2*0.5) / 1.5
-    assert r.kappa_r2 == pytest.approx((math.sqrt(4.0 / 3.0) - 1.0) / 0.5, rel=1e-12)
-    assert r.kappa_ar2 > r.kappa_r2, "a lighter base amplifies the candidate's pull"
+    assert r.context.kappa_r2 == pytest.approx((math.sqrt(4.0 / 3.0) - 1.0) / 0.5, rel=1e-12)
+    assert r.context.kappa_ar2 > r.context.kappa_r2, "a lighter base amplifies the candidate's pull"
     m_r2 = math.sqrt(4.0 / 3.0)
     assert r.f_low == pytest.approx((1.0 / m_r2 - 1.0) / 0.5 + 1.0 / m_r2, rel=1e-12)
     assert r.f_low < r.f_up
@@ -210,6 +210,19 @@ def test_context_measured_from_a_real_increment():
     assert ctx.n_r2 == pytest.approx(0.75 / 1.5, rel=1e-12)
     assert ctx.tp2_ratio == pytest.approx(0.5 / ((1.0 + 0.8 * 0.5) / 1.5), rel=1e-12)
     assert report_is_serializable(ctx)
+
+
+def test_a_report_holds_its_context_and_emits_its_measured_values():
+    report = threshold_report(CTX)
+    assert report.context is CTX
+    own = {f.name for f in dataclasses.fields(report)}
+    assert own & {f.name for f in dataclasses.fields(ExtensionContext)} == set()
+    d = report.to_dict()
+    assert len(d) == 30
+    assert d["n_star"] == CTX.n_star
+    assert d["kappa_r2"] == CTX.kappa_r2
+    assert d["consumer_mode"] == CTX.consumer_mode
+    assert d["delta_v_hat"] == CTX.delta_v_hat() == report.delta_v_hat
 
 
 def report_is_serializable(ctx: ExtensionContext) -> bool:

@@ -18,7 +18,6 @@ from distopt.core import (
 )
 from distopt.participation import ParticipationModel, actual, potential
 from distopt.valuation import (
-    Regime,
     ValueDelta,
     _extended_value,
     delta_s,
@@ -64,7 +63,6 @@ def test_realized_delta_below_the_crossing():
     base = make_dist(("b", 2.0, 1.0, 1.0))
     d2 = apply_increment(base, PointIncrement(Point("a", 2.0, 3.0), 0.5))
     out = delta_s(base, d2, M11, IDENT)
-    assert out.regime is Regime.BELOW_CROSSING
     # all new volume is consumed at the newcomer's transform value
     assert out.delta_s == pytest.approx(1.5, rel=1e-12)
 
@@ -73,7 +71,6 @@ def test_realized_delta_above_the_crossing_equals_potential_delta():
     base = make_dist(("b", 2.0, 1.0, 3.0))
     d2 = apply_increment(base, PointIncrement(Point("a", 2.0, 3.0), 1.0))
     out = delta_s(base, d2, M11, IDENT)
-    assert out.regime is Regime.AT_OR_ABOVE_CROSSING
     assert out.delta_s == pytest.approx(1.0, rel=1e-12)
     assert out.delta_s == pytest.approx(out.delta_v, rel=1e-12)
 
@@ -82,7 +79,6 @@ def test_realized_delta_straddling_the_crossing():
     base = make_dist(("b", 2.0, 1.0, 1.0))
     d2 = apply_increment(base, PointIncrement(Point("a", 0.5, 2.0), 2.0))
     out = delta_s(base, d2, M11, IDENT)
-    assert out.regime is Regime.STRADDLES_CROSSING
     assert out.delta_s == pytest.approx(2.0 / 3.0, rel=1e-12)
 
 
@@ -218,11 +214,11 @@ def _ref_delta_s(
         expansive = n_p >= n
         base, other = (d, d_prime) if expansive else (d_prime, d)
         h = _ref_difference_mean_t(base, other, t)
-        return ValueDelta(h * (n_p - n), dv, Regime.BELOW_CROSSING)
+        return ValueDelta(h * (n_p - n), dv)
     if n >= m and n_p >= m_p:
-        return ValueDelta(dv, dv, Regime.AT_OR_ABOVE_CROSSING)
+        return ValueDelta(dv, dv)
     ds = _ref_s_value(d_prime, model, t) - _ref_s_value(d, model, t)
-    return ValueDelta(ds, dv, Regime.STRADDLES_CROSSING)
+    return ValueDelta(ds, dv)
 
 
 def _fresh(d: Distribution) -> Distribution:
@@ -294,20 +290,22 @@ def _pair(base_rows, *added_rows):
     "d, d_prime, regime",
     [
         # M11: M = Q, so (c=2, w=1) has N = 1 below M = 2
-        (*_pair([("b", 2.0, 1.0, 1.0)], ("a", 2.0, 3.0, 0.5)), Regime.BELOW_CROSSING),
-        (*_pair([("b", 2.0, 1.0, 3.0)], ("a", 2.0, 3.0, 1.0)), Regime.AT_OR_ABOVE_CROSSING),
-        (*_pair([("b", 2.0, 1.0, 1.0)], ("a", 0.5, 2.0, 2.0)), Regime.STRADDLES_CROSSING),
-        (*_pair([("b", 2.0, 1.0, 1.0)], ("b", 2.0, 1.0, 0.5)), Regime.BELOW_CROSSING),
-        (*_pair([("b", 2.0, 1.0, 1.5)], ("b", 2.0, 1.0, 1.0)), Regime.STRADDLES_CROSSING),
-        (EMPTY, make_dist(("a", 2.0, 3.0, 1.0)), Regime.BELOW_CROSSING),
-        (make_dist(("a", 2.0, 3.0, 3.0)), EMPTY, Regime.AT_OR_ABOVE_CROSSING),
-        (EMPTY, make_dist(("a", 0.5, 3.0, 2.0)), Regime.AT_OR_ABOVE_CROSSING),
-        (EMPTY, EMPTY, Regime.BELOW_CROSSING),
+        (*_pair([("b", 2.0, 1.0, 1.0)], ("a", 2.0, 3.0, 0.5)), "Regime.BELOW_CROSSING"),
+        (*_pair([("b", 2.0, 1.0, 3.0)], ("a", 2.0, 3.0, 1.0)), "Regime.AT_OR_ABOVE_CROSSING"),
+        (*_pair([("b", 2.0, 1.0, 1.0)], ("a", 0.5, 2.0, 2.0)), "Regime.STRADDLES_CROSSING"),
+        (*_pair([("b", 2.0, 1.0, 1.0)], ("b", 2.0, 1.0, 0.5)), "Regime.BELOW_CROSSING"),
+        (*_pair([("b", 2.0, 1.0, 1.5)], ("b", 2.0, 1.0, 1.0)), "Regime.STRADDLES_CROSSING"),
+        (EMPTY, make_dist(("a", 2.0, 3.0, 1.0)), "Regime.BELOW_CROSSING"),
+        (make_dist(("a", 2.0, 3.0, 3.0)), EMPTY, "Regime.AT_OR_ABOVE_CROSSING"),
+        (EMPTY, make_dist(("a", 0.5, 3.0, 2.0)), "Regime.AT_OR_ABOVE_CROSSING"),
+        (EMPTY, EMPTY, "Regime.BELOW_CROSSING"),
     ],
 )
 @pytest.mark.parametrize("reductive", [False, True])
 def test_delta_s_is_unchanged_in_every_regime(d, d_prime, regime, reductive):
+    # ``regime`` labels the case: the branch of ``delta_s`` it takes, which
+    # the value comparison with the reference checks; the regime
+    # conditions are symmetric in the two ends
     if reductive:
         d, d_prime = d_prime, d
-    # the regime conditions are symmetric in the two ends
-    assert _assert_delta_s_unchanged(d, d_prime, M11, IDENT).regime is regime
+    _assert_delta_s_unchanged(d, d_prime, M11, IDENT)
