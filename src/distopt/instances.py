@@ -7,7 +7,8 @@ curve, the producer-value transform, and optional optimizer settings.
 instance against ``INSTANCE_SCHEMA`` (imported lazily: ``jsonschema`` is
 slow to import) and for duplicate point ids, then builds it, rejecting
 what the schema cannot express: knots out of order, explicit seed ids
-outside the pool, a table transform without an entry for some pool ``p``.
+outside the pool, a table transform without an entry for some pool ``p``,
+weights or chunks too small to keep (``DROP_TOLERANCE``).
 Every rejection is an ``InstanceError`` naming the instance's source.
 """
 from __future__ import annotations
@@ -17,7 +18,7 @@ import json
 from pathlib import Path
 from typing import Any
 
-from .core import Distribution, Point, ProducerTransform
+from .core import DROP_TOLERANCE, Distribution, Point, ProducerTransform
 from .participation import ParticipationModel
 from .sequence import SequenceConfig
 from .optimizer import OptimizerConfig
@@ -274,6 +275,10 @@ def build_objects(
     check_instance(instance, source)
     try:
         pool = build_pool(instance["points"])
+        if pool.is_empty():
+            raise ValueError(
+                f"every point weight is at most {DROP_TOLERANCE!r}, so the pool is empty"
+            )
         model = build_participation(instance["participation"])
         transform = build_transform(instance.get("transform"))
         cfg = build_optimizer_config(instance.get("optimizer"))

@@ -6,7 +6,9 @@ participation outruns volume, then probes the best extension past the
 crossing and acts on its classification: adopt extensions both players
 want, carve compensation out of disagreements when feasible, stop when
 the crossing is the equilibrium; when participation keeps pace with
-volume, ``continue_to_d2_star`` carries the same run on to D²*.
+volume, ``continue_to_d2_star`` carries the same run on to D²*.  Each
+stage returns the verdict it stops at, and ``optimize`` builds the one
+result from the run.
 
 Instances whose crossing is never reached are reported as degenerate:
 ``UnderServed`` when the pool runs out with demand still above supply,
@@ -31,10 +33,8 @@ from .core import (
 )
 from .participation import ParticipationModel, actual, kappa, potential
 from .sequence import (
-    ExhaustedPoolError,
     ProbeResult,
     SequenceConfig,
-    SequenceStep,
     SequenceTrace,
     best_increment,
     best_next_in_sequence,
@@ -137,7 +137,6 @@ class OptimizationResult:
     d2_delta_s: float | None = None
     d2_crossing_gap: float | None = None
     budget_exhausted: bool = False
-    steps: int = 0
     evaluations: int = 0
     #: leading ``trace`` steps, up to the one that reached D* (D²* after a
     #: continuation), that the plain greedy build from the seed takes too;
@@ -149,6 +148,10 @@ class OptimizationResult:
     @property
     def n_star(self) -> float:
         return self.d_star.n
+
+    @property
+    def steps(self) -> int:
+        return len(self.trace.steps)
 
     @property
     def carveout(self) -> CarveoutResult | None:
@@ -225,25 +228,12 @@ def extension_verdict(
         return classify(ctx), ctx
     except DegenerateContextError as exc:
         verdict = EquilibriumVerdict(
-            kind=STAY_AT_D_STAR_THM2,
+            STAY_AT_D_STAR_THM2,
             is_nash=True,
-            is_pareto=True,
             indeterminate=True,
             notes=(f"crossing context degenerate: {exc}",),
         )
         return verdict, ctx
-
-
-def _degenerate_verdict(kind: str, notes: tuple[str, ...]) -> EquilibriumVerdict:
-    return EquilibriumVerdict(
-        kind=kind,
-        is_nash=False,
-        is_pareto=False,
-        carveout_recommended=False,
-        indeterminate=False,
-        witness=None,
-        notes=notes,
-    )
 
 
 class _Run:
@@ -253,7 +243,9 @@ class _Run:
     build from the seed (``greedy_sweep``'s): each is the best increment
     from the state the one before it left, over the whole pool.  It stops
     growing once a carve retires weight and replaces the current state.
-    ``pending`` holds the block a ``ContinueToD2Star`` verdict adopts.
+    ``pending`` holds the block a ``ContinueToD2Star`` verdict adopts;
+    ``carve_failure`` says why a recommended carve could not be made;
+    ``d2`` holds the ``OptimizationResult`` fields of a second crossing.
     """
 
     def __init__(
@@ -275,7 +267,8 @@ class _Run:
         self.events: list[EquilibriumVerdict] = []
         self.carveouts: list[CarveoutResult] = []
         self.pending: tuple[PointIncrement, ...] = ()
-        self.steps = 0
+        self.carve_failure: str | None = None
+        self.d2: dict = {}
         self.evaluations = 0
         self.chain = 0
         self.budget = step_limit(d_all)
@@ -312,7 +305,6 @@ class _Run:
         self.current, self.trace = self.trace.record(
             self.current, inc, self.model, self.t
         )
-        self.steps += 1
         if on_chain:
             self.chain += 1
         self.snapshot()
@@ -326,6 +318,19 @@ class _Run:
             return None
         return self.trace.steps[-1].added
 
+    def out_of_budget(self) -> bool:
+        return len(self.trace.steps) >= self.budget
+
+    def grow(self) -> None:
+        """Record best increments while demand outruns supply, within the
+        step budget and the pool."""
+        while (
+            self.ratio() > self.cfg.ratio_threshold
+            and not self.out_of_budget()
+            and not self.pool_dry()
+        ):
+            self.record_step(self.next_increment())
+
     def walk_declining_tail(self) -> None:
         """Extend the trace while additions still raise min(M, N).
 
@@ -336,7 +341,7 @@ class _Run:
         non-improving increment lets the final snapshot see both sides
         of the discrete crossing.
         """
-        while self.steps < self.budget and not self.pool_dry():
+        while not self.out_of_budget() and not self.pool_dry():
             inc = self.next_increment()
             w_now = actual(self.model, self.current)
             w_next = actual(self.model, apply_increment(self.current, inc))
@@ -353,8 +358,6 @@ class _Run:
     def pool_dry(self) -> bool:
         return not self.pool()
 
-    # -- result assembly --------------------------------------------------
-
     def best_snapshot(self) -> tuple[Distribution, int]:
         """The state of greatest W and the trace length that reached it."""
         if not self.snapshots:
@@ -365,25 +368,6 @@ class _Run:
             if w > best_w + 1e-12 * max(1.0, abs(best_w)):
                 best_w, best_d, best_len = w, d, length
         return best_d, best_len
-
-    def finish(self, verdict: EquilibriumVerdict) -> OptimizationResult:
-        d_star, d_star_len = self.best_snapshot()
-        # counted no further than D*, so that a continuation from an
-        # earlier state than the last sees that it leaves the chain
-        self.chain = min(self.chain, d_star_len)
-        return OptimizationResult(
-            d_star=d_star,
-            trace=self.trace,
-            verdict=verdict,
-            crossing_gap=_gap_of(d_star, self.model),
-            d_star_steps=d_star_len,
-            carveouts=tuple(self.carveouts),
-            events=tuple(self.events),
-            budget_exhausted=self.budget_exhausted,
-            steps=self.steps,
-            evaluations=self.evaluations,
-            greedy_steps=self.chain,
-        )
 
 
 def _flat_participation(trace: SequenceTrace) -> bool:
@@ -396,20 +380,20 @@ def _flat_participation(trace: SequenceTrace) -> bool:
 
 
 def _exhaustion_verdict(run: _Run) -> EquilibriumVerdict:
-    m = potential(run.model, run.current)
-    n = run.current.n
-    if n > 0 and m / n > run.cfg.ratio_threshold:
+    if run.ratio() > run.cfg.ratio_threshold:
         if _flat_participation(run.trace):
-            return _degenerate_verdict(
+            return EquilibriumVerdict(
                 SATURATED_CONSUMER,
-                (
+                is_nash=False,
+                notes=(
                     "participation is pinned flat above supply; "
                     "volume, not appeal, is the binding constraint",
                 ),
             )
-        return _degenerate_verdict(
+        return EquilibriumVerdict(
             UNDER_SERVED,
-            (
+            is_nash=False,
+            notes=(
                 "pool exhausted with demand still above supply; "
                 "no crossing exists for this pool",
             ),
@@ -417,10 +401,8 @@ def _exhaustion_verdict(run: _Run) -> EquilibriumVerdict:
     if run.events:
         return run.events[-1]
     return EquilibriumVerdict(
-        kind=STAY_AT_D_STAR_THM2,
+        STAY_AT_D_STAR_THM2,
         is_nash=True,
-        is_pareto=True,
-        witness=None,
         notes=("pool exhausted at the crossing; nothing left to extend",),
     )
 
@@ -433,11 +415,10 @@ def _lookahead_block(
     incs = list(probe.increments)
     for _ in range(run.cfg.lookahead_steps):
         pool = remaining_pool(extended, run.available)
-        run.evaluations += len(pool)
-        try:
-            inc = best_increment(extended, pool, run.cfg.sequence, run.model, run.t)
-        except ExhaustedPoolError:
+        if not pool:
             return None
+        run.evaluations += len(pool)
+        inc = best_increment(extended, pool, run.cfg.sequence, run.model, run.t)
         extended = apply_increment(extended, inc)
         incs.append(inc)
         k = kappa(run.model, run.current, extended)
@@ -451,70 +432,45 @@ def _lookahead_block(
     return None
 
 
-def determine_d_star(run: _Run) -> OptimizationResult:
+def determine_d_star(run: _Run) -> EquilibriumVerdict:
     """Find the crossing distribution and classify what lies beyond it.
 
-    Returns the volume-maximizing prefix (the crossing), its build trace,
-    any carves performed along the way, and the equilibrium verdict for
-    the best extension past it.  A ``ContinueToD2Star`` verdict leaves the
-    adopted block pending on ``run`` for ``continue_to_d2_star``.
+    Grows ``run`` from its seed to the crossing, probes the best extension
+    past it, and acts on the verdict: adopts an extension both players
+    want, carves for a disagreement, or stops.  Returns the verdict the
+    run stops at; a ``ContinueToD2Star`` verdict leaves the adopted block
+    pending on ``run`` for ``continue_to_d2_star``.
     """
     d_all, cfg, model, t = run.d_all, run.cfg, run.model, run.t
     if d_all.is_empty():
         raise ValueError("candidate pool is empty")
-    if all(point.c <= 0 for point, _ in d_all.items()):
-        # nothing can draw participation: M(Q) = 0 for every subset
-        seed_pt = min(
-            (pt for pt, _ in d_all.items()),
-            key=lambda pt: (-pt.c, -t.apply(pt.p), pt.id),
-        )
-        d0 = Distribution([(seed_pt, d_all.weight_of(seed_pt.id))])
-        trace = SequenceTrace(
-            (
-                SequenceStep(
-                    0, PointIncrement(seed_pt, d0.n), d0.n, q_of(d0), 0.0, 0.0
-                ),
-            )
-        )
-        return OptimizationResult(
-            d_star=d0,
-            trace=trace,
-            verdict=_degenerate_verdict(
-                SATURATED_CONSUMER,
-                ("no point has positive consumer value; participation is zero",),
-            ),
-            crossing_gap=_gap_of(d0, model),
-            d_star_steps=1,
-        )
-
-    # seed
     run.evaluations += len(run.pool())
     for inc in seed_distribution(run.available, cfg.sequence, model, t):
         run.record_step(inc)
+    if all(point.c <= 0 for point, _ in d_all.items()):
+        # nothing can draw participation: M(Q) = 0 for every subset
+        return EquilibriumVerdict(
+            SATURATED_CONSUMER,
+            is_nash=False,
+            notes=("no point has positive consumer value; participation is zero",),
+        )
 
     while True:
-        if run.steps >= run.budget:
+        run.grow()
+        if run.out_of_budget():
             run.budget_exhausted = True
-            verdict = (
+            last = (
                 run.events[-1]
                 if run.events
                 else EquilibriumVerdict(
-                    kind=STAY_AT_D_STAR_THM2,
+                    STAY_AT_D_STAR_THM2,
                     is_nash=False,
-                    is_pareto=False,
-                    witness=None,
                     notes=("step budget exhausted before a conclusion",),
                 )
-            ).with_note("step budget exhausted")
-            return run.finish(verdict)
-
+            )
+            return replace(last, notes=last.notes + ("step budget exhausted",))
         if run.pool_dry():
-            return run.finish(_exhaustion_verdict(run))
-
-        if run.ratio() > cfg.ratio_threshold:
-            # demand still outruns supply: keep growing
-            run.record_step(run.next_increment())
-            continue
+            return _exhaustion_verdict(run)
 
         # at the crossing: probe the best extension
         pool = run.pool()
@@ -522,25 +478,12 @@ def determine_d_star(run: _Run) -> OptimizationResult:
         probe = best_next_in_sequence(
             run.current, pool, run.available, cfg.sequence, model, t
         )
-        run.evaluations += max(0, len(probe.increments) - 1)
-        if probe.kappa is None:
-            return run.finish(_exhaustion_verdict(run))
-        block = probe.block
-        k = probe.kappa
+        run.evaluations += len(probe.increments) - 1
+        block, k, increments = probe.block, probe.kappa, probe.increments
         r1 = run.last_accepted()
         verdict, ctx = extension_verdict(run.current, r1, block, model, t, cfg)
 
-        if ctx is None:
-            # no measurable crossing: nothing to walk past
-            run.events.append(verdict)
-            return run.finish(verdict)
-
-        if k <= 0:
-            run.events.append(verdict)
-            run.walk_declining_tail()
-            return run.finish(verdict)
-
-        if 0 < k < 1:
+        if ctx is not None and 0 < k < 1:
             promoted = _lookahead_block(run, probe)
             if promoted is not None:
                 big_block, big_incs = promoted
@@ -548,19 +491,12 @@ def determine_d_star(run: _Run) -> OptimizationResult:
                     run.current, r1, big_block, model, t, cfg
                 )
                 if big_verdict.kind == CONTINUE_TO_D2_STAR_THM4:
-                    run.events.append(big_verdict)
-                    run.pending = big_incs
-                    return run.finish(big_verdict)
-
+                    verdict, increments = big_verdict, big_incs
         run.events.append(verdict)
-
-        if verdict.kind == CONTINUE_TO_D2_STAR_THM4:
-            run.pending = probe.increments
-            return run.finish(verdict)
 
         if verdict.kind == SCENARIO_I_BOTH_PREFER:
             _assert_no_dominating_extension(ctx, cfg.sequence)
-            for inc in probe.increments:
+            for inc in increments:
                 run.record_step(inc)
             log.debug("adopted extension both players prefer (k=%.6g)", k)
             continue
@@ -570,18 +506,14 @@ def determine_d_star(run: _Run) -> OptimizationResult:
             SCENARIO_III_PRODUCER_PREFERS,
         ):
             try:
-                carve = _carve_block(
-                    run.current, block, cfg, model, t
-                )
+                carve = _carve_block(run.current, block, cfg, model, t)
             except CarveoutInfeasibleError as exc:
-                result = run.finish(
-                    verdict.with_note(f"carveout infeasible: {exc.reason}")
-                )
-                return replace(result, carve_failure=exc.reason)
+                run.carve_failure = exc.reason
+                note = f"carveout infeasible: {exc.reason}"
+                return replace(verdict, notes=verdict.notes + (note,))
             _assert_no_dominating_extension(ctx, cfg.sequence)
-            carve = replace(carve, trigger_kind=verdict.kind)
-            run.carveouts.append(carve)
-            for inc in probe.increments:
+            run.carveouts.append(replace(carve, trigger_kind=verdict.kind))
+            for inc in increments:
                 run.record_step(inc)
             run.retire(carve.y)
             run.current = carve.d_plus
@@ -593,8 +525,13 @@ def determine_d_star(run: _Run) -> OptimizationResult:
             )
             continue
 
-        # StayAtDStar or Scenario iv: the crossing is the equilibrium
-        return run.finish(verdict)
+        if verdict.kind == CONTINUE_TO_D2_STAR_THM4:
+            run.pending = increments
+        elif k <= 0 and ctx is not None:
+            # past a measured crossing, volume may still peak down the tail
+            run.walk_declining_tail()
+        # otherwise StayAtDStar or Scenario iv: the crossing is the equilibrium
+        return verdict
 
 
 def optimize(
@@ -609,12 +546,32 @@ def optimize(
     carving along the way where that is called for
     (``determine_d_star``); on a ``ContinueToD2Star`` verdict, goes on to
     the second crossing D²* (``continue_to_d2_star``), in the same run.
+    D* is fixed when the first stage stops, and the result is built from
+    the run when the last one does.
     """
     run = _Run(d_all, cfg, model, t)
-    result = determine_d_star(run)
-    if result.verdict.kind == CONTINUE_TO_D2_STAR_THM4:
-        result = continue_to_d2_star(run, result)
-    return result
+    verdict = determine_d_star(run)
+    d_star, d_star_steps = run.best_snapshot()
+    # counted no further than D*, so that a continuation from an earlier
+    # state than the last sees that it leaves the chain
+    run.chain = min(run.chain, d_star_steps)
+    crossing_gap = _gap_of(d_star, model)
+    if verdict.kind == CONTINUE_TO_D2_STAR_THM4:
+        verdict = continue_to_d2_star(run, verdict, d_star, crossing_gap)
+    return OptimizationResult(
+        d_star=d_star,
+        trace=run.trace,
+        verdict=verdict,
+        crossing_gap=crossing_gap,
+        d_star_steps=d_star_steps,
+        carveouts=tuple(run.carveouts),
+        events=tuple(run.events),
+        budget_exhausted=run.budget_exhausted,
+        evaluations=run.evaluations,
+        greedy_steps=run.chain,
+        carve_failure=run.carve_failure,
+        **run.d2,
+    )
 
 
 def _carve_block(
@@ -731,6 +688,11 @@ def _carve_block(
     consumer_gain = consumer_budget - math.fsum(carved_c)
     producer_slack = producer_budget - math.fsum(carved_t)
     if not (consumer_gain >= -1e-12 and producer_slack >= -1e-12):
+        if not taken:
+            raise CarveoutInfeasibleError(
+                "the extension lands at the crossing uncarved but brings a "
+                "player negative value"
+            )
         raise RuntimeError(
             "a landed carve must fit both budgets; got "
             f"consumer_gain={consumer_gain!r} producer_slack={producer_slack!r}"
@@ -752,66 +714,48 @@ def _carve_block(
     )
 
 
-def continue_to_d2_star(run: _Run, result: OptimizationResult) -> OptimizationResult:
+def continue_to_d2_star(
+    run: _Run, verdict: EquilibriumVerdict, d_star: Distribution, crossing_gap: float
+) -> EquilibriumVerdict:
     """Resume past a keeps-pace extension and find the farther crossing.
 
-    Carries on ``run``, which ``determine_d_star`` left with a
-    ``ContinueToD2Star`` verdict in ``result``: from D*, adopts the pending
-    block, grows greedily until demand again meets supply, and records the
-    farther crossing with the value changes it realized relative to the
-    first one.  When the adopted mass carries (to the producer) no value
-    of its own, both changes are zero to numerical precision, and this is
-    checked.
+    Carries on ``run``, which ``determine_d_star`` stopped at the
+    ``ContinueToD2Star`` ``verdict``: from D*, whose own gap is
+    ``crossing_gap``, adopts the pending block, grows greedily until demand
+    again meets supply, and keeps on ``run`` the farther crossing with the
+    value changes it realized relative to the first one.  Returns the
+    verdict with a note of how the climb ended.  When the adopted mass
+    carries (to the producer) no value of its own, both changes are zero
+    to numerical precision, and this is checked.
     """
     model, t = run.model, run.t
-    run.current = result.d_star
-    run.budget = run.steps + step_limit(run.d_all)  # a budget of its own
+    run.current = d_star
+    run.budget = len(run.trace.steps) + step_limit(run.d_all)  # a budget of its own
     for inc in run.pending:
         run.record_step(inc)
-
-    while run.ratio() > run.cfg.ratio_threshold:
-        if run.steps >= run.budget or run.pool_dry():
-            return replace(
-                result,
-                trace=run.trace,
-                verdict=result.verdict.with_note(
-                    "pool exhausted before a second crossing"
-                ),
-                steps=run.steps,
-                evaluations=run.evaluations,
-                greedy_steps=run.chain,
-            )
-        run.record_step(run.next_increment())
+    run.grow()
+    if run.ratio() > run.cfg.ratio_threshold:
+        note = "pool exhausted before a second crossing"
+        return replace(verdict, notes=verdict.notes + (note,))
 
     d2 = run.current
-    delta = delta_s(result.d_star, d2, model, t)
+    delta = delta_s(d_star, d2, model, t)
     dv, ds = delta.delta_v, delta.delta_s
-    added = remove_subdistribution(d2, result.d_star)
+    added = remove_subdistribution(d2, d_star)
     h = expected_t(added, t) if not added.is_empty() else 0.0
-    scale = max(1.0, abs(expected_t(result.d_star, t)) * result.d_star.n)
+    scale = max(1.0, abs(expected_t(d_star, t)) * d_star.n)
+    d2_gap = _gap_of(d2, model)
     # with valueless added mass both value functions are pinned by the
     # crossings themselves, so when those are exact the deltas must vanish;
     # at discrete (gapped) crossings the realized deltas are diagnostics
-    exact_crossings = (
-        result.crossing_gap <= 1e-9 and _gap_of(d2, model) <= 1e-9
-    )
-    if exact_crossings and abs(h) <= 1e-12 * max(
-        1.0, abs(expected_t(result.d_star, t))
-    ):
+    exact_crossings = crossing_gap <= 1e-9 and d2_gap <= 1e-9
+    if exact_crossings and abs(h) <= 1e-12 * max(1.0, abs(expected_t(d_star, t))):
         if not (abs(dv) < 1e-9 * scale and abs(ds) < 1e-9 * scale):
             raise RuntimeError(
                 "a valueless adopted mass must leave both value functions "
                 f"unchanged across exact crossings; got delta_v={dv!r} delta_s={ds!r}"
             )
-    return replace(
-        result,
-        trace=run.trace,
-        verdict=result.verdict.with_note("second crossing reached"),
-        d2_star=d2,
-        d2_delta_v=dv,
-        d2_delta_s=ds,
-        d2_crossing_gap=_gap_of(d2, model),
-        steps=run.steps,
-        evaluations=run.evaluations,
-        greedy_steps=run.chain,
+    run.d2 = dict(
+        d2_star=d2, d2_delta_v=dv, d2_delta_s=ds, d2_crossing_gap=d2_gap
     )
+    return replace(verdict, notes=verdict.notes + ("second crossing reached",))

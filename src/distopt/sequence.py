@@ -38,15 +38,19 @@ class SequenceConfig:
     An empty distribution starts from the ids in ``seed_ids``, in order,
     or from the best-scoring point when there are none.  Increments take
     at most ``chunk`` of a point's remaining weight, or all of it when
-    ``chunk`` is None.
+    ``chunk`` is None; a chunk must outweigh ``DROP_TOLERANCE``, below
+    which a distribution drops a weight.
     """
 
     seed_ids: tuple[str, ...] = ()
     chunk: float | None = None
 
     def __post_init__(self) -> None:
-        if self.chunk is not None and not (self.chunk > 0):
-            raise ValueError("chunked increments need a chunk size > 0")
+        if self.chunk is not None and not (self.chunk > DROP_TOLERANCE):
+            raise ValueError(
+                f"chunked increments need a chunk size > {DROP_TOLERANCE!r}, "
+                f"got {self.chunk!r}"
+            )
         if len(set(self.seed_ids)) != len(self.seed_ids):
             raise ValueError(f"seed ids {list(self.seed_ids)} repeat an id")
 
@@ -91,12 +95,11 @@ class ProbeResult:
     """What accumulating past an entry distribution produced.
 
     ``kappa`` is the marginal-participation slope of the whole accumulated
-    block measured against the entry distribution (None when the pool was
-    empty at entry).
+    block measured against the entry distribution.
     """
 
     distribution: Distribution
-    kappa: float | None
+    kappa: float
     increments: tuple[PointIncrement, ...] = ()
 
     @property
@@ -196,29 +199,26 @@ def best_next_in_sequence(
     """Accumulate best increments past ``d`` until the block slope settles.
 
     ``pool`` is the remaining pool of ``d`` in ``d_all``, already walked by
-    the caller; each later state's pool is walked once.  Stops at the
-    first accumulated block whose slope versus the entry distribution
-    leaves the open interval (0, 1) — such a block is a complete candidate
-    for the caller to classify — or at the first block whose slope fails
-    to improve on the previous one while still inside (0, 1).  Runs the
-    pool dry otherwise.
+    the caller, and must not be empty; each later state's pool is walked
+    once.  Stops at the first accumulated block whose slope versus the
+    entry distribution leaves the open interval (0, 1) — such a block is
+    a complete candidate for the caller to classify — or at the first
+    block whose slope fails to improve on the previous one while still
+    inside (0, 1).  Runs the pool dry otherwise.
     """
     current = d
     increments: list[PointIncrement] = []
     prev_kappa: float | None = None
     while True:
-        if increments:
-            pool = remaining_pool(current, d_all)
-        try:
-            inc = best_increment(current, pool, cfg, model, t)
-        except ExhaustedPoolError:
-            return ProbeResult(current, prev_kappa, tuple(increments))
+        inc = best_increment(current, pool, cfg, model, t)
         current = apply_increment(current, inc)
         k = kappa(model, d, current)
         increments.append(inc)
-        if k >= 1 or k <= 0:
+        settled = prev_kappa is not None and k <= prev_kappa + KAPPA_IMPROVEMENT_TOL
+        if k >= 1 or k <= 0 or settled:
             return ProbeResult(current, k, tuple(increments))
-        if prev_kappa is not None and k <= prev_kappa + KAPPA_IMPROVEMENT_TOL:
+        pool = remaining_pool(current, d_all)
+        if not pool:
             return ProbeResult(current, k, tuple(increments))
         prev_kappa = k
 

@@ -489,31 +489,24 @@ class EquilibriumVerdict:
     """Named outcome of the extension game at a crossing.
 
     ``is_nash`` marks outcomes where no player can gain by deviating from
-    the named action; ``is_pareto`` marks those that are also not
-    dominated.  ``carveout_recommended`` flags the two disagreement
-    scenarios where a compensating carve can align the players.
+    the named action; every such outcome is also undominated, so
+    ``is_pareto`` reads ``is_nash``.  ``carveout_recommended`` flags the
+    two disagreement scenarios where a compensating carve can align the
+    players.
     ``indeterminate`` is set when the deciding comparison fell inside the
     floating-point decision band.
     """
 
     kind: str
     is_nash: bool
-    is_pareto: bool
     carveout_recommended: bool = False
     indeterminate: bool = False
     witness: ThresholdReport | None = None
     notes: tuple[str, ...] = ()
 
-    def with_note(self, note: str) -> "EquilibriumVerdict":
-        return EquilibriumVerdict(
-            self.kind,
-            self.is_nash,
-            self.is_pareto,
-            self.carveout_recommended,
-            self.indeterminate,
-            self.witness,
-            self.notes + (note,),
-        )
+    @property
+    def is_pareto(self) -> bool:
+        return self.is_nash
 
 
 def classify(ctx: ExtensionContext) -> EquilibriumVerdict:
@@ -541,11 +534,9 @@ def classify(ctx: ExtensionContext) -> EquilibriumVerdict:
         indet: bool = False,
         extra: tuple[str, ...] = (),
     ) -> EquilibriumVerdict:
-        nash = kind in NASH_KINDS
         return EquilibriumVerdict(
             kind=kind,
-            is_nash=nash,
-            is_pareto=nash,
+            is_nash=kind in NASH_KINDS,
             carveout_recommended=carve,
             indeterminate=indet,
             witness=report,

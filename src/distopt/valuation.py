@@ -114,9 +114,10 @@ def _extended_value(
     """Potential value of a base with mean values E and Q extended by a
     share φ of a point with consumer value c and T(p) = ``tp``:
     [E + φ (T(p) − E)] * M(Q + φ (c − Q)).  At φ = N_r/(N + N_r) this is
-    V(D + I_r) exactly."""
-    if not (0 <= phi < 1):
-        raise ValueError(f"share must lie in [0, 1), got {phi!r}")
+    V(D + I_r) exactly.  The share of a heavy increment can round to
+    φ = 1, where this is T(p) * M(c) up to rounding."""
+    if not (0 <= phi <= 1):
+        raise ValueError(f"share must lie in [0, 1], got {phi!r}")
     return (e + phi * (tp - e)) * model.m(q + phi * (c - q))
 
 

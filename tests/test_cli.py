@@ -230,6 +230,44 @@ def test_carveout_reports_why_the_recommended_carve_was_not_made(tmp_path):
     assert report["reason"] == reason == found.result.carve_failure
 
 
+def test_an_uncarved_landing_that_misses_a_budget_is_an_infeasible_carve(tmp_path, capsys):
+    # D* plus the Scenario ii block already lands within the crossing
+    # tolerance, so nothing is carved, but the block brings the producer
+    # negative value: no carve can make that up
+    inst = {
+        "points": [
+            {"id": "D", "c": 1.082, "p": 3.928, "n": 1.732},
+            {"id": "q0", "c": 7.729, "p": 1.633, "n": 1.503},
+            {"id": "q1", "c": 1.572, "p": 0.243, "n": 1.283},
+            {"id": "q2", "c": 6.438, "p": -5.749, "n": 0.591},
+            {"id": "q3", "c": 4.48, "p": 2.981, "n": 0.585},
+        ],
+        "participation": {"kind": "power", "zeta": 1.5016, "alpha": 0.954},
+    }
+    inp = write(tmp_path, "uncarved.json", inst)
+    assert cli.main(["optimize", "--input", inp]) == 0
+    verdict = json.loads(capsys.readouterr().out)["verdict"]
+    assert verdict["kind"] == SCENARIO_II_CONSUMER_PREFERS
+    assert cli.main(["carveout", "--input", inp]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["applicable"] and not report["feasible"]
+    assert report["carveout"] is None
+    assert verdict["notes"][-1] == f"carveout infeasible: {report['reason']}"
+
+
+def test_a_share_that_rounds_to_one_still_gets_a_report(tmp_path, capsys):
+    # next to a base of weight 1, a point of weight 1e17 has a share of
+    # exactly 1.0 in floating point
+    inst = {
+        "points": [{"id": "a", "c": 2, "p": 1, "n": 1}, {"id": "b", "c": 1, "p": 1, "n": 1e17}],
+        "participation": {"kind": "power", "zeta": 1, "alpha": 0.5},
+    }
+    inp = write(tmp_path, "heavy.json", inst)
+    assert cli.main(["optimize", "--input", inp]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["d_star"]["n"] == 1.0
+
+
 def test_carveout_command_without_a_disagreement(tmp_path):
     inp = write(tmp_path, "five.json", FIVE_POINT)
     out = tmp_path / "carve.json"
@@ -365,6 +403,10 @@ def test_schema_errors_read_as_jsonschema_validate_reports_them(tmp_path, capsys
         lambda inst: inst.update(transform={"kind": "table", "table": [[2.0, 1.0]]}),
         lambda inst: inst.update(optimizer={"seed_policy": {"ids": ["ghost"]}}),
         lambda inst: inst.update(optimizer={"seed_policy": {"ids": ["c5", "c5"]}}),
+        lambda inst: inst.update(
+            optimizer={"increment_policy": {"kind": "unit_chunks", "chunk": 1e-9}}
+        ),
+        lambda inst: [pt.update(n=1e-9) for pt in inst["points"]],
     ],
     ids=[
         "power-without-zeta",
@@ -376,6 +418,8 @@ def test_schema_errors_read_as_jsonschema_validate_reports_them(tmp_path, capsys
         "table-transform-missing-p",
         "seed-id-outside-pool",
         "seed-id-repeated",
+        "chunk-at-drop-tolerance",
+        "every-weight-at-drop-tolerance",
     ],
 )
 def test_invalid_instances_end_as_an_error_line(tmp_path, mutate):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from distopt import optimizer
 from distopt.core import Distribution, Point, PointIncrement, ProducerTransform
 from distopt.instances import build_objects
 from distopt.oracle import brute_force_w_max, find_scenario_instance
@@ -19,6 +20,7 @@ from distopt.sequence import SequenceConfig
 from distopt.thresholds import (
     CONTINUE_TO_D2_STAR_THM4,
     SATURATED_CONSUMER,
+    SCENARIO_I_BOTH_PREFER,
     SCENARIO_II_CONSUMER_PREFERS,
     STAY_AT_D_STAR_THM2,
     UNDER_SERVED,
@@ -67,9 +69,20 @@ def test_pool_too_small_to_reach_a_crossing():
 
 
 def test_pool_with_no_drawing_power_is_degenerate():
-    res, *_ = run(make_instance([("z", 0.0, 1.0, 1.0), ("y", -2.0, 1.0, 0.5)]))
+    points = [("z", 0.0, 1.0, 1.0), ("y", -2.0, 1.0, 0.5)]
+    res, *_ = run(make_instance(points))
     assert res.verdict.kind == SATURATED_CONSUMER
     assert sorted(res.d_star.ids()) == ["z"]
+    # seeded like any other pool: the seed policy and the increment size
+    # hold, and the seed step counts
+    seeded, *_ = run(make_instance(points, optimizer={"seed_policy": {"ids": ["y"]}}))
+    assert seeded.verdict.kind == SATURATED_CONSUMER
+    assert [(pt.id, w) for pt, w in seeded.d_star.items()] == [("y", 0.5)]
+    assert seeded.steps == len(seeded.trace.steps) == 1
+    chunk = {"increment_policy": {"kind": "unit_chunks", "chunk": 0.25}}
+    chunked, *_ = run(make_instance(points, optimizer=chunk))
+    assert [(pt.id, w) for pt, w in chunked.d_star.items()] == [("z", 0.25)]
+    assert (chunked.steps, chunked.evaluations) == (1, 2)
 
 
 def test_flat_participation_is_reported_as_saturation():
@@ -114,6 +127,42 @@ def test_second_crossing_chain_preserves_both_values():
     assert chained.d2_delta_v == pytest.approx(0.0, abs=1e-9)
     assert chained.d2_delta_s == pytest.approx(0.0, abs=1e-9)
     assert chained.d2_crossing_gap <= CROSSING_REL_TOL
+
+
+#: the probe block's slope lies in (0, 1), and one lookahead step past it
+#: reaches slope >= 1 with a block worth continuing for
+LOOKAHEAD = {
+    "points": [
+        {"id": "D", "c": 0.894, "p": 4.138, "n": 1.667},
+        {"id": "q0", "c": 10.894, "p": -3.137, "n": 1.026},
+        {"id": "q1", "c": 0.694, "p": -0.69, "n": 0.75},
+        {"id": "q2", "c": 3.285, "p": 1.445, "n": 1.889},
+        {"id": "q3", "c": 8.322, "p": 0.675, "n": 0.052},
+        {"id": "q4", "c": 0.509, "p": 0.577, "n": 0.187},
+    ],
+    "participation": {"kind": "power", "zeta": 1.7893, "alpha": 0.769},
+}
+
+
+def test_a_lookahead_promotes_a_sub_unit_probe_block(monkeypatch):
+    promoted = []
+    real = optimizer._lookahead_block
+
+    def spy(run, probe):
+        found = real(run, probe)
+        promoted.append(found is not None)
+        return found
+
+    monkeypatch.setattr(optimizer, "_lookahead_block", spy)
+    res, pool, *_ = run(LOOKAHEAD)
+    assert promoted == [True]
+    assert res.verdict.kind == CONTINUE_TO_D2_STAR_THM4
+    assert res.d2_star is not None
+    assert dict(res.d2_star.items()) == dict(pool.items())
+    # without the lookahead the probe block is adopted as Scenario i
+    res, *_ = run(dict(LOOKAHEAD, optimizer={"lookahead_steps": 0}))
+    assert [e.kind for e in res.events] == [SCENARIO_I_BOTH_PREFER, STAY_AT_D_STAR_THM2]
+    assert res.verdict.kind == STAY_AT_D_STAR_THM2
 
 
 # -- carveouts ---------------------------------------------------------------

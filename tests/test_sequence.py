@@ -59,7 +59,8 @@ def test_explicit_seed_policy_uses_listed_ids():
 
 
 def test_config_validation():
-    for chunk in (0.0, -0.5, math.nan):
+    # a chunk no heavier than DROP_TOLERANCE would be dropped as zero
+    for chunk in (0.0, -0.5, math.nan, 1e-9):
         with pytest.raises(ValueError):
             SequenceConfig(chunk=chunk)
     # a repeated seed id would install the point's weight twice

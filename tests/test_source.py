@@ -2,12 +2,14 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import distopt
+from distopt.optimizer import OptimizationResult
 
 SOURCES = sorted(Path(distopt.__file__).parent.glob("*.py"))
 
@@ -126,3 +128,30 @@ def test_importing_the_package_leaves_jsonschema_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def test_optimize_alone_builds_a_result():
+    # a run ends one way: its stages return verdicts, and ``optimize``
+    # builds the one result from the run; nothing rebuilds or amends one
+    result_fields = {f.name for f in dataclasses.fields(OptimizationResult)}
+    built, amended = [], []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        inside = {
+            id(node)
+            for func in ast.walk(tree)
+            if isinstance(func, ast.FunctionDef) and func.name == "optimize"
+            for node in ast.walk(func)
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            where = f"{path.name}:{node.lineno}"
+            if _names(node.func) == {"OptimizationResult"}:
+                built.append((where, id(node) in inside))
+            if _names(node.func) == {"replace"} and result_fields & {
+                k.arg for k in node.keywords
+            }:
+                amended.append(where)
+    assert [inside for _, inside in built] == [True], built
+    assert amended == []

@@ -85,10 +85,11 @@ def test_realized_delta_straddling_the_crossing():
 def test_share_bounds_are_enforced():
     # a base with E = 1 and Q = 2 extended by a share of (c, T(p)) = (1, 1)
     assert _extended_value(1.0, 2.0, 1.0, 1.0, 0.5, M11) == 1.5
-    with pytest.raises(ValueError):
-        _extended_value(1.0, 2.0, 1.0, 1.0, 1.0, M11)
-    with pytest.raises(ValueError):
-        _extended_value(1.0, 2.0, 1.0, 1.0, -0.1, M11)
+    # a heavy increment's share can round to 1: the point alone, T(p) * M(c)
+    assert _extended_value(1.0, 2.0, 3.0, 5.0, 1.0, M11) == 5.0 * 3.0
+    for phi in (1.1, -0.1):
+        with pytest.raises(ValueError):
+            _extended_value(1.0, 2.0, 1.0, 1.0, phi, M11)
 
 
 def _random_dist(rng: random.Random, prefix: str, size: int) -> Distribution:
