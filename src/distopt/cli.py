@@ -299,6 +299,13 @@ def _write(path: str | None, text: str) -> None:
         Path(path).write_text(text)
 
 
+def _report_json(report: dict, path: str) -> str:
+    try:
+        return canonical_json(report)
+    except ValueError as exc:  # a value overflowed to inf
+        raise CliError(f"{path}: the report holds a non-finite value ({exc})") from exc
+
+
 def _csv_paths(output: str | None, fmt: str) -> tuple[str, str] | None:
     """The CSV paths next to ``output`` under ``--format csv``, else None."""
     if fmt != "csv":
@@ -335,7 +342,7 @@ def _optimize_one(
     instance = load_instance(path)
     pool, model, transform, cfg, result = _optimize(instance, path)
     report = run_report(instance, result, model, transform)
-    _write(output, canonical_json(report))
+    _write(output, _report_json(report, path))
     if csv_paths is not None:
         trace_path, thresh_path = csv_paths
         Path(trace_path).write_text(sweep_csv(pool, cfg, result, model, transform))
@@ -407,7 +414,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "thresholds": _threshold_dict(verdict.witness),
         "verdict": _verdict_dict(verdict),
     }
-    _write(args.output, canonical_json(report))
+    _write(args.output, _report_json(report, args.input))
     if csv_paths is not None and verdict.witness is not None:
         Path(csv_paths[1]).write_text(
             threshold_csv(
@@ -437,7 +444,7 @@ def cmd_carveout(args: argparse.Namespace) -> int:
         report["reason"] = result.carve_failure
     else:
         report["reason"] = "no disagreement extension at the crossing"
-    _write(args.output, canonical_json(report))
+    _write(args.output, _report_json(report, args.input))
     return 0
 
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field, replace
 
 from .core import (
     Distribution,
-    Point,
     PointIncrement,
     ProducerTransform,
     apply_increment,
@@ -34,11 +33,11 @@ from .core import (
 from .participation import ParticipationModel, actual, kappa, potential
 from .sequence import (
     ProbeResult,
+    RemainingPool,
     SequenceConfig,
     SequenceTrace,
     best_increment,
     best_next_in_sequence,
-    remaining_pool,
     seed_distribution,
     step_limit,
 )
@@ -259,8 +258,8 @@ class _Run:
         self.cfg = cfg
         self.model = model
         self.t = t
-        self.available = d_all  # shrinks as carves retire weight
         self.current = Distribution()
+        self.pool = RemainingPool(self.current, d_all, cfg.sequence.chunk)
         self.trace = SequenceTrace()
         #: (W, state, trace length when the state was reached)
         self.snapshots: list[tuple[float, Distribution, int]] = []
@@ -273,8 +272,6 @@ class _Run:
         self.chain = 0
         self.budget = step_limit(d_all)
         self.budget_exhausted = False
-        #: (state, available weight, its remaining pool) of the last pool walked
-        self._pool: tuple = (None, None, [])
 
     # -- bookkeeping ------------------------------------------------------
 
@@ -283,35 +280,31 @@ class _Run:
             (actual(self.model, self.current), self.current, len(self.trace.steps))
         )
 
-    def pool(self) -> list[tuple[Point, float]]:
-        """The remaining pool of the current state, walked once per state."""
-        state, available, pool = self._pool
-        if state is not self.current or available is not self.available:
-            pool = remaining_pool(self.current, self.available)
-            self._pool = (self.current, self.available, pool)
-        return pool
-
     def next_increment(self) -> PointIncrement:
         """The best increment from the current state; each candidate scored
         counts as one evaluation."""
-        pool = self.pool()
-        self.evaluations += len(pool)
-        return best_increment(self.current, pool, self.cfg.sequence, self.model, self.t)
+        self.evaluations += len(self.pool)
+        return best_increment(self.current, self.pool, self.model, self.t)
 
     def record_step(self, inc: PointIncrement) -> None:
         on_chain = (
-            self.chain == len(self.trace.steps) and self.available is self.d_all
+            self.chain == len(self.trace.steps) and self.pool.available is self.d_all
         )
         self.current, self.trace = self.trace.record(
             self.current, inc, self.model, self.t
         )
+        self.pool.take(inc.point, self.current)
         if on_chain:
             self.chain += 1
         self.snapshot()
 
-    def retire(self, y: Distribution) -> None:
-        """Carved weight leaves the game: it can never be re-added."""
-        self.available = remove_subdistribution(self.available, y)
+    def restart(self, d: Distribution, retired: Distribution | None = None) -> None:
+        """Go on from state ``d``; carved weight ``retired`` is never re-added."""
+        available = self.pool.available
+        if retired is not None:
+            available = remove_subdistribution(available, retired)
+        self.current = d
+        self.pool = RemainingPool(d, available, self.cfg.sequence.chunk)
 
     def last_accepted(self) -> PointIncrement | None:
         if not self.trace.steps:
@@ -327,7 +320,7 @@ class _Run:
         while (
             self.ratio() > self.cfg.ratio_threshold
             and not self.out_of_budget()
-            and not self.pool_dry()
+            and self.pool
         ):
             self.record_step(self.next_increment())
 
@@ -341,7 +334,7 @@ class _Run:
         non-improving increment lets the final snapshot see both sides
         of the discrete crossing.
         """
-        while not self.out_of_budget() and not self.pool_dry():
+        while not self.out_of_budget() and self.pool:
             inc = self.next_increment()
             w_now = actual(self.model, self.current)
             w_next = actual(self.model, apply_increment(self.current, inc))
@@ -354,9 +347,6 @@ class _Run:
         if n <= 0:
             return math.inf
         return potential(self.model, self.current) / n
-
-    def pool_dry(self) -> bool:
-        return not self.pool()
 
     def best_snapshot(self) -> tuple[Distribution, int]:
         """The state of greatest W and the trace length that reached it."""
@@ -413,13 +403,14 @@ def _lookahead_block(
     """Extend a sub-unit probe block looking for slope >= 1."""
     extended = probe.distribution
     incs = list(probe.increments)
+    pool = RemainingPool(extended, run.pool.available, run.cfg.sequence.chunk)
     for _ in range(run.cfg.lookahead_steps):
-        pool = remaining_pool(extended, run.available)
         if not pool:
             return None
         run.evaluations += len(pool)
-        inc = best_increment(extended, pool, run.cfg.sequence, run.model, run.t)
+        inc = best_increment(extended, pool, run.model, run.t)
         extended = apply_increment(extended, inc)
+        pool.take(inc.point, extended)
         incs.append(inc)
         k = kappa(run.model, run.current, extended)
         if k >= 1:
@@ -444,8 +435,8 @@ def determine_d_star(run: _Run) -> EquilibriumVerdict:
     d_all, cfg, model, t = run.d_all, run.cfg, run.model, run.t
     if d_all.is_empty():
         raise ValueError("candidate pool is empty")
-    run.evaluations += len(run.pool())
-    for inc in seed_distribution(run.available, cfg.sequence, model, t):
+    run.evaluations += len(run.pool)
+    for inc in seed_distribution(run.pool, cfg.sequence, model, t):
         run.record_step(inc)
     if all(point.c <= 0 for point, _ in d_all.items()):
         # nothing can draw participation: M(Q) = 0 for every subset
@@ -469,16 +460,14 @@ def determine_d_star(run: _Run) -> EquilibriumVerdict:
                 )
             )
             return replace(last, notes=last.notes + ("step budget exhausted",))
-        if run.pool_dry():
+        if not run.pool:
             return _exhaustion_verdict(run)
 
         # at the crossing: probe the best extension
-        pool = run.pool()
-        run.evaluations += len(pool)
         probe = best_next_in_sequence(
-            run.current, pool, run.available, cfg.sequence, model, t
+            run.current, run.pool.available, cfg.sequence, model, t
         )
-        run.evaluations += len(probe.increments) - 1
+        run.evaluations += len(run.pool) + len(probe.increments) - 1
         block, k, increments = probe.block, probe.kappa, probe.increments
         r1 = run.last_accepted()
         verdict, ctx = extension_verdict(run.current, r1, block, model, t, cfg)
@@ -515,8 +504,7 @@ def determine_d_star(run: _Run) -> EquilibriumVerdict:
             run.carveouts.append(replace(carve, trigger_kind=verdict.kind))
             for inc in increments:
                 run.record_step(inc)
-            run.retire(carve.y)
-            run.current = carve.d_plus
+            run.restart(carve.d_plus, carve.y)
             run.snapshot()
             log.debug(
                 "carved %.6g volume to balance extension (k=%.6g)",
@@ -729,7 +717,7 @@ def continue_to_d2_star(
     to numerical precision, and this is checked.
     """
     model, t = run.model, run.t
-    run.current = d_star
+    run.restart(d_star)
     run.budget = len(run.trace.steps) + step_limit(run.d_all)  # a budget of its own
     for inc in run.pending:
         run.record_step(inc)

@@ -10,6 +10,7 @@ improving; the caller classifies what the resulting block means.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .core import (
     Distribution,
@@ -109,16 +110,34 @@ class ProbeResult:
         )
 
 
-def remaining_pool(
-    d: Distribution, d_all: Distribution
-) -> list[tuple[Point, float]]:
-    """Candidate points and the weight each still has available."""
-    pool: list[tuple[Point, float]] = []
-    for point, total in d_all.items():
-        left = total - d.weight_of(point.id)
+class RemainingPool:
+    """The offers the next step of a greedy build can take, in pool order:
+    each point of ``available`` with the weight the build's state has not
+    taken of it, capped at ``chunk`` when one is set.  A build constructs
+    its pool once and ``take``s each increment it adds.
+    """
+
+    def __init__(self, d: Distribution, available: Distribution, chunk: float | None):
+        self.available = available
+        self._cap = float("inf") if chunk is None else chunk
+        self._offers: dict[str, tuple[Point, float]] = {}
+        for point, _ in available.items():
+            self.take(point, d)
+
+    def take(self, point: Point, d: Distribution) -> None:
+        """Recompute ``point``'s offer at the build's state ``d``, as available
+        minus taken, so that a kept pool equals a fresh one bit for bit."""
+        left = self.available.weight_of(point.id) - d.weight_of(point.id)
         if left > DROP_TOLERANCE:
-            pool.append((point, left))
-    return pool
+            self._offers[point.id] = (point, min(self._cap, left))
+        else:
+            self._offers.pop(point.id, None)
+
+    def __len__(self) -> int:
+        return len(self._offers)
+
+    def __iter__(self) -> Iterator[tuple[Point, float]]:
+        return iter(self._offers.values())
 
 
 def _tie_key(point: Point, tp: float) -> tuple[float, float, str]:
@@ -131,22 +150,14 @@ def step_limit(d_all: Distribution) -> int:
     return 10 * max(1, len(d_all))
 
 
-def _increment_weight(cfg: SequenceConfig, available: float) -> float:
-    if cfg.chunk is not None:
-        return min(cfg.chunk, available)
-    return available
-
-
 def best_increment(
     d: Distribution,
-    pool: list[tuple[Point, float]],
-    cfg: SequenceConfig,
+    pool: RemainingPool,
     model: ParticipationModel,
     t: ProducerTransform,
 ) -> PointIncrement:
     """The value-maximizing next increment from ``pool``, the remaining
-    pool of ``d`` (``remaining_pool(d, d_all)``, which the caller has
-    already walked).
+    pool of ``d``.
 
     On an empty base the score of a candidate is the potential value of
     its own singleton, T(p) * M(c).  Otherwise candidates are scored by
@@ -158,67 +169,61 @@ def best_increment(
         raise ExhaustedPoolError("no candidate weight remains")
     scorer = IncrementScorer(d, model, t)
 
-    def key(cw: tuple[Point, float]) -> tuple[float, tuple[float, float, str]]:
-        point, weight = cw
+    def key(offer: tuple[Point, float]) -> tuple[float, tuple[float, float, str]]:
+        point, weight = offer
         tp = t.apply(point.p)
         return (-scorer.delta_v(point.c, tp, weight), _tie_key(point, tp))
 
-    point, weight = min(
-        ((point, _increment_weight(cfg, available)) for point, available in pool),
-        key=key,
-    )
-    return PointIncrement(point, weight)
+    return PointIncrement(*min(pool, key=key))
 
 
 def seed_distribution(
-    d_all: Distribution,
+    pool: RemainingPool,
     cfg: SequenceConfig,
     model: ParticipationModel,
     t: ProducerTransform,
 ) -> list[PointIncrement]:
-    """Increments that install the configured seed into an empty base."""
+    """Increments that install the configured seed into an empty base,
+    whose remaining pool is ``pool``."""
     if cfg.seed_ids:
+        d_all = pool.available
         incs = []
         for pid in cfg.seed_ids:
             if pid not in d_all:
                 raise KeyError(f"seed id {pid!r} is not in the pool")
             incs.append(PointIncrement(d_all.point_of(pid), d_all.weight_of(pid)))
         return incs
-    empty = Distribution()
-    return [best_increment(empty, remaining_pool(empty, d_all), cfg, model, t)]
+    return [best_increment(Distribution(), pool, model, t)]
 
 
 def best_next_in_sequence(
     d: Distribution,
-    pool: list[tuple[Point, float]],
-    d_all: Distribution,
+    available: Distribution,
     cfg: SequenceConfig,
     model: ParticipationModel,
     t: ProducerTransform,
 ) -> ProbeResult:
     """Accumulate best increments past ``d`` until the block slope settles.
 
-    ``pool`` is the remaining pool of ``d`` in ``d_all``, already walked by
-    the caller, and must not be empty; each later state's pool is walked
-    once.  Stops at the first accumulated block whose slope versus the
-    entry distribution leaves the open interval (0, 1) — such a block is
-    a complete candidate for the caller to classify — or at the first
-    block whose slope fails to improve on the previous one while still
-    inside (0, 1).  Runs the pool dry otherwise.
+    Candidates come from the weight in ``available`` not yet in ``d``,
+    which must not be empty.  Stops at the first accumulated block whose
+    slope versus the entry distribution leaves the open interval (0, 1) —
+    such a block is a complete candidate for the caller to classify — or
+    at the first block whose slope fails to improve on the previous one
+    while still inside (0, 1).  Runs the pool dry otherwise.
     """
+    pool = RemainingPool(d, available, cfg.chunk)
     current = d
     increments: list[PointIncrement] = []
     prev_kappa: float | None = None
     while True:
-        inc = best_increment(current, pool, cfg, model, t)
+        inc = best_increment(current, pool, model, t)
         current = apply_increment(current, inc)
         k = kappa(model, d, current)
         increments.append(inc)
         settled = prev_kappa is not None and k <= prev_kappa + KAPPA_IMPROVEMENT_TOL
-        if k >= 1 or k <= 0 or settled:
-            return ProbeResult(current, k, tuple(increments))
-        pool = remaining_pool(current, d_all)
-        if not pool:
+        pool.take(inc.point, current)
+        if k >= 1 or k <= 0 or settled or not pool:
             return ProbeResult(current, k, tuple(increments))
         prev_kappa = k
 
@@ -249,14 +254,14 @@ def greedy_sweep(
         d = apply_increment(d, step.added)
     trace = SequenceTrace(tuple(prefix))
     steps = len(prefix) - seed_len + 1 if prefix else 0
-    pool = remaining_pool(d, d_all)
+    pool = RemainingPool(d, d_all, cfg.chunk)
     while steps < limit and pool:
         if d.is_empty():
-            incs = seed_distribution(d_all, cfg, model, t)
+            incs = seed_distribution(pool, cfg, model, t)
         else:
-            incs = [best_increment(d, pool, cfg, model, t)]
+            incs = [best_increment(d, pool, model, t)]
         for inc in incs:
             d, trace = trace.record(d, inc, model, t)
+            pool.take(inc.point, d)
         steps += 1
-        pool = remaining_pool(d, d_all)
     return trace

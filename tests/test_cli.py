@@ -524,3 +524,45 @@ def test_an_explicit_seed_off_the_greedy_order_ends_as_an_error_line(tmp_path, c
     assert "explicit seed ['p3']" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+#: c = p = 1e300 at one point: the report's values overflow to inf
+OVERFLOWING = {
+    "points": [
+        {"id": "a", "c": 1e300, "p": 1e300, "n": 1},
+        {"id": "b", "c": 1, "p": 1, "n": 1},
+    ],
+    "participation": {"kind": "power", "zeta": 1, "alpha": 1},
+}
+
+
+def test_a_non_finite_report_value_ends_as_an_error_line(tmp_path):
+    inp = write(tmp_path, "overflow.json", OVERFLOWING)
+    out = tmp_path / "overflow.report.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "distopt.cli", "optimize", "--input", inp,
+         "--output", str(out)],
+        capture_output=True,
+        text=True,
+    )
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith(f"error: {inp}: the report holds a non-finite value")
+    assert proc.stderr.count("\n") == 1
+    assert not out.exists()
+
+
+def test_batch_mode_carries_on_past_a_non_finite_report(tmp_path):
+    # the overflowing file sorts first, so the batch must carry on past it
+    write(tmp_path, "a.json", OVERFLOWING)
+    write(tmp_path, "b.json", FIVE_POINT)
+    proc = subprocess.run(
+        [sys.executable, "-m", "distopt.cli", "optimize", "--batch", str(tmp_path)],
+        capture_output=True,
+        text=True,
+    )
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith(f"error: {tmp_path / 'a.json'}: ")
+    assert not (tmp_path / "a.report.json").exists()
+    assert json.loads((tmp_path / "b.report.json").read_text())["n_star"] == 4.0

@@ -10,23 +10,25 @@ from hypothesis import given, settings
 
 from distopt import core, sequence, valuation
 from distopt.core import (
+    DROP_TOLERANCE,
     Distribution,
     Point,
     PointIncrement,
     ProducerTransform,
     expected_t,
     q_of,
+    remove_subdistribution,
 )
 from distopt.instances import INSTANCE_SCHEMA, InstanceError, build_objects
 from distopt.participation import ParticipationModel, potential
-from distopt.optimizer import optimize
+from distopt.optimizer import OptimizerConfig, _Run, optimize
 from distopt.oracle import generate_instance
 from distopt.sequence import (
+    RemainingPool,
     SequenceConfig,
     best_increment,
     best_next_in_sequence,
     greedy_sweep,
-    remaining_pool,
     seed_distribution,
 )
 from distopt.thresholds import ExtensionContext, x_u_kappa
@@ -41,13 +43,17 @@ IDENT = ProducerTransform.identity()
 def test_remaining_pool_subtracts_current_weights():
     pool = make_dist(("a", 2, 1, 2.0), ("b", 1, 1, 1.0))
     cur = make_dist(("a", 2, 1, 0.5))
-    left = dict((pt.id, w) for pt, w in remaining_pool(cur, pool))
+    left = dict((pt.id, w) for pt, w in RemainingPool(cur, pool, None))
     assert left == {"a": 1.5, "b": 1.0}
+    # a chunk caps each offer at the chunk
+    left = dict((pt.id, w) for pt, w in RemainingPool(cur, pool, 1.2))
+    assert left == {"a": 1.2, "b": 1.0}
 
 
 def test_seed_picks_the_highest_first_content_value():
     pool = make_dist(("hi", 5.0, 1.0, 1.0), ("mix", 2.0, 3.0, 1.0))
-    seeds = seed_distribution(pool, SequenceConfig(), M11, IDENT)
+    empty = RemainingPool(Distribution(), pool, None)
+    seeds = seed_distribution(empty, SequenceConfig(), M11, IDENT)
     # T(p) * M(c): 3*2 beats 1*5
     assert [i.point.id for i in seeds] == ["mix"]
 
@@ -55,7 +61,8 @@ def test_seed_picks_the_highest_first_content_value():
 def test_explicit_seed_policy_uses_listed_ids():
     pool = make_dist(("hi", 5.0, 1.0, 1.0), ("mix", 2.0, 3.0, 1.0))
     cfg = SequenceConfig(seed_ids=("hi",))
-    assert [i.point.id for i in seed_distribution(pool, cfg, M11, IDENT)] == ["hi"]
+    empty = RemainingPool(Distribution(), pool, None)
+    assert [i.point.id for i in seed_distribution(empty, cfg, M11, IDENT)] == ["hi"]
 
 
 def test_config_validation():
@@ -94,7 +101,7 @@ def test_build_objects_rejects_policies_without_the_schema(optimizer, case):
 def test_equal_candidates_break_ties_by_id():
     cur = make_dist(("z", 2.0, 1.0, 1.0))
     pool = make_dist(("z", 2.0, 1.0, 1.0), ("b", 2.0, 1.0, 1.0), ("a", 2.0, 1.0, 1.0))
-    inc = best_increment(cur, remaining_pool(cur, pool), SequenceConfig(), M11, IDENT)
+    inc = best_increment(cur, RemainingPool(cur, pool, None), M11, IDENT)
     assert inc.point.id == "a"
 
 
@@ -124,9 +131,7 @@ def test_sweep_step_bookkeeping_is_consistent():
 def test_probe_stops_at_a_non_positive_slope():
     pool, model, t, cfg = build_objects(LADDER)
     prefix = Distribution([(pt, w) for pt, w in pool.items() if pt.id <= "p06"])
-    probe = best_next_in_sequence(
-        prefix, remaining_pool(prefix, pool), pool, cfg.sequence, model, t
-    )
+    probe = best_next_in_sequence(prefix, pool, cfg.sequence, model, t)
     assert [i.point.id for i in probe.increments] == ["p07"]
     assert probe.kappa == pytest.approx(-1.0 / 13.0, rel=1e-12)
 
@@ -136,9 +141,7 @@ def test_probe_reports_exhaustion_when_the_pool_runs_dry():
     # and the pool dries up before the probe can settle
     pool = make_dist(("a", 3.0, 1.0, 0.5), ("b", 3.2, 1.0, 0.5))
     prefix = make_dist(("a", 3.0, 1.0, 0.5))
-    probe = best_next_in_sequence(
-        prefix, remaining_pool(prefix, pool), pool, SequenceConfig(), M11, IDENT
-    )
+    probe = best_next_in_sequence(prefix, pool, SequenceConfig(), M11, IDENT)
     assert [i.point.id for i in probe.increments] == ["b"]
     assert probe.kappa == pytest.approx(0.2, rel=1e-12)
 
@@ -179,7 +182,10 @@ def _direct_delta_v(d, c, p, weight, model, t):
 def _reference_best_increment(d, d_all, cfg, model, t):
     """The per-candidate loop that rescored the whole base for every candidate."""
     best = best_inc = None
-    for point, available in remaining_pool(d, d_all):
+    for point, total in d_all.items():
+        available = total - d.weight_of(point.id)
+        if available <= DROP_TOLERANCE:
+            continue
         weight = available if cfg.chunk is None else min(cfg.chunk, available)
         score = delta_v_of_increment(d, point.c, point.p, weight, model, t)
         assert score == _direct_delta_v(d, point.c, point.p, weight, model, t)
@@ -249,7 +255,7 @@ def test_best_increment_matches_the_per_candidate_reference(
     base = Distribution([(pt, w * share) for pt, (_, _, w) in zip(points[:k], rows[:k])])
     t = _transform(kind, sorted({p for _, p, _ in rows}))
     want = _reference_best_increment(base, pool, cfg, model, t)
-    assert best_increment(base, remaining_pool(base, pool), cfg, model, t) == want
+    assert best_increment(base, RemainingPool(base, pool, cfg.chunk), model, t) == want
 
 
 @pytest.mark.parametrize("size", [8, 80, 320])
@@ -269,7 +275,7 @@ def test_best_increment_passes_over_the_base_a_fixed_number_of_times(size, monke
     base = make_dist(*rows[: size // 2])
     for cfg in (SequenceConfig(), SequenceConfig(chunk=0.5)):
         calls.clear()
-        best_increment(base, remaining_pool(base, pool), cfg, M11, IDENT)
+        best_increment(base, RemainingPool(base, pool, cfg.chunk), M11, IDENT)
         assert len(calls) <= 2, f"{len(calls)} passes over the base at pool size {size}"
 
 
@@ -305,3 +311,47 @@ def test_a_greedy_step_takes_e_of_its_state_once(monkeypatch):
     assert len(result.trace.steps) >= 20
     assert len(passes) >= len(result.trace.steps)
     assert max(passes.values()) == 1, "a state's E(T|D) was taken more than once"
+
+
+# -- the remaining pool a build keeps --------------------------------------
+
+
+def _offers(pool) -> list[tuple[Point, str]]:
+    return [(pt, w.hex()) for pt, w in pool]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.lists(st.tuples(_C, _P, _W), min_size=1, max_size=12),
+    chunk=st.one_of(st.none(), st.floats(0.01, 2.0)),
+    picks=st.lists(st.one_of(st.none(), st.integers(0, 1000)), min_size=1, max_size=40),
+    restart_at=st.integers(1, 40),
+    restart=st.sampled_from(["carve", "rewind"]),
+    share=st.floats(0.05, 1.0),
+)
+def test_a_kept_pool_equals_a_fresh_one(rows, chunk, picks, restart_at, restart, share):
+    # a run takes best or arbitrary offers and keeps its pool with ``take``;
+    # after every step, and after a restart that retires a carve or rewinds
+    # to an earlier state, its offers equal a freshly built pool's, bit for bit
+    points = [Point(f"p{i:02d}", c, p) for i, (c, p, _) in enumerate(rows)]
+    d_all = Distribution([(pt, w) for pt, (_, _, w) in zip(points, rows)])
+    run = _Run(d_all, OptimizerConfig(sequence=SequenceConfig(chunk=chunk)), M11, IDENT)
+    available = d_all
+    for step, pick in enumerate(picks):
+        if step == restart_at and restart == "carve":
+            y = Distribution([(pt, w * share) for pt, w in run.current.items()])
+            d_plus = remove_subdistribution(run.current, y)
+            available = remove_subdistribution(available, y)
+            run.restart(d_plus, y)
+        elif step == restart_at:
+            run.restart(run.snapshots[int(share * (len(run.snapshots) - 1))][1])
+        assert _offers(run.pool) == _offers(RemainingPool(run.current, available, chunk))
+        if not run.pool:
+            break
+        if pick is None:
+            inc = best_increment(run.current, run.pool, M11, IDENT)
+        else:
+            offers = list(run.pool)
+            inc = PointIncrement(*offers[pick % len(offers)])
+        run.record_step(inc)
+        assert _offers(run.pool) == _offers(RemainingPool(run.current, available, chunk))

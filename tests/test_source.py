@@ -155,3 +155,27 @@ def test_optimize_alone_builds_a_result():
                 amended.append(where)
     assert [inside for _, inside in built] == [True], built
     assert amended == []
+
+
+def test_no_greedy_loop_rebuilds_its_remaining_pool():
+    # a build constructs its pool once and keeps it current with ``take``;
+    # a pool built inside a loop body would walk it again every step
+    calls, in_loops = [], []
+    for path in SOURCES:
+        if path.name not in ("sequence.py", "optimizer.py"):
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        looped = {
+            id(node)
+            for loop in ast.walk(tree)
+            if isinstance(loop, (ast.For, ast.While))
+            for stmt in loop.body + loop.orelse
+            for node in ast.walk(stmt)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _names(node.func) == {"RemainingPool"}:
+                calls.append(f"{path.name}:{node.lineno}")
+                if id(node) in looped:
+                    in_loops.append(calls[-1])
+    assert len(calls) >= 4, calls  # the run, its restart, a lookahead, a probe, a sweep
+    assert in_loops == []

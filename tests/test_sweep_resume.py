@@ -19,9 +19,9 @@ from distopt.oracle import find_scenario_instance, generate_instance
 from distopt.optimizer import optimize
 from distopt.sequence import (
     ExhaustedPoolError,
+    RemainingPool,
     SequenceTrace,
     best_increment,
-    remaining_pool,
     seed_distribution,
 )
 from distopt.thresholds import (
@@ -37,23 +37,24 @@ from distopt.thresholds import (
 
 
 def _reference_sweep(d_all, cfg, model, t) -> SequenceTrace:
-    """The from-scratch sweep: every step scored, the seed block one step,
-    at most ten steps per pool point."""
+    """The from-scratch sweep: every step scored from a freshly built pool,
+    the seed block one step, at most ten steps per pool point."""
     trace = SequenceTrace()
     d = Distribution()
     steps = 0
     while steps < 10 * max(1, len(d_all)):
+        pool = RemainingPool(d, d_all, cfg.chunk)
         try:
             if d.is_empty():
-                incs = seed_distribution(d_all, cfg, model, t)
+                incs = seed_distribution(pool, cfg, model, t)
             else:
-                incs = [best_increment(d, remaining_pool(d, d_all), cfg, model, t)]
+                incs = [best_increment(d, pool, model, t)]
         except ExhaustedPoolError:
             break
         for inc in incs:
             d, trace = trace.record(d, inc, model, t)
         steps += 1
-        if not remaining_pool(d, d_all):
+        if not RemainingPool(d, d_all, cfg.chunk):
             break
     return trace
 
@@ -193,19 +194,22 @@ def test_a_crossing_before_the_last_state_counts_the_chain_only_to_it(
     assert got == want
 
 
-def test_each_greedy_step_walks_the_pool_once(monkeypatch, tmp_path):
-    pools: list[int] = []
+def test_each_greedy_build_walks_the_pool_once(monkeypatch, tmp_path):
+    # the run, each probe, each lookahead and the sweep build one pool each
+    # and keep it current step by step: the builds are bounded by a
+    # constant, not by the step count
+    builds: list[int] = []
     scored: list[int] = []
     sweeps: list[tuple[int, int]] = []
-    real_pool, real_score, real_sweep = (
-        sequence.remaining_pool,
+    real_init, real_score, real_sweep = (
+        sequence.RemainingPool.__init__,
         sequence.best_increment,
         sequence.greedy_sweep,
     )
 
-    def counted_pool(d, d_all):
-        pools.append(1)
-        return real_pool(d, d_all)
+    def counted_init(self, d, available, chunk):
+        builds.append(1)
+        real_init(self, d, available, chunk)
 
     def counted_score(*args):
         scored.append(1)
@@ -217,9 +221,8 @@ def test_each_greedy_step_walks_the_pool_once(monkeypatch, tmp_path):
         sweeps.append((len(prefix), len(scored) - before))
         return trace
 
+    monkeypatch.setattr(sequence.RemainingPool, "__init__", counted_init)
     for module in (sequence, optimizer, cli):
-        if hasattr(module, "remaining_pool"):
-            monkeypatch.setattr(module, "remaining_pool", counted_pool)
         if hasattr(module, "best_increment"):
             monkeypatch.setattr(module, "best_increment", counted_score)
     monkeypatch.setattr(cli, "greedy_sweep", counted_sweep)
@@ -230,8 +233,8 @@ def test_each_greedy_step_walks_the_pool_once(monkeypatch, tmp_path):
     out = tmp_path / "out.json"
     cli.main(["optimize", "--input", str(src), "--output", str(out), "--format", "csv"])
 
-    assert scored
-    assert len(pools) <= len(scored) + 4, f"{len(pools)} pool walks for {len(scored)} scorings"
+    assert len(scored) >= 40
+    assert len(builds) <= 6, f"{len(builds)} pool builds for {len(scored)} scorings"
     [(prefix, sweep_scored)] = sweeps
     assert prefix > 1
     assert sweep_scored <= len(inst["points"]) - prefix + 1
