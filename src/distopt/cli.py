@@ -48,7 +48,7 @@ from .optimizer import (
     extension_verdict,
     optimize,
 )
-from .participation import ParticipationModel, potential
+from .participation import ParticipationModel, ZeroVolumeDeltaError, potential
 from .sequence import greedy_sweep
 from .thresholds import (
     REACTIVE,
@@ -327,11 +327,12 @@ def _optimize(
 ]:
     """``build_objects`` and ``optimize`` on the instance read from
     ``path``, with a build found off the greedy order (an explicit seed can
-    start it there) reported as an error."""
+    start it there), or a step too light to move the volume's float sum,
+    reported as an error."""
     pool, model, transform, cfg = build_objects(instance, path)
     try:
         result = optimize(pool, cfg, model, transform)
-    except BuildOrderError as exc:
+    except (BuildOrderError, ZeroVolumeDeltaError) as exc:
         raise CliError(f"{path}: {exc}") from exc
     return pool, model, transform, cfg, result
 

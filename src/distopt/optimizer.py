@@ -32,11 +32,11 @@ from .core import (
 )
 from .participation import ParticipationModel, actual, kappa, potential
 from .sequence import (
+    GreedyBuild,
     ProbeResult,
-    RemainingPool,
     SequenceConfig,
+    SequenceStep,
     SequenceTrace,
-    best_increment,
     best_next_in_sequence,
     seed_distribution,
     step_limit,
@@ -242,6 +242,9 @@ class _Run:
     build from the seed (``greedy_sweep``'s): each is the best increment
     from the state the one before it left, over the whole pool.  It stops
     growing once a carve retires weight and replaces the current state.
+    ``best`` is the state of greatest W the run has reached, with its W
+    and the trace length that reached it; a later state replaces it only
+    by beating it, not by tying it.
     ``pending`` holds the block a ``ContinueToD2Star`` verdict adopts;
     ``carve_failure`` says why a recommended carve could not be made;
     ``d2`` holds the ``OptimizationResult`` fields of a second crossing.
@@ -258,11 +261,9 @@ class _Run:
         self.cfg = cfg
         self.model = model
         self.t = t
-        self.current = Distribution()
-        self.pool = RemainingPool(self.current, d_all, cfg.sequence.chunk)
-        self.trace = SequenceTrace()
-        #: (W, state, trace length when the state was reached)
-        self.snapshots: list[tuple[float, Distribution, int]] = []
+        self.build = GreedyBuild(Distribution(), d_all, cfg.sequence.chunk, model, t)
+        self.steps: list[SequenceStep] = []
+        self.best: tuple[float, Distribution, int] | None = None
         self.events: list[EquilibriumVerdict] = []
         self.carveouts: list[CarveoutResult] = []
         self.pending: tuple[PointIncrement, ...] = ()
@@ -275,44 +276,43 @@ class _Run:
 
     # -- bookkeeping ------------------------------------------------------
 
-    def snapshot(self) -> None:
-        self.snapshots.append(
-            (actual(self.model, self.current), self.current, len(self.trace.steps))
-        )
+    @property
+    def current(self) -> Distribution:
+        return self.build.d
+
+    def reached(self) -> None:
+        """Weigh the current state against the best one so far."""
+        w = actual(self.model, self.current)
+        if self.best is None or w > self.best[0] + 1e-12 * max(1.0, abs(self.best[0])):
+            self.best = (w, self.current, len(self.steps))
 
     def next_increment(self) -> PointIncrement:
         """The best increment from the current state; each candidate scored
         counts as one evaluation."""
-        self.evaluations += len(self.pool)
-        return best_increment(self.current, self.pool, self.model, self.t)
+        self.evaluations += len(self.build)
+        return self.build.best()
 
     def record_step(self, inc: PointIncrement) -> None:
-        on_chain = (
-            self.chain == len(self.trace.steps) and self.pool.available is self.d_all
-        )
-        self.current, self.trace = self.trace.record(
-            self.current, inc, self.model, self.t
-        )
-        self.pool.take(inc.point, self.current)
+        on_chain = self.chain == len(self.steps) and self.build.available is self.d_all
+        self.build.record(inc, self.steps)
         if on_chain:
             self.chain += 1
-        self.snapshot()
+        self.reached()
 
     def restart(self, d: Distribution, retired: Distribution | None = None) -> None:
         """Go on from state ``d``; carved weight ``retired`` is never re-added."""
-        available = self.pool.available
+        available = self.build.available
         if retired is not None:
             available = remove_subdistribution(available, retired)
-        self.current = d
-        self.pool = RemainingPool(d, available, self.cfg.sequence.chunk)
+        self.build = GreedyBuild(
+            d, available, self.cfg.sequence.chunk, self.model, self.t
+        )
 
     def last_accepted(self) -> PointIncrement | None:
-        if not self.trace.steps:
-            return None
-        return self.trace.steps[-1].added
+        return self.steps[-1].added if self.steps else None
 
     def out_of_budget(self) -> bool:
-        return len(self.trace.steps) >= self.budget
+        return len(self.steps) >= self.budget
 
     def grow(self) -> None:
         """Record best increments while demand outruns supply, within the
@@ -320,7 +320,7 @@ class _Run:
         while (
             self.ratio() > self.cfg.ratio_threshold
             and not self.out_of_budget()
-            and self.pool
+            and self.build
         ):
             self.record_step(self.next_increment())
 
@@ -331,10 +331,10 @@ class _Run:
         participation while volume sits under potential, so the
         volume-maximizing prefix may lie a few increments past the point
         where the probe turned non-positive.  Walking until the first
-        non-improving increment lets the final snapshot see both sides
-        of the discrete crossing.
+        non-improving increment lets the best state see both sides of
+        the discrete crossing.
         """
-        while not self.out_of_budget() and self.pool:
+        while not self.out_of_budget() and self.build:
             inc = self.next_increment()
             w_now = actual(self.model, self.current)
             w_next = actual(self.model, apply_increment(self.current, inc))
@@ -349,19 +349,14 @@ class _Run:
         return potential(self.model, self.current) / n
 
     def best_snapshot(self) -> tuple[Distribution, int]:
-        """The state of greatest W and the trace length that reached it."""
-        if not self.snapshots:
-            return self.current, len(self.trace.steps)
-        best_w, best_d, best_len = self.snapshots[0]
-        for w, d, length in self.snapshots[1:]:
-            # strict first-max: later states must beat, not tie, the incumbent
-            if w > best_w + 1e-12 * max(1.0, abs(best_w)):
-                best_w, best_d, best_len = w, d, length
-        return best_d, best_len
+        """The state of greatest W and the trace length that reached it;
+        the seed makes the first state."""
+        _, d, length = self.best
+        return d, length
 
 
-def _flat_participation(trace: SequenceTrace) -> bool:
-    ms = [s.m_after for s in trace.steps]
+def _flat_participation(steps: list[SequenceStep]) -> bool:
+    ms = [s.m_after for s in steps]
     if len(ms) < 2:
         # one sample has no spread; don't call the curve flat on no evidence
         return False
@@ -371,7 +366,7 @@ def _flat_participation(trace: SequenceTrace) -> bool:
 
 def _exhaustion_verdict(run: _Run) -> EquilibriumVerdict:
     if run.ratio() > run.cfg.ratio_threshold:
-        if _flat_participation(run.trace):
+        if _flat_participation(run.steps):
             return EquilibriumVerdict(
                 SATURATED_CONSUMER,
                 is_nash=False,
@@ -400,22 +395,21 @@ def _exhaustion_verdict(run: _Run) -> EquilibriumVerdict:
 def _lookahead_block(
     run: _Run, probe: ProbeResult
 ) -> tuple[Distribution, tuple[PointIncrement, ...]] | None:
-    """Extend a sub-unit probe block looking for slope >= 1."""
-    extended = probe.distribution
+    """Extend a sub-unit probe block looking for slope >= 1, going on with
+    the probe's own build."""
+    build = probe.build
     incs = list(probe.increments)
-    pool = RemainingPool(extended, run.pool.available, run.cfg.sequence.chunk)
     for _ in range(run.cfg.lookahead_steps):
-        if not pool:
+        if not build:
             return None
-        run.evaluations += len(pool)
-        inc = best_increment(extended, pool, run.model, run.t)
-        extended = apply_increment(extended, inc)
-        pool.take(inc.point, extended)
+        run.evaluations += len(build)
+        inc = build.best()
+        build.add(inc)
         incs.append(inc)
-        k = kappa(run.model, run.current, extended)
+        k = kappa(run.model, run.current, build.d)
         if k >= 1:
             return (
-                remove_subdistribution(extended, run.current),
+                remove_subdistribution(build.d, run.current),
                 tuple(incs),
             )
         if k <= 0:
@@ -435,8 +429,8 @@ def determine_d_star(run: _Run) -> EquilibriumVerdict:
     d_all, cfg, model, t = run.d_all, run.cfg, run.model, run.t
     if d_all.is_empty():
         raise ValueError("candidate pool is empty")
-    run.evaluations += len(run.pool)
-    for inc in seed_distribution(run.pool, cfg.sequence, model, t):
+    run.evaluations += len(run.build)
+    for inc in seed_distribution(run.build, cfg.sequence):
         run.record_step(inc)
     if all(point.c <= 0 for point, _ in d_all.items()):
         # nothing can draw participation: M(Q) = 0 for every subset
@@ -460,14 +454,14 @@ def determine_d_star(run: _Run) -> EquilibriumVerdict:
                 )
             )
             return replace(last, notes=last.notes + ("step budget exhausted",))
-        if not run.pool:
+        if not run.build:
             return _exhaustion_verdict(run)
 
         # at the crossing: probe the best extension
         probe = best_next_in_sequence(
-            run.current, run.pool.available, cfg.sequence, model, t
+            run.current, run.build.available, cfg.sequence, model, t
         )
-        run.evaluations += len(run.pool) + len(probe.increments) - 1
+        run.evaluations += len(run.build) + len(probe.increments) - 1
         block, k, increments = probe.block, probe.kappa, probe.increments
         r1 = run.last_accepted()
         verdict, ctx = extension_verdict(run.current, r1, block, model, t, cfg)
@@ -505,7 +499,7 @@ def determine_d_star(run: _Run) -> EquilibriumVerdict:
             for inc in increments:
                 run.record_step(inc)
             run.restart(carve.d_plus, carve.y)
-            run.snapshot()
+            run.reached()
             log.debug(
                 "carved %.6g volume to balance extension (k=%.6g)",
                 carve.n_y,
@@ -548,7 +542,7 @@ def optimize(
         verdict = continue_to_d2_star(run, verdict, d_star, crossing_gap)
     return OptimizationResult(
         d_star=d_star,
-        trace=run.trace,
+        trace=SequenceTrace(tuple(run.steps)),
         verdict=verdict,
         crossing_gap=crossing_gap,
         d_star_steps=d_star_steps,
@@ -718,7 +712,7 @@ def continue_to_d2_star(
     """
     model, t = run.model, run.t
     run.restart(d_star)
-    run.budget = len(run.trace.steps) + step_limit(run.d_all)  # a budget of its own
+    run.budget = len(run.steps) + step_limit(run.d_all)  # a budget of its own
     for inc in run.pending:
         run.record_step(inc)
     run.grow()

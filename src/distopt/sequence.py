@@ -76,58 +76,36 @@ class SequenceStep:
 class SequenceTrace:
     steps: tuple[SequenceStep, ...] = ()
 
-    def record(
+
+class GreedyBuild:
+    """One greedy build: its state ``d`` and the offers its next step can
+    take, in pool order.  An offer is a point of ``available`` with the
+    weight ``d`` has not taken of it, capped at ``chunk`` when one is set.
+    The build keeps its offers current as it ``add``s increments, so each
+    build walks its pool once.
+    """
+
+    def __init__(
         self,
         d: Distribution,
-        inc: PointIncrement,
+        available: Distribution,
+        chunk: float | None,
         model: ParticipationModel,
         t: ProducerTransform,
-    ) -> tuple[Distribution, "SequenceTrace"]:
-        """Add ``inc`` to ``d``: the grown distribution and this trace with
-        the step appended."""
-        dv = delta_v_of_increment(d, inc.point.c, inc.point.p, inc.weight, model, t)
-        d = apply_increment(d, inc)
-        step = SequenceStep(len(self.steps), inc, d.n, q_of(d), potential(model, d), dv)
-        return d, SequenceTrace(self.steps + (step,))
-
-
-@dataclass(frozen=True)
-class ProbeResult:
-    """What accumulating past an entry distribution produced.
-
-    ``kappa`` is the marginal-participation slope of the whole accumulated
-    block measured against the entry distribution.
-    """
-
-    distribution: Distribution
-    kappa: float
-    increments: tuple[PointIncrement, ...] = ()
-
-    @property
-    def block(self) -> Distribution:
-        return Distribution(
-            [(inc.point, inc.weight) for inc in self.increments]
-        )
-
-
-class RemainingPool:
-    """The offers the next step of a greedy build can take, in pool order:
-    each point of ``available`` with the weight the build's state has not
-    taken of it, capped at ``chunk`` when one is set.  A build constructs
-    its pool once and ``take``s each increment it adds.
-    """
-
-    def __init__(self, d: Distribution, available: Distribution, chunk: float | None):
+    ):
+        self.d = d
         self.available = available
+        self.model = model
+        self.t = t
         self._cap = float("inf") if chunk is None else chunk
         self._offers: dict[str, tuple[Point, float]] = {}
         for point, _ in available.items():
-            self.take(point, d)
+            self._offer(point)
 
-    def take(self, point: Point, d: Distribution) -> None:
-        """Recompute ``point``'s offer at the build's state ``d``, as available
-        minus taken, so that a kept pool equals a fresh one bit for bit."""
-        left = self.available.weight_of(point.id) - d.weight_of(point.id)
+    def _offer(self, point: Point) -> None:
+        """Recompute ``point``'s offer as available minus taken, so that a
+        kept build's offers equal a fresh one's bit for bit."""
+        left = self.available.weight_of(point.id) - self.d.weight_of(point.id)
         if left > DROP_TOLERANCE:
             self._offers[point.id] = (point, min(self._cap, left))
         else:
@@ -138,6 +116,44 @@ class RemainingPool:
 
     def __iter__(self) -> Iterator[tuple[Point, float]]:
         return iter(self._offers.values())
+
+    def best(self) -> PointIncrement:
+        """The value-maximizing next increment (``best_increment``)."""
+        return best_increment(self)
+
+    def add(self, inc: PointIncrement) -> None:
+        self.d = apply_increment(self.d, inc)
+        self._offer(inc.point)
+
+    def record(self, inc: PointIncrement, steps: list[SequenceStep]) -> None:
+        """``add`` ``inc`` and append the step it makes to ``steps``."""
+        dv = delta_v_of_increment(
+            self.d, inc.point.c, inc.point.p, inc.weight, self.model, self.t
+        )
+        self.add(inc)
+        d = self.d
+        steps.append(
+            SequenceStep(len(steps), inc, d.n, q_of(d), potential(self.model, d), dv)
+        )
+
+
+@dataclass(frozen=True)
+class ProbeResult:
+    """What accumulating past an entry distribution produced.
+
+    ``build`` went on from the entry distribution through ``increments``;
+    a lookahead goes on with it.  ``kappa`` is the marginal-participation
+    slope of the whole accumulated block measured against the entry
+    distribution.
+    """
+
+    build: GreedyBuild
+    kappa: float
+    increments: tuple[PointIncrement, ...] = ()
+
+    @property
+    def block(self) -> Distribution:
+        return Distribution([(inc.point, inc.weight) for inc in self.increments])
 
 
 def _tie_key(point: Point, tp: float) -> tuple[float, float, str]:
@@ -150,50 +166,40 @@ def step_limit(d_all: Distribution) -> int:
     return 10 * max(1, len(d_all))
 
 
-def best_increment(
-    d: Distribution,
-    pool: RemainingPool,
-    model: ParticipationModel,
-    t: ProducerTransform,
-) -> PointIncrement:
-    """The value-maximizing next increment from ``pool``, the remaining
-    pool of ``d``.
+def best_increment(build: GreedyBuild) -> PointIncrement:
+    """The value-maximizing next increment from ``build``'s offers.
 
     On an empty base the score of a candidate is the potential value of
     its own singleton, T(p) * M(c).  Otherwise candidates are scored by
     the potential value after inclusion at their realized share.  The
     base's N, E(T|D), Q and V are taken once per call, so a call costs
-    O(|D| + |pool|).
+    O(|D| + offers).
     """
-    if not pool:
+    if not build:
         raise ExhaustedPoolError("no candidate weight remains")
-    scorer = IncrementScorer(d, model, t)
+    t = build.t
+    scorer = IncrementScorer(build.d, build.model, t)
 
     def key(offer: tuple[Point, float]) -> tuple[float, tuple[float, float, str]]:
         point, weight = offer
         tp = t.apply(point.p)
         return (-scorer.delta_v(point.c, tp, weight), _tie_key(point, tp))
 
-    return PointIncrement(*min(pool, key=key))
+    return PointIncrement(*min(build, key=key))
 
 
-def seed_distribution(
-    pool: RemainingPool,
-    cfg: SequenceConfig,
-    model: ParticipationModel,
-    t: ProducerTransform,
-) -> list[PointIncrement]:
-    """Increments that install the configured seed into an empty base,
-    whose remaining pool is ``pool``."""
+def seed_distribution(build: GreedyBuild, cfg: SequenceConfig) -> list[PointIncrement]:
+    """Increments that install the configured seed into ``build``, whose
+    state is empty."""
     if cfg.seed_ids:
-        d_all = pool.available
+        d_all = build.available
         incs = []
         for pid in cfg.seed_ids:
             if pid not in d_all:
                 raise KeyError(f"seed id {pid!r} is not in the pool")
             incs.append(PointIncrement(d_all.point_of(pid), d_all.weight_of(pid)))
         return incs
-    return [best_increment(Distribution(), pool, model, t)]
+    return [build.best()]
 
 
 def best_next_in_sequence(
@@ -212,19 +218,17 @@ def best_next_in_sequence(
     at the first block whose slope fails to improve on the previous one
     while still inside (0, 1).  Runs the pool dry otherwise.
     """
-    pool = RemainingPool(d, available, cfg.chunk)
-    current = d
+    build = GreedyBuild(d, available, cfg.chunk, model, t)
     increments: list[PointIncrement] = []
     prev_kappa: float | None = None
     while True:
-        inc = best_increment(current, pool, model, t)
-        current = apply_increment(current, inc)
-        k = kappa(model, d, current)
+        inc = build.best()
+        build.add(inc)
+        k = kappa(model, d, build.d)
         increments.append(inc)
         settled = prev_kappa is not None and k <= prev_kappa + KAPPA_IMPROVEMENT_TOL
-        pool.take(inc.point, current)
-        if k >= 1 or k <= 0 or settled or not pool:
-            return ProbeResult(current, k, tuple(increments))
+        if k >= 1 or k <= 0 or settled or not build:
+            return ProbeResult(build, k, tuple(increments))
         prev_kappa = k
 
 
@@ -249,19 +253,17 @@ def greedy_sweep(
     if len(prefix) < seed_len:
         prefix = ()  # a partial seed block is not a step of the build
     prefix = prefix[: limit + seed_len - 1]
-    d = Distribution()
+    build = GreedyBuild(Distribution(), d_all, cfg.chunk, model, t)
     for step in prefix:
-        d = apply_increment(d, step.added)
-    trace = SequenceTrace(tuple(prefix))
-    steps = len(prefix) - seed_len + 1 if prefix else 0
-    pool = RemainingPool(d, d_all, cfg.chunk)
-    while steps < limit and pool:
-        if d.is_empty():
-            incs = seed_distribution(pool, cfg, model, t)
+        build.add(step.added)
+    steps = list(prefix)
+    taken = len(prefix) - seed_len + 1 if prefix else 0
+    while taken < limit and build:
+        if build.d.is_empty():
+            incs = seed_distribution(build, cfg)
         else:
-            incs = [best_increment(d, pool, model, t)]
+            incs = [build.best()]
         for inc in incs:
-            d, trace = trace.record(d, inc, model, t)
-            pool.take(inc.point, d)
-        steps += 1
-    return trace
+            build.record(inc, steps)
+        taken += 1
+    return SequenceTrace(tuple(steps))

@@ -31,7 +31,7 @@ from distopt.oracle import (
     generate_instance,
 )
 from distopt.optimizer import CROSSING_REL_TOL, optimize
-from distopt.sequence import ExhaustedPoolError, RemainingPool, best_increment
+from distopt.sequence import ExhaustedPoolError, GreedyBuild, best_increment
 from distopt.participation import ParticipationModel, potential
 from distopt.thresholds import (
     ADAPTIVE,
@@ -153,7 +153,7 @@ def test_crossing_build_matches_brute_force_and_rejects_deviations():
             assert _w_of(d_minus, model) <= bound, f"seed {seed}: step back"
         try:
             nxt = best_increment(
-                res.d_star, RemainingPool(res.d_star, pool, cfg.sequence.chunk), model, t
+                GreedyBuild(res.d_star, pool, cfg.sequence.chunk, model, t)
             )
         except ExhaustedPoolError:
             continue

@@ -566,3 +566,49 @@ def test_batch_mode_carries_on_past_a_non_finite_report(tmp_path):
     assert proc.stderr.startswith(f"error: {tmp_path / 'a.json'}: ")
     assert not (tmp_path / "a.report.json").exists()
     assert json.loads((tmp_path / "b.report.json").read_text())["n_star"] == 4.0
+
+
+#: b's unit weight vanishes beside a's 1e16 in the volume's float sum, so
+#: the probe's volume change is exactly zero
+VOLUME_ABSORBED = {
+    "points": [
+        {"id": "a", "c": 2, "p": 1, "n": 1e16},
+        {"id": "b", "c": 1, "p": 1, "n": 1},
+    ],
+    "participation": {"kind": "power", "zeta": 7e15, "alpha": 0.5},
+}
+
+
+@pytest.mark.parametrize(
+    "command", [["optimize"], ["analyze", "--candidate", "b"], ["carveout"]]
+)
+def test_a_zero_volume_step_ends_as_an_error_line(tmp_path, command):
+    inp = write(tmp_path, "absorbed.json", VOLUME_ABSORBED)
+    out = tmp_path / "absorbed.report.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "distopt.cli", *command, "--input", inp,
+         "--output", str(out)],
+        capture_output=True,
+        text=True,
+    )
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == (
+        f"error: {inp}: marginal participation is undefined for a zero volume change\n"
+    )
+    assert not out.exists()
+
+
+def test_batch_mode_carries_on_past_a_zero_volume_step(tmp_path):
+    write(tmp_path, "a.json", VOLUME_ABSORBED)
+    write(tmp_path, "b.json", FIVE_POINT)
+    proc = subprocess.run(
+        [sys.executable, "-m", "distopt.cli", "optimize", "--batch", str(tmp_path)],
+        capture_output=True,
+        text=True,
+    )
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith(f"error: {tmp_path / 'a.json'}: marginal participation")
+    assert not (tmp_path / "a.report.json").exists()
+    assert json.loads((tmp_path / "b.report.json").read_text())["n_star"] == 4.0

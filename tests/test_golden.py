@@ -4,8 +4,9 @@
 The corpus covers plain ``uniform`` and ``monotone`` pools, the
 table-transform, table-curve, saturating and ``unit_chunks`` variants (one
 with chunks small enough that the trace sweep's step limit binds), an
-explicit two-point seed, and searched ``scenario:`` instances with and
-without carveouts.  Every
+explicit two-point seed, a pool whose trace runs one step past D*, the
+lookahead-promoted ``LOOKAHEAD`` instance, and searched ``scenario:``
+instances with and without carveouts.  Every
 ``optimize`` output (the JSON report, and the report and both curve files
 of ``--format csv``) is hashed into the first file; the ``analyze``
 outputs (JSON, and the thresholds file of ``--format csv``) for the first
@@ -26,6 +27,8 @@ import pytest
 
 from distopt.cli import canonical_json, main
 from distopt.oracle import find_scenario_instance, generate_instance
+
+from conftest import LOOKAHEAD
 
 DIGESTS = Path(__file__).with_name("golden_digests.json")
 COMMAND_DIGESTS = Path(__file__).with_name("golden_command_digests.json")
@@ -86,6 +89,14 @@ POOLS = {
     "monotone-unit-chunks-35": ("monotone", 19, 35, _unit_chunks),
     "fine-chunks-12": ("uniform", 20, 12, _fine_chunks),
     "explicit-seed-30": ("uniform", 20, 30, _explicit_seed),
+    # the declining-tail walk records one step past D*: 5 of 6 steps build it
+    "monotone-past-d-star-7": ("monotone", 2, 7, None),
+}
+
+#: name -> a fixed instance
+FIXED = {
+    # a lookahead step promotes the probe block to a D²* climb
+    "lookahead": LOOKAHEAD,
 }
 
 #: name -> (verdict kind searched for, search seed, carveout required)
@@ -106,6 +117,8 @@ def corpus_instance(name: str) -> dict:
         if variant is not None:
             variant(inst)
         return inst
+    if name in FIXED:
+        return json.loads(json.dumps(FIXED[name]))
     kind, seed, carve = SCENARIOS[name]
     found = find_scenario_instance(kind, budget=300, rng_seed=seed, require_carveout=carve)
     assert found is not None, f"no {kind} instance found for {name}"
@@ -170,7 +183,7 @@ def command_digests(name: str, work: Path) -> dict:
     return got
 
 
-NAMES = list(POOLS) + list(SCENARIOS)
+NAMES = list(POOLS) + list(FIXED) + list(SCENARIOS)
 
 
 @pytest.mark.parametrize("name", NAMES)

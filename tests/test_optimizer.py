@@ -3,9 +3,15 @@ from __future__ import annotations
 import pytest
 
 from distopt import optimizer
-from distopt.core import Distribution, Point, PointIncrement, ProducerTransform
+from distopt.core import (
+    Distribution,
+    Point,
+    PointIncrement,
+    ProducerTransform,
+    apply_increment,
+)
 from distopt.instances import build_objects
-from distopt.oracle import brute_force_w_max, find_scenario_instance
+from distopt.oracle import brute_force_w_max, find_scenario_instance, generate_instance
 from distopt.optimizer import (
     CROSSING_REL_TOL,
     BuildOrderError,
@@ -15,19 +21,27 @@ from distopt.optimizer import (
     _carve_block,
     optimize,
 )
-from distopt.participation import ParticipationModel, potential
+from distopt.participation import ParticipationModel, actual, potential
 from distopt.sequence import SequenceConfig
 from distopt.thresholds import (
     CONTINUE_TO_D2_STAR_THM4,
     SATURATED_CONSUMER,
     SCENARIO_I_BOTH_PREFER,
     SCENARIO_II_CONSUMER_PREFERS,
+    SCENARIO_III_PRODUCER_PREFERS,
     STAY_AT_D_STAR_THM2,
     UNDER_SERVED,
     ExtensionContext,
 )
 
-from conftest import FIVE_POINT, LADDER, SECOND_CROSSING, make_dist, make_instance
+from conftest import (
+    FIVE_POINT,
+    LADDER,
+    LOOKAHEAD,
+    SECOND_CROSSING,
+    make_dist,
+    make_instance,
+)
 
 
 def run(instance):
@@ -129,21 +143,6 @@ def test_second_crossing_chain_preserves_both_values():
     assert chained.d2_crossing_gap <= CROSSING_REL_TOL
 
 
-#: the probe block's slope lies in (0, 1), and one lookahead step past it
-#: reaches slope >= 1 with a block worth continuing for
-LOOKAHEAD = {
-    "points": [
-        {"id": "D", "c": 0.894, "p": 4.138, "n": 1.667},
-        {"id": "q0", "c": 10.894, "p": -3.137, "n": 1.026},
-        {"id": "q1", "c": 0.694, "p": -0.69, "n": 0.75},
-        {"id": "q2", "c": 3.285, "p": 1.445, "n": 1.889},
-        {"id": "q3", "c": 8.322, "p": 0.675, "n": 0.052},
-        {"id": "q4", "c": 0.509, "p": 0.577, "n": 0.187},
-    ],
-    "participation": {"kind": "power", "zeta": 1.7893, "alpha": 0.769},
-}
-
-
 def test_a_lookahead_promotes_a_sub_unit_probe_block(monkeypatch):
     promoted = []
     real = optimizer._lookahead_block
@@ -163,6 +162,83 @@ def test_a_lookahead_promotes_a_sub_unit_probe_block(monkeypatch):
     res, *_ = run(dict(LOOKAHEAD, optimizer={"lookahead_steps": 0}))
     assert [e.kind for e in res.events] == [SCENARIO_I_BOTH_PREFER, STAY_AT_D_STAR_THM2]
     assert res.verdict.kind == STAY_AT_D_STAR_THM2
+
+
+def _searched(kind: str, seed: int, carve: bool = False) -> dict:
+    found = find_scenario_instance(kind, budget=300, rng_seed=seed, require_carveout=carve)
+    assert found is not None, f"no {kind} instance at seed {seed}"
+    return found.instance
+
+
+#: name -> builder of an instance whose D* the first-max test checks
+FIRST_MAX_CASES = {
+    # a carve replaces the state, and the landed state is a candidate too
+    "ii-carve": lambda: _searched(SCENARIO_II_CONSUMER_PREFERS, 4, carve=True),
+    "iii-carve": lambda: _searched(SCENARIO_III_PRODUCER_PREFERS, 5, carve=True),
+    # the declining-tail walk records one step past D*
+    "past-d-star": lambda: generate_instance("monotone", 2, 7),
+    # the walk adds b, which raises W by 1e-14, within the tie tolerance:
+    # D* stays at a
+    "near-tie": lambda: make_instance(
+        [("a", 2.0, 1.0, 1.0), ("b", 1.5, 1.0, 0.01)], zeta=0.501240694789087
+    ),
+    "second-crossing": lambda: SECOND_CROSSING,
+    "lookahead": lambda: LOOKAHEAD,
+    "d2-searched": lambda: _searched(CONTINUE_TO_D2_STAR_THM4, 0),
+    "d2-searched-3": lambda: _searched(CONTINUE_TO_D2_STAR_THM4, 3),
+}
+
+
+@pytest.mark.parametrize("name", list(FIRST_MAX_CASES))
+def test_d_star_is_the_first_max_over_every_state_reached(name, monkeypatch):
+    # D* and ``d_star_steps`` are the strict first-max of W over the states
+    # the first stage passed through: a later state must beat, not tie, the
+    # incumbent.  The reference rebuilds those states by replaying the
+    # trace, swapping in each carve's landed state where the carve was made
+    instance = FIRST_MAX_CASES[name]()  # the search runs optimize too
+    carved_at: list[int] = []
+    stage_end: list[int] = []
+    real_restart, real_stage = optimizer._Run.restart, optimizer.determine_d_star
+
+    def restart(self, d, retired=None):
+        if retired is not None:
+            carved_at.append(len(self.steps))
+        real_restart(self, d, retired)
+
+    def stage(run):
+        verdict = real_stage(run)
+        stage_end.append(len(run.steps))
+        return verdict
+
+    monkeypatch.setattr(optimizer._Run, "restart", restart)
+    monkeypatch.setattr(optimizer, "determine_d_star", stage)
+    res, _, model, _, _ = run(instance)
+    assert len(carved_at) == len(res.carveouts)
+    if name.endswith("-carve"):
+        assert res.carveouts
+    if name in ("past-d-star", "near-tie"):
+        assert res.d_star_steps < len(res.trace.steps)
+    if name.startswith(("d2-", "second", "lookahead")):
+        assert res.d2_star is not None
+
+    states = []
+    d = Distribution()
+    landed = list(zip(carved_at, (c.d_plus for c in res.carveouts)))
+    for length, step in enumerate(res.trace.steps[: stage_end[0]], start=1):
+        d = apply_increment(d, step.added)
+        states.append((d, length))
+        while landed and landed[0][0] == length:
+            d = landed.pop(0)[1]
+            states.append((d, length))
+    assert landed == []
+    best = None
+    for d, length in states:
+        w = actual(model, d)
+        if best is None or w > best[0] + 1e-12 * max(1.0, abs(best[0])):
+            best = (w, d, length)
+    _, best_d, best_length = best
+    assert list(res.d_star.items()) == list(best_d.items())
+    assert res.d_star_steps == best_length
 
 
 # -- carveouts ---------------------------------------------------------------

@@ -15,6 +15,7 @@ from distopt.core import (
     Point,
     PointIncrement,
     ProducerTransform,
+    apply_increment,
     expected_t,
     q_of,
     remove_subdistribution,
@@ -24,7 +25,7 @@ from distopt.participation import ParticipationModel, potential
 from distopt.optimizer import OptimizerConfig, _Run, optimize
 from distopt.oracle import generate_instance
 from distopt.sequence import (
-    RemainingPool,
+    GreedyBuild,
     SequenceConfig,
     best_increment,
     best_next_in_sequence,
@@ -43,17 +44,17 @@ IDENT = ProducerTransform.identity()
 def test_remaining_pool_subtracts_current_weights():
     pool = make_dist(("a", 2, 1, 2.0), ("b", 1, 1, 1.0))
     cur = make_dist(("a", 2, 1, 0.5))
-    left = dict((pt.id, w) for pt, w in RemainingPool(cur, pool, None))
+    left = dict((pt.id, w) for pt, w in GreedyBuild(cur, pool, None, M11, IDENT))
     assert left == {"a": 1.5, "b": 1.0}
     # a chunk caps each offer at the chunk
-    left = dict((pt.id, w) for pt, w in RemainingPool(cur, pool, 1.2))
+    left = dict((pt.id, w) for pt, w in GreedyBuild(cur, pool, 1.2, M11, IDENT))
     assert left == {"a": 1.2, "b": 1.0}
 
 
 def test_seed_picks_the_highest_first_content_value():
     pool = make_dist(("hi", 5.0, 1.0, 1.0), ("mix", 2.0, 3.0, 1.0))
-    empty = RemainingPool(Distribution(), pool, None)
-    seeds = seed_distribution(empty, SequenceConfig(), M11, IDENT)
+    empty = GreedyBuild(Distribution(), pool, None, M11, IDENT)
+    seeds = seed_distribution(empty, SequenceConfig())
     # T(p) * M(c): 3*2 beats 1*5
     assert [i.point.id for i in seeds] == ["mix"]
 
@@ -61,8 +62,8 @@ def test_seed_picks_the_highest_first_content_value():
 def test_explicit_seed_policy_uses_listed_ids():
     pool = make_dist(("hi", 5.0, 1.0, 1.0), ("mix", 2.0, 3.0, 1.0))
     cfg = SequenceConfig(seed_ids=("hi",))
-    empty = RemainingPool(Distribution(), pool, None)
-    assert [i.point.id for i in seed_distribution(empty, cfg, M11, IDENT)] == ["hi"]
+    empty = GreedyBuild(Distribution(), pool, None, M11, IDENT)
+    assert [i.point.id for i in seed_distribution(empty, cfg)] == ["hi"]
 
 
 def test_config_validation():
@@ -101,7 +102,7 @@ def test_build_objects_rejects_policies_without_the_schema(optimizer, case):
 def test_equal_candidates_break_ties_by_id():
     cur = make_dist(("z", 2.0, 1.0, 1.0))
     pool = make_dist(("z", 2.0, 1.0, 1.0), ("b", 2.0, 1.0, 1.0), ("a", 2.0, 1.0, 1.0))
-    inc = best_increment(cur, RemainingPool(cur, pool, None), M11, IDENT)
+    inc = best_increment(GreedyBuild(cur, pool, None, M11, IDENT))
     assert inc.point.id == "a"
 
 
@@ -255,7 +256,7 @@ def test_best_increment_matches_the_per_candidate_reference(
     base = Distribution([(pt, w * share) for pt, (_, _, w) in zip(points[:k], rows[:k])])
     t = _transform(kind, sorted({p for _, p, _ in rows}))
     want = _reference_best_increment(base, pool, cfg, model, t)
-    assert best_increment(base, RemainingPool(base, pool, cfg.chunk), model, t) == want
+    assert best_increment(GreedyBuild(base, pool, cfg.chunk, model, t)) == want
 
 
 @pytest.mark.parametrize("size", [8, 80, 320])
@@ -275,7 +276,7 @@ def test_best_increment_passes_over_the_base_a_fixed_number_of_times(size, monke
     base = make_dist(*rows[: size // 2])
     for cfg in (SequenceConfig(), SequenceConfig(chunk=0.5)):
         calls.clear()
-        best_increment(base, RemainingPool(base, pool, cfg.chunk), M11, IDENT)
+        best_increment(GreedyBuild(base, pool, cfg.chunk, M11, IDENT))
         assert len(calls) <= 2, f"{len(calls)} passes over the base at pool size {size}"
 
 
@@ -313,11 +314,11 @@ def test_a_greedy_step_takes_e_of_its_state_once(monkeypatch):
     assert max(passes.values()) == 1, "a state's E(T|D) was taken more than once"
 
 
-# -- the remaining pool a build keeps --------------------------------------
+# -- the offers a build keeps ----------------------------------------------
 
 
-def _offers(pool) -> list[tuple[Point, str]]:
-    return [(pt, w.hex()) for pt, w in pool]
+def _offers(build) -> list[tuple[Point, str]]:
+    return [(pt, w.hex()) for pt, w in build]
 
 
 @settings(max_examples=300, deadline=None)
@@ -330,13 +331,18 @@ def _offers(pool) -> list[tuple[Point, str]]:
     share=st.floats(0.05, 1.0),
 )
 def test_a_kept_pool_equals_a_fresh_one(rows, chunk, picks, restart_at, restart, share):
-    # a run takes best or arbitrary offers and keeps its pool with ``take``;
-    # after every step, and after a restart that retires a carve or rewinds
-    # to an earlier state, its offers equal a freshly built pool's, bit for bit
+    # a run takes best or arbitrary offers and keeps its build's offers
+    # current with ``add``; after every step, and after a restart that
+    # retires a carve or rewinds to an earlier state, they equal a freshly
+    # built build's, bit for bit
     points = [Point(f"p{i:02d}", c, p) for i, (c, p, _) in enumerate(rows)]
     d_all = Distribution([(pt, w) for pt, (_, _, w) in zip(points, rows)])
     run = _Run(d_all, OptimizerConfig(sequence=SequenceConfig(chunk=chunk)), M11, IDENT)
     available = d_all
+
+    def fresh():
+        return _offers(GreedyBuild(run.current, available, chunk, M11, IDENT))
+
     for step, pick in enumerate(picks):
         if step == restart_at and restart == "carve":
             y = Distribution([(pt, w * share) for pt, w in run.current.items()])
@@ -344,14 +350,18 @@ def test_a_kept_pool_equals_a_fresh_one(rows, chunk, picks, restart_at, restart,
             available = remove_subdistribution(available, y)
             run.restart(d_plus, y)
         elif step == restart_at:
-            run.restart(run.snapshots[int(share * (len(run.snapshots) - 1))][1])
-        assert _offers(run.pool) == _offers(RemainingPool(run.current, available, chunk))
-        if not run.pool:
+            # the state after an earlier step, rebuilt from the trace
+            earlier = Distribution()
+            for s in run.steps[: 1 + int(share * (len(run.steps) - 1))]:
+                earlier = apply_increment(earlier, s.added)
+            run.restart(earlier)
+        assert _offers(run.build) == fresh()
+        if not run.build:
             break
         if pick is None:
-            inc = best_increment(run.current, run.pool, M11, IDENT)
+            inc = run.build.best()
         else:
-            offers = list(run.pool)
+            offers = list(run.build)
             inc = PointIncrement(*offers[pick % len(offers)])
         run.record_step(inc)
-        assert _offers(run.pool) == _offers(RemainingPool(run.current, available, chunk))
+        assert _offers(run.build) == fresh()

@@ -158,9 +158,10 @@ def test_optimize_alone_builds_a_result():
 
 
 def test_no_greedy_loop_rebuilds_its_remaining_pool():
-    # a build constructs its pool once and keeps it current with ``take``;
-    # a pool built inside a loop body would walk it again every step
-    calls, in_loops = [], []
+    # a build constructs its ``GreedyBuild`` once and keeps its offers
+    # current with ``add``; one constructed inside a loop body would walk
+    # the pool again every step, and a lookahead goes on with its probe's
+    calls, in_loops, in_lookahead = [], [], []
     for path in SOURCES:
         if path.name not in ("sequence.py", "optimizer.py"):
             continue
@@ -172,10 +173,19 @@ def test_no_greedy_loop_rebuilds_its_remaining_pool():
             for stmt in loop.body + loop.orelse
             for node in ast.walk(stmt)
         }
+        lookahead = {
+            id(node)
+            for func in ast.walk(tree)
+            if isinstance(func, ast.FunctionDef) and func.name == "_lookahead_block"
+            for node in ast.walk(func)
+        }
         for node in ast.walk(tree):
-            if isinstance(node, ast.Call) and _names(node.func) == {"RemainingPool"}:
+            if isinstance(node, ast.Call) and _names(node.func) == {"GreedyBuild"}:
                 calls.append(f"{path.name}:{node.lineno}")
                 if id(node) in looped:
                     in_loops.append(calls[-1])
-    assert len(calls) >= 4, calls  # the run, its restart, a lookahead, a probe, a sweep
+                if id(node) in lookahead:
+                    in_lookahead.append(calls[-1])
+    assert len(calls) >= 4, calls  # the run, its restart, a probe, a sweep
     assert in_loops == []
+    assert in_lookahead == []

@@ -13,13 +13,13 @@ import json
 import pytest
 
 from distopt import cli, optimizer, sequence
-from distopt.core import Distribution
+from distopt.core import Distribution, apply_increment
 from distopt.instances import build_objects
 from distopt.oracle import find_scenario_instance, generate_instance
 from distopt.optimizer import optimize
 from distopt.sequence import (
     ExhaustedPoolError,
-    RemainingPool,
+    GreedyBuild,
     SequenceTrace,
     best_increment,
     seed_distribution,
@@ -37,26 +37,27 @@ from distopt.thresholds import (
 
 
 def _reference_sweep(d_all, cfg, model, t) -> SequenceTrace:
-    """The from-scratch sweep: every step scored from a freshly built pool,
+    """The from-scratch sweep: every step scored from a freshly built build,
     the seed block one step, at most ten steps per pool point."""
-    trace = SequenceTrace()
+    steps = []
     d = Distribution()
-    steps = 0
-    while steps < 10 * max(1, len(d_all)):
-        pool = RemainingPool(d, d_all, cfg.chunk)
+    taken = 0
+    while taken < 10 * max(1, len(d_all)):
+        build = GreedyBuild(d, d_all, cfg.chunk, model, t)
         try:
             if d.is_empty():
-                incs = seed_distribution(pool, cfg, model, t)
+                incs = seed_distribution(build, cfg)
             else:
-                incs = [best_increment(d, pool, model, t)]
+                incs = [best_increment(build)]
         except ExhaustedPoolError:
             break
         for inc in incs:
-            d, trace = trace.record(d, inc, model, t)
-        steps += 1
-        if not RemainingPool(d, d_all, cfg.chunk):
+            build.record(inc, steps)
+        d = build.d
+        taken += 1
+        if not GreedyBuild(d, d_all, cfg.chunk, model, t):
             break
-    return trace
+    return SequenceTrace(tuple(steps))
 
 
 def _searched(kind: str, seed: int, carve: bool = False) -> dict:
@@ -167,21 +168,27 @@ def test_cases_cover_every_verdict_kind():
 
 
 @pytest.mark.parametrize(
-    "name, snapshot",
+    "name, length",
     [
         # the corpus reaches D²* only from the last state built: with D* one
         # state earlier, the continuation's steps are not on the greedy chain
-        ("d2-after-chunks", -2),
+        ("d2-after-chunks", -1),
         # D* inside the two-point seed block: no whole step of the sweep
-        ("explicit-seed-30", 0),
+        ("explicit-seed-30", 1),
     ],
 )
 def test_a_crossing_before_the_last_state_counts_the_chain_only_to_it(
-    name, snapshot, monkeypatch
+    name, length, monkeypatch
 ):
     def forced(run):
-        _, d, length = run.snapshots[snapshot]
-        return d, length
+        # D* is the state after the first ``length`` trace steps (all but
+        # the last ``-length`` of them), rebuilt by replaying those steps
+        assert not run.carveouts
+        steps = run.steps[:length]
+        d = Distribution()
+        for s in steps:
+            d = apply_increment(d, s.added)
+        return d, len(steps)
 
     inst = CASES[name]()
     monkeypatch.setattr(optimizer._Run, "best_snapshot", forced)
@@ -195,21 +202,22 @@ def test_a_crossing_before_the_last_state_counts_the_chain_only_to_it(
 
 
 def test_each_greedy_build_walks_the_pool_once(monkeypatch, tmp_path):
-    # the run, each probe, each lookahead and the sweep build one pool each
-    # and keep it current step by step: the builds are bounded by a
-    # constant, not by the step count
+    # the run, each probe (whose build a lookahead goes on with) and the
+    # sweep construct one ``GreedyBuild`` each and keep its offers current
+    # step by step: the constructions are bounded by a constant, not by the
+    # step count
     builds: list[int] = []
     scored: list[int] = []
     sweeps: list[tuple[int, int]] = []
     real_init, real_score, real_sweep = (
-        sequence.RemainingPool.__init__,
+        sequence.GreedyBuild.__init__,
         sequence.best_increment,
         sequence.greedy_sweep,
     )
 
-    def counted_init(self, d, available, chunk):
+    def counted_init(self, *args):
         builds.append(1)
-        real_init(self, d, available, chunk)
+        real_init(self, *args)
 
     def counted_score(*args):
         scored.append(1)
@@ -221,7 +229,7 @@ def test_each_greedy_build_walks_the_pool_once(monkeypatch, tmp_path):
         sweeps.append((len(prefix), len(scored) - before))
         return trace
 
-    monkeypatch.setattr(sequence.RemainingPool, "__init__", counted_init)
+    monkeypatch.setattr(sequence.GreedyBuild, "__init__", counted_init)
     for module in (sequence, optimizer, cli):
         if hasattr(module, "best_increment"):
             monkeypatch.setattr(module, "best_increment", counted_score)
@@ -234,7 +242,7 @@ def test_each_greedy_build_walks_the_pool_once(monkeypatch, tmp_path):
     cli.main(["optimize", "--input", str(src), "--output", str(out), "--format", "csv"])
 
     assert len(scored) >= 40
-    assert len(builds) <= 6, f"{len(builds)} pool builds for {len(scored)} scorings"
+    assert len(builds) <= 6, f"{len(builds)} builds for {len(scored)} scorings"
     [(prefix, sweep_scored)] = sweeps
     assert prefix > 1
     assert sweep_scored <= len(inst["points"]) - prefix + 1
