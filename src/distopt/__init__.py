@@ -16,7 +16,6 @@ from .core import (
     apply_increment,
     combine,
     expected_t,
-    q_of,
     remove_subdistribution,
 )
 from .participation import (
@@ -33,7 +32,6 @@ from .valuation import (
 from .sequence import (
     SequenceConfig,
     SequenceStep,
-    SequenceTrace,
     greedy_sweep,
 )
 from .thresholds import (
@@ -76,7 +74,6 @@ __all__ = [
     "apply_increment",
     "combine",
     "expected_t",
-    "q_of",
     "remove_subdistribution",
     "ParticipationModel",
     "actual",
@@ -87,7 +84,6 @@ __all__ = [
     "v_value",
     "SequenceConfig",
     "SequenceStep",
-    "SequenceTrace",
     "greedy_sweep",
     "EquilibriumVerdict",
     "ExtensionContext",

@@ -38,7 +38,7 @@ from pathlib import Path
 from typing import Any
 
 from . import oracle
-from .core import Distribution, PointIncrement, ProducerTransform, q_of, expected_t
+from .core import Distribution, PointIncrement, ProducerTransform, expected_t
 from .instances import SCHEMA_VERSION, InstanceError, build_objects, load_instance
 from .optimizer import (
     BuildOrderError,
@@ -91,7 +91,7 @@ def _dist_summary(
             for pt, w in sorted(d.items(), key=lambda e: e[0].id)
         ],
         "n": d.n,
-        "q": q_of(d) if not d.is_empty() else None,
+        "q": d.q if not d.is_empty() else None,
         "e_t": expected_t(d, t) if not d.is_empty() else None,
         "m": m,
         "w": min(m, d.n),
@@ -146,7 +146,7 @@ def run_report(
         "crossing_gap": result.crossing_gap,
         "trace": [
             {
-                "j": s.index,
+                "j": j,
                 "id": s.added.point.id,
                 "weight": s.added.weight,
                 "n": s.n_after,
@@ -155,7 +155,7 @@ def run_report(
                 "w": s.w_after,
                 "step_delta_v": s.step_delta_v,
             }
-            for s in result.trace.steps
+            for j, s in enumerate(result.trace)
         ],
         "verdict": _verdict_dict(result.verdict),
         "thresholds": _threshold_dict(result.verdict.witness),
@@ -204,15 +204,15 @@ def sweep_csv(
     equals the crossing distribution is marked.  The sweep resumes from the
     leading steps of ``result``'s trace that lie on it.
     """
-    trace = greedy_sweep(
-        pool, cfg.sequence, model, t, result.trace.steps[: result.greedy_steps]
+    steps = greedy_sweep(
+        pool, cfg.sequence, model, t, result.trace[: result.greedy_steps]
     )
     target = {pid: result.d_star.weight_of(pid) for pid in result.d_star.ids()}
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["j", "id", "weight", "n", "q", "m", "w", "is_d_star"])
     running: dict[str, float] = {}
-    for s in trace.steps:
+    for j, s in enumerate(steps):
         running[s.added.point.id] = (
             running.get(s.added.point.id, 0.0) + s.added.weight
         )
@@ -222,7 +222,7 @@ def sweep_csv(
         )
         writer.writerow(
             [
-                s.index,
+                j,
                 s.added.point.id,
                 repr(s.added.weight),
                 repr(s.n_after),
@@ -352,7 +352,7 @@ def _optimize_one(
                 threshold_csv(
                     result.verdict.witness,
                     result.n_star,
-                    q_of(result.d_star),
+                    result.d_star.q,
                     model,
                 )
             )
@@ -401,11 +401,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             f"candidate {cand_id!r} is already inside the crossing distribution"
         )
     # the step that reached D*: the declining-tail walk may record more
-    steps = result.trace.steps[: result.d_star_steps]
+    steps = result.trace[: result.d_star_steps]
     r1 = steps[-1].added if steps else None
     candidate = PointIncrement(pool.point_of(cand_id), pool.weight_of(cand_id))
     verdict, _ = extension_verdict(
-        result.d_star, r1, candidate, model, transform, cfg
+        result.d_star, r1, candidate.as_distribution(), model, transform, cfg
     )
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -419,7 +419,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if csv_paths is not None and verdict.witness is not None:
         Path(csv_paths[1]).write_text(
             threshold_csv(
-                verdict.witness, result.n_star, q_of(result.d_star), model
+                verdict.witness, result.n_star, result.d_star.q, model
             )
         )
     return 0

@@ -273,11 +273,6 @@ def combine(d1: Distribution, d2: Distribution) -> Distribution:
     return Distribution._from_checked(merged)
 
 
-def q_of(d: Distribution) -> float:
-    """Expected consumer value Q(D) = Σ φ_r c_r."""
-    return d.q
-
-
 def expected_t(d: Distribution, t: ProducerTransform) -> float:
     """Expected transformed producer value E(T|D) = Σ φ_r T(p_r).
 

@@ -27,16 +27,13 @@ from .core import (
     apply_increment,
     combine,
     expected_t,
-    q_of,
     remove_subdistribution,
 )
 from .participation import ParticipationModel, actual, kappa, potential
 from .sequence import (
     GreedyBuild,
-    ProbeResult,
     SequenceConfig,
     SequenceStep,
-    SequenceTrace,
     best_next_in_sequence,
     seed_distribution,
     step_limit,
@@ -124,7 +121,8 @@ class CarveoutResult:
 @dataclass(frozen=True)
 class OptimizationResult:
     d_star: Distribution
-    trace: SequenceTrace
+    #: the run's steps; a step's position in it is its report ``j``
+    trace: tuple[SequenceStep, ...]
     verdict: EquilibriumVerdict
     crossing_gap: float
     #: leading ``trace`` steps that built D*; the trace may run past it
@@ -150,7 +148,7 @@ class OptimizationResult:
 
     @property
     def steps(self) -> int:
-        return len(self.trace.steps)
+        return len(self.trace)
 
     @property
     def carveout(self) -> CarveoutResult | None:
@@ -201,7 +199,7 @@ def _assert_no_dominating_extension(
 def extension_verdict(
     d_star: Distribution,
     r1: PointIncrement | None,
-    block: Distribution | PointIncrement,
+    block: Distribution,
     model: ParticipationModel,
     t: ProducerTransform,
     cfg: OptimizerConfig,
@@ -393,12 +391,11 @@ def _exhaustion_verdict(run: _Run) -> EquilibriumVerdict:
 
 
 def _lookahead_block(
-    run: _Run, probe: ProbeResult
+    run: _Run, build: GreedyBuild, increments: tuple[PointIncrement, ...]
 ) -> tuple[Distribution, tuple[PointIncrement, ...]] | None:
-    """Extend a sub-unit probe block looking for slope >= 1, going on with
-    the probe's own build."""
-    build = probe.build
-    incs = list(probe.increments)
+    """Extend a sub-unit probe block of ``increments`` looking for slope
+    >= 1, going on with the probe's ``build``."""
+    incs = list(increments)
     for _ in range(run.cfg.lookahead_steps):
         if not build:
             return None
@@ -458,16 +455,15 @@ def determine_d_star(run: _Run) -> EquilibriumVerdict:
             return _exhaustion_verdict(run)
 
         # at the crossing: probe the best extension
-        probe = best_next_in_sequence(
-            run.current, run.build.available, cfg.sequence, model, t
-        )
+        build = run.build.copy()
+        probe = best_next_in_sequence(build)
         run.evaluations += len(run.build) + len(probe.increments) - 1
         block, k, increments = probe.block, probe.kappa, probe.increments
         r1 = run.last_accepted()
         verdict, ctx = extension_verdict(run.current, r1, block, model, t, cfg)
 
         if ctx is not None and 0 < k < 1:
-            promoted = _lookahead_block(run, probe)
+            promoted = _lookahead_block(run, build, increments)
             if promoted is not None:
                 big_block, big_incs = promoted
                 big_verdict, _ = extension_verdict(
@@ -542,7 +538,7 @@ def optimize(
         verdict = continue_to_d2_star(run, verdict, d_star, crossing_gap)
     return OptimizationResult(
         d_star=d_star,
-        trace=SequenceTrace(tuple(run.steps)),
+        trace=tuple(run.steps),
         verdict=verdict,
         crossing_gap=crossing_gap,
         d_star_steps=d_star_steps,
@@ -581,7 +577,7 @@ def _carve_block(
             f"carveouts apply only to extensions with slope in (0, 1), got {k!r}"
         )
     w_r2 = block.n
-    c_r2 = q_of(block)
+    c_r2 = block.q
     t_r2 = expected_t(block, t)
     consumer_budget = c_r2 * w_r2
     producer_budget = t_r2 * w_r2

@@ -30,9 +30,9 @@ from .core import (
     ProducerTransform,
     apply_increment,
 )
-from .instances import SCHEMA_VERSION, build_objects, check_instance
-from .optimizer import OptimizationResult, optimize
-from .participation import ParticipationModel, actual, potential
+from .instances import SCHEMA_VERSION, InstanceError, build_objects, check_instance
+from .optimizer import BuildOrderError, OptimizationResult, optimize
+from .participation import ParticipationModel, ZeroVolumeDeltaError, actual, potential
 from .thresholds import (
     CONTINUE_TO_D2_STAR_THM4,
     SATURATED_CONSUMER,
@@ -735,6 +735,8 @@ def find_scenario_instance(
     ``require_carveout`` the run must also have performed a carve
     triggered by it.  Returns None when the budget runs out — some
     targets are structurally rare and a miss is a finding, not an error.
+    An attempt the CLI would end with an ``error:`` line is skipped; any
+    other exception, such as a broken optimizer invariant, propagates.
     """
     rng = random.Random(rng_seed)
     degenerate = {
@@ -751,7 +753,7 @@ def find_scenario_instance(
         try:
             pool, model, transform, cfg = build_objects(instance)
             result = optimize(pool, cfg, model, transform)
-        except (ValueError, RuntimeError):
+        except (InstanceError, BuildOrderError, ZeroVolumeDeltaError):
             continue
         kinds = {result.verdict.kind} | {e.kind for e in result.events}
         if target not in kinds:

@@ -12,7 +12,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
-from .core import Distribution, q_of
+from .core import Distribution
 
 
 class ZeroVolumeDeltaError(ValueError):
@@ -106,7 +106,7 @@ def potential(model: ParticipationModel, d: Distribution) -> float:
     """M(Q(D)): the volume the consumer would absorb at D's mean value."""
     if d.is_empty():
         return 0.0
-    return model.m(q_of(d))
+    return model.m(d.q)
 
 
 def actual(model: ParticipationModel, d: Distribution) -> float:

@@ -9,6 +9,7 @@ improving; the caller classifies what the resulting block means.
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -18,7 +19,6 @@ from .core import (
     PointIncrement,
     ProducerTransform,
     apply_increment,
-    q_of,
     DROP_TOLERANCE,
 )
 from .participation import ParticipationModel, kappa, potential
@@ -60,7 +60,6 @@ class SequenceConfig:
 class SequenceStep:
     """One accepted increment and the state just after it."""
 
-    index: int
     added: PointIncrement
     n_after: float
     q_after: float
@@ -70,11 +69,6 @@ class SequenceStep:
     @property
     def w_after(self) -> float:
         return min(self.n_after, self.m_after)
-
-
-@dataclass(frozen=True)
-class SequenceTrace:
-    steps: tuple[SequenceStep, ...] = ()
 
 
 class GreedyBuild:
@@ -111,6 +105,14 @@ class GreedyBuild:
         else:
             self._offers.pop(point.id, None)
 
+    def copy(self) -> GreedyBuild:
+        """A build that goes on from this one's state independently of it:
+        the immutable state and pool are shared, the offers copied rather
+        than walked again."""
+        twin = copy.copy(self)
+        twin._offers = dict(self._offers)
+        return twin
+
     def __len__(self) -> int:
         return len(self._offers)
 
@@ -133,7 +135,7 @@ class GreedyBuild:
         self.add(inc)
         d = self.d
         steps.append(
-            SequenceStep(len(steps), inc, d.n, q_of(d), potential(self.model, d), dv)
+            SequenceStep(inc, d.n, d.q, potential(self.model, d), dv)
         )
 
 
@@ -141,13 +143,10 @@ class GreedyBuild:
 class ProbeResult:
     """What accumulating past an entry distribution produced.
 
-    ``build`` went on from the entry distribution through ``increments``;
-    a lookahead goes on with it.  ``kappa`` is the marginal-participation
-    slope of the whole accumulated block measured against the entry
-    distribution.
+    ``kappa`` is the marginal-participation slope of the whole block of
+    ``increments`` measured against the entry distribution.
     """
 
-    build: GreedyBuild
     kappa: float
     increments: tuple[PointIncrement, ...] = ()
 
@@ -202,33 +201,27 @@ def seed_distribution(build: GreedyBuild, cfg: SequenceConfig) -> list[PointIncr
     return [build.best()]
 
 
-def best_next_in_sequence(
-    d: Distribution,
-    available: Distribution,
-    cfg: SequenceConfig,
-    model: ParticipationModel,
-    t: ProducerTransform,
-) -> ProbeResult:
-    """Accumulate best increments past ``d`` until the block slope settles.
+def best_next_in_sequence(build: GreedyBuild) -> ProbeResult:
+    """Advance ``build`` by best increments until the block slope settles.
 
-    Candidates come from the weight in ``available`` not yet in ``d``,
-    which must not be empty.  Stops at the first accumulated block whose
+    The slope is measured against the state ``build`` entered with, whose
+    offers must not be empty.  Stops at the first accumulated block whose
     slope versus the entry distribution leaves the open interval (0, 1) —
     such a block is a complete candidate for the caller to classify — or
     at the first block whose slope fails to improve on the previous one
     while still inside (0, 1).  Runs the pool dry otherwise.
     """
-    build = GreedyBuild(d, available, cfg.chunk, model, t)
+    d = build.d
     increments: list[PointIncrement] = []
     prev_kappa: float | None = None
     while True:
         inc = build.best()
         build.add(inc)
-        k = kappa(model, d, build.d)
+        k = kappa(build.model, d, build.d)
         increments.append(inc)
         settled = prev_kappa is not None and k <= prev_kappa + KAPPA_IMPROVEMENT_TOL
         if k >= 1 or k <= 0 or settled or not build:
-            return ProbeResult(build, k, tuple(increments))
+            return ProbeResult(k, tuple(increments))
         prev_kappa = k
 
 
@@ -238,7 +231,7 @@ def greedy_sweep(
     model: ParticipationModel,
     t: ProducerTransform,
     prefix: tuple[SequenceStep, ...] = (),
-) -> SequenceTrace:
+) -> tuple[SequenceStep, ...]:
     """Run the plain greedy build to pool exhaustion and record each step.
 
     No stopping rule, no probes: this is the raw supply/participation
@@ -266,4 +259,4 @@ def greedy_sweep(
         for inc in incs:
             build.record(inc, steps)
         taken += 1
-    return SequenceTrace(tuple(steps))
+    return tuple(steps)

@@ -35,7 +35,6 @@ from .core import (
     SubdistributionError,
     combine,
     expected_t,
-    q_of,
     remove_subdistribution,
 )
 from .participation import ParticipationModel, potential
@@ -113,7 +112,7 @@ class ExtensionContext:
     def from_run(
         d_star: Distribution,
         r1: PointIncrement | None,
-        block: Distribution | PointIncrement,
+        block: Distribution,
         model: ParticipationModel,
         transform: ProducerTransform,
         iota: float = 0.1,
@@ -121,20 +120,15 @@ class ExtensionContext:
     ) -> "ExtensionContext":
         """Measure a realized crossing state.
 
-        ``block`` may be a single increment or a multi-point block; a
-        block enters the algebra through its total weight and its mean
-        consumer and transformed producer values.
+        The extension ``block`` enters the algebra through its total
+        weight and its mean consumer and transformed producer values.
         """
-        if isinstance(block, PointIncrement):
-            block_dist = block.as_distribution()
-        else:
-            block_dist = block
-        if block_dist.is_empty():
+        if block.is_empty():
             raise ValueError("candidate block must carry positive weight")
         if d_star.is_empty():
             raise DegenerateContextError("crossing distribution is empty")
         n_star = d_star.n
-        q_star = q_of(d_star)
+        q_star = d_star.q
         e_star = expected_t(d_star, transform)
         if e_star <= 0:
             raise DegenerateContextError(
@@ -144,11 +138,11 @@ class ExtensionContext:
             raise DegenerateContextError(
                 "mean consumer value at the crossing must be positive"
             )
-        w2 = block_dist.n
-        c2_raw = q_of(block_dist)
-        t2_raw = expected_t(block_dist, transform)
+        w2 = block.n
+        c2_raw = block.q
+        t2_raw = expected_t(block, transform)
 
-        d_prime = combine(d_star, block_dist)
+        d_prime = combine(d_star, block)
         m_star = potential(model, d_star)
         m_prime = potential(model, d_prime)
         kappa_r2 = (m_prime - m_star) / w2
@@ -162,7 +156,7 @@ class ExtensionContext:
             except SubdistributionError:  # r1 is not inside the crossing
                 d_a = Distribution()
             if not d_a.is_empty():
-                q_a = q_of(d_a)
+                q_a = d_a.q
                 e_a = expected_t(d_a, transform)
                 if e_a > 0 and q_a > 0:
                     last = r1
@@ -171,7 +165,7 @@ class ExtensionContext:
             c1a = last.point.c / q_a
             c2a = c2_raw / q_a
             m_a = potential(model, d_a)
-            m_ar2 = potential(model, combine(d_a, block_dist))
+            m_ar2 = potential(model, combine(d_a, block))
             kappa_ar2 = (m_ar2 - m_a) / w2
             n_r1 = last.weight / n_star
         else:
@@ -199,7 +193,7 @@ class ExtensionContext:
             m_a_ratio=m_a / n_star,
             m_r2_ratio=m_prime / n_star,
             m_ar2_ratio=m_ar2 / n_star,
-            q_prime_ratio=q_of(d_prime) / q_star,
+            q_prime_ratio=d_prime.q / q_star,
             n_star=n_star,
             r1_degenerate=r1 is not None and last is None,
             iota=iota,
@@ -246,7 +240,7 @@ class ExtensionContext:
         return ExtensionContext.from_run(
             d_star,
             r1,
-            r2,
+            r2.as_distribution(),
             ParticipationModel.power(1.0, alpha),
             ProducerTransform.identity(),
             iota=iota,

@@ -22,7 +22,6 @@ from .core import (
     Distribution,
     ProducerTransform,
     expected_t,
-    q_of,
     remove_subdistribution,
 )
 from .participation import ParticipationModel, potential
@@ -145,7 +144,7 @@ class IncrementScorer:
         self.v = 0.0
         if not d.is_empty():
             self.e = expected_t(d, t)
-            self.q = q_of(d)
+            self.q = d.q
             self.v = self.e * model.m(self.q)
 
     def delta_v(self, c: float, tp: float, weight: float) -> float:

@@ -19,7 +19,6 @@ from distopt.core import (
     apply_increment,
     combine,
     expected_t,
-    q_of,
     remove_subdistribution,
 )
 from distopt.instances import SCHEMA_VERSION, build_objects
@@ -75,17 +74,17 @@ def test_distribution_algebra_is_additive_and_order_invariant():
         ab, ba = combine(a, b), combine(b, a)
         ops += 2
         assert ab.n == pytest.approx(ba.n, rel=1e-12)
-        assert q_of(ab) == pytest.approx(q_of(ba), rel=1e-12)
-        total = q_of(a) * a.n + q_of(b) * b.n
-        assert q_of(ab) * ab.n == pytest.approx(total, rel=1e-12)
+        assert ab.q == pytest.approx(ba.q, rel=1e-12)
+        total = a.q * a.n + b.q * b.n
+        assert ab.q * ab.n == pytest.approx(total, rel=1e-12)
 
-        grown, grown_total = a, q_of(a) * a.n
+        grown, grown_total = a, a.q * a.n
         for i in range(3):
             pt, w = _rand_point(rng, "x", i)
             grown = apply_increment(grown, PointIncrement(pt, w))
             ops += 1
             grown_total += pt.c * w
-        assert q_of(grown) * grown.n == pytest.approx(grown_total, rel=1e-12)
+        assert grown.q * grown.n == pytest.approx(grown_total, rel=1e-12)
     assert time.monotonic() - start < 5.0
 
 
@@ -112,7 +111,7 @@ def test_value_delta_closed_form_and_rankings_agree():
     for trial in range(200):
         base = _rand_dist(rng, "b", rng.randint(1, 5))
         cands = [(rng.uniform(0.1, 9.0), rng.uniform(0.0, 2.0)) for _ in range(7)]
-        e, q = expected_t(base, t), q_of(base)
+        e, q = expected_t(base, t), base.q
 
         def xi(c: float, p: float, share: float) -> float:
             """Potential value of the base extended by a share of (c, p)."""
@@ -146,7 +145,7 @@ def test_crossing_build_matches_brute_force_and_rejects_deviations():
         # per step, so its final step is the k-th one
         bound = w_star + 1e-12 * max(1.0, abs(w_star))
         k = len(res.d_star.ids())
-        last = res.trace.steps[k - 1].added
+        last = res.trace[k - 1].added
         assert res.d_star.weight_of(last.point.id) == last.weight, f"seed {seed}"
         if k >= 2:
             d_minus = remove_subdistribution(res.d_star, last.as_distribution())
@@ -253,7 +252,7 @@ def test_carveouts_are_certified_and_survive_exhaustive_recheck():
         d_prime = combine(carve.d_plus, carve.y)
         pre = remove_subdistribution(d_prime, carve.r2)
         w_r2 = carve.r2.n
-        budget_c = q_of(carve.r2) * w_r2
+        budget_c = carve.r2.q * w_r2
         budget_t = expected_t(carve.r2, t) * w_r2
 
         y_c = math.fsum(w * pt.c for pt, w in carve.y.items())
@@ -267,7 +266,7 @@ def test_carveouts_are_certified_and_survive_exhaustive_recheck():
         m_plus, n_plus = potential(model, carve.d_plus), carve.d_plus.n
         assert abs(m_plus - n_plus) / n_plus <= tol + 1e-12
 
-        cands = [(pt, w) for pt, w in pre.items() if pt.c < q_of(carve.r2)]
+        cands = [(pt, w) for pt, w in pre.items() if pt.c < carve.r2.q]
         if len(cands) > 10:
             continue
         feasible = set()
@@ -354,7 +353,7 @@ def test_csv_curves_reproduce_the_crossing_and_threshold_bands(tmp_path):
     res = optimize(pool, cfg, model, t)
     witness = res.verdict.witness
     assert witness is not None
-    text = cli.threshold_csv(witness, res.n_star, q_of(res.d_star), model)
+    text = cli.threshold_csv(witness, res.n_star, res.d_star.q, model)
     ctx = witness.context
     tp1, tp2, n1 = ctx.tp1_ratio, ctx.tp2_ratio, ctx.n_r1
     held = 0

@@ -19,7 +19,6 @@ from distopt.core import (
     apply_increment,
     combine,
     expected_t,
-    q_of,
     remove_subdistribution,
 )
 
@@ -29,7 +28,7 @@ from conftest import make_dist
 def test_mean_value_of_unit_mix():
     d = make_dist(("a", 5, 1, 1), ("b", 4, 1, 1), ("c", 3, 1, 1), ("d", 2, 1, 1))
     assert d.n == 4.0
-    assert q_of(d) == 3.5
+    assert d.q == 3.5
 
 
 def test_insertion_order_is_kept():
@@ -61,7 +60,7 @@ def test_empty_distribution_has_no_mean():
     assert empty.is_empty()
     assert empty.n == 0.0
     with pytest.raises(EmptyDistributionError):
-        q_of(empty)
+        empty.q
 
 
 def test_increment_weight_must_be_positive():
@@ -76,7 +75,7 @@ def test_increment_expands_to_distribution():
     inc = PointIncrement(Point("a", 2.0, 3.0), 0.7)
     d = inc.as_distribution()
     assert d.weight_of("a") == 0.7
-    assert q_of(d) == 2.0
+    assert d.q == 2.0
 
 
 def test_combine_matches_apply_increment(linear_model, identity_t):
@@ -85,7 +84,7 @@ def test_combine_matches_apply_increment(linear_model, identity_t):
     via_combine = combine(base, inc.as_distribution())
     via_apply = apply_increment(base, inc)
     assert via_combine.n == via_apply.n
-    assert q_of(via_combine) == q_of(via_apply)
+    assert via_combine.q == via_apply.q
     assert sorted(via_combine.ids()) == sorted(via_apply.ids())
 
 
@@ -96,7 +95,7 @@ def test_remove_subdistribution_roundtrip():
     assert shrunk.weight_of("b") == pytest.approx(1.5, rel=1e-15)
     back = combine(shrunk, extra)
     assert back.n == pytest.approx(base.n, rel=1e-15)
-    assert q_of(back) == pytest.approx(q_of(base), rel=1e-15)
+    assert back.q == pytest.approx(base.q, rel=1e-15)
 
 
 def test_remove_subdistribution_rejects_non_subsets():
@@ -163,7 +162,7 @@ def test_combine_is_order_invariant(rows_a, rows_b):
     ab = combine(a, b)
     ba = combine(b, a)
     assert ab.n == pytest.approx(ba.n, rel=1e-12)
-    assert q_of(ab) == pytest.approx(q_of(ba), rel=1e-12)
+    assert ab.q == pytest.approx(ba.q, rel=1e-12)
 
 
 @given(st.lists(_entry, min_size=1, max_size=8), st.lists(_entry, min_size=1, max_size=8))
@@ -172,8 +171,8 @@ def test_total_value_is_additive_under_combine(rows_a, rows_b):
     a = _build("a", rows_a)
     b = _build("b", rows_b)
     ab = combine(a, b)
-    lhs = q_of(ab) * ab.n
-    rhs = q_of(a) * a.n + q_of(b) * b.n
+    lhs = ab.q * ab.n
+    rhs = a.q * a.n + b.q * b.n
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -189,7 +188,7 @@ def test_incremental_build_matches_bulk_build():
     for pt, w in zip(pts, weights):
         grown = apply_increment(grown, PointIncrement(pt, w))
     assert grown.n == pytest.approx(bulk.n, rel=1e-12)
-    assert q_of(grown) == pytest.approx(q_of(bulk), rel=1e-12)
+    assert grown.q == pytest.approx(bulk.q, rel=1e-12)
 
 
 # -- derived distributions against the validating constructor ---------------

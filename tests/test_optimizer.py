@@ -69,7 +69,7 @@ def test_declining_tail_is_walked_past_a_negative_probe():
     assert w_star == pytest.approx(1.86, rel=1e-12)
     # the probe turned negative at seven points, but the walk went one
     # further and kept the higher-volume snapshot
-    assert len(res.trace.steps) == 8
+    assert len(res.trace) == 8
     assert res.verdict.witness is not None
     assert res.verdict.witness.context.kappa_r2 == pytest.approx(-1 / 13, rel=1e-9)
     bf = brute_force_w_max(pool, model, t, subset_cap=12)
@@ -92,7 +92,7 @@ def test_pool_with_no_drawing_power_is_degenerate():
     seeded, *_ = run(make_instance(points, optimizer={"seed_policy": {"ids": ["y"]}}))
     assert seeded.verdict.kind == SATURATED_CONSUMER
     assert [(pt.id, w) for pt, w in seeded.d_star.items()] == [("y", 0.5)]
-    assert seeded.steps == len(seeded.trace.steps) == 1
+    assert seeded.steps == len(seeded.trace) == 1
     chunk = {"increment_policy": {"kind": "unit_chunks", "chunk": 0.25}}
     chunked, *_ = run(make_instance(points, optimizer=chunk))
     assert [(pt.id, w) for pt, w in chunked.d_star.items()] == [("z", 0.25)]
@@ -128,8 +128,8 @@ def test_runs_are_deterministic():
     second, *_ = run(LADDER)
     assert sorted(first.d_star.ids()) == sorted(second.d_star.ids())
     assert first.n_star == second.n_star
-    assert [s.added.point.id for s in first.trace.steps] == [
-        s.added.point.id for s in second.trace.steps
+    assert [s.added.point.id for s in first.trace] == [
+        s.added.point.id for s in second.trace
     ]
 
 
@@ -147,8 +147,8 @@ def test_a_lookahead_promotes_a_sub_unit_probe_block(monkeypatch):
     promoted = []
     real = optimizer._lookahead_block
 
-    def spy(run, probe):
-        found = real(run, probe)
+    def spy(*args):
+        found = real(*args)
         promoted.append(found is not None)
         return found
 
@@ -217,14 +217,14 @@ def test_d_star_is_the_first_max_over_every_state_reached(name, monkeypatch):
     if name.endswith("-carve"):
         assert res.carveouts
     if name in ("past-d-star", "near-tie"):
-        assert res.d_star_steps < len(res.trace.steps)
+        assert res.d_star_steps < len(res.trace)
     if name.startswith(("d2-", "second", "lookahead")):
         assert res.d2_star is not None
 
     states = []
     d = Distribution()
     landed = list(zip(carved_at, (c.d_plus for c in res.carveouts)))
-    for length, step in enumerate(res.trace.steps[: stage_end[0]], start=1):
+    for length, step in enumerate(res.trace[: stage_end[0]], start=1):
         d = apply_increment(d, step.added)
         states.append((d, length))
         while landed and landed[0][0] == length:
@@ -316,7 +316,7 @@ def test_chunked_build_lands_at_least_as_high_as_full_points():
     plain = make_instance(points)
     r_chunk, _, model, _, _ = run(chunked)
     r_plain, *_ = run(plain)
-    assert all(s.added.weight <= 0.25 + 1e-12 for s in r_chunk.trace.steps)
+    assert all(s.added.weight <= 0.25 + 1e-12 for s in r_chunk.trace)
     w_chunk = min(potential(model, r_chunk.d_star), r_chunk.d_star.n)
     w_plain = min(potential(model, r_plain.d_star), r_plain.d_star.n)
     # finer increments can only get closer to the crossing, never worse

@@ -4,8 +4,8 @@ import math
 
 import pytest
 
-from distopt import core
-from distopt.instances import build_objects
+from distopt import core, oracle
+from distopt.instances import InstanceError, build_objects
 from distopt.oracle import (
     brute_force_w_max,
     crosscheck_thresholds,
@@ -13,8 +13,8 @@ from distopt.oracle import (
     finite_difference_facts,
     generate_instance,
 )
-from distopt.optimizer import optimize
-from distopt.participation import potential
+from distopt.optimizer import BuildOrderError, optimize
+from distopt.participation import ZeroVolumeDeltaError, potential
 from distopt.thresholds import (
     CONTINUE_TO_D2_STAR_THM4,
     SATURATED_CONSUMER,
@@ -125,6 +125,45 @@ def test_every_outcome_kind_is_reachable_by_search():
 
 def test_search_gives_up_within_budget():
     assert find_scenario_instance(STAY_AT_D_STAR_THM2, budget=0) is None
+
+
+def _first_optimize_raises(monkeypatch, error: Exception) -> list[int]:
+    """Make the search's first ``optimize`` call raise ``error``; the
+    returned list counts the calls."""
+    calls: list[int] = []
+
+    def flaky(*args):
+        calls.append(1)
+        if len(calls) == 1:
+            raise error
+        return optimize(*args)
+
+    monkeypatch.setattr(oracle, "optimize", flaky)
+    return calls
+
+
+def test_the_search_surfaces_a_broken_optimizer_invariant(monkeypatch):
+    # a broken invariant is a fault of the optimizer, not a miss of the
+    # search, so it is not skipped like an attempt the CLI reports
+    _first_optimize_raises(monkeypatch, RuntimeError("a landed carve must fit both budgets"))
+    with pytest.raises(RuntimeError, match="must fit both budgets"):
+        find_scenario_instance(SCENARIO_IV_STAY, budget=60, rng_seed=3)
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        BuildOrderError("build order violated"),
+        InstanceError("not a valid instance"),
+        ZeroVolumeDeltaError("zero volume change"),
+    ],
+    ids=lambda e: type(e).__name__,
+)
+def test_the_search_skips_an_attempt_the_cli_reports_as_an_error(monkeypatch, error):
+    calls = _first_optimize_raises(monkeypatch, error)
+    found = find_scenario_instance(SCENARIO_IV_STAY, budget=60, rng_seed=3)
+    assert found is not None and found.kind == SCENARIO_IV_STAY
+    assert len(calls) >= 2
 
 
 def test_scenario_generation_goes_through_the_search():

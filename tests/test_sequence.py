@@ -16,8 +16,8 @@ from distopt.core import (
     PointIncrement,
     ProducerTransform,
     apply_increment,
+    combine,
     expected_t,
-    q_of,
     remove_subdistribution,
 )
 from distopt.instances import INSTANCE_SCHEMA, InstanceError, build_objects
@@ -110,30 +110,33 @@ def test_chunked_weights_split_points():
     pool = make_dist(("a", 2.0, 1.0, 0.26))
     cfg = SequenceConfig(chunk=0.1)
     trace = greedy_sweep(pool, cfg, M11, IDENT)
-    assert [round(s.added.weight, 10) for s in trace.steps] == [0.1, 0.1, 0.06]
+    assert [round(s.added.weight, 10) for s in trace] == [0.1, 0.1, 0.06]
 
 
 def test_sweep_step_bookkeeping_is_consistent():
     pool, model, t, cfg = build_objects(LADDER)
     trace = greedy_sweep(pool, cfg.sequence, model, t)
-    assert [s.added.point.id for s in trace.steps] == sorted(pool.ids())
+    assert [s.added.point.id for s in trace] == sorted(pool.ids())
     n = 0.0
-    for s in trace.steps:
+    for s in trace:
         n += s.added.weight
         assert s.n_after == pytest.approx(n, rel=1e-12)
         assert s.m_after == pytest.approx(model.m(s.q_after), rel=1e-12)
     # mean consumer value never rises along the build, which opens with
     # participation above volume
-    qs = [s.q_after for s in trace.steps]
+    qs = [s.q_after for s in trace]
     assert all(b <= a + 1e-12 * max(1.0, abs(a)) for a, b in zip(qs, qs[1:]))
-    assert trace.steps[0].m_after > trace.steps[0].n_after
+    assert trace[0].m_after > trace[0].n_after
 
 
 def test_probe_stops_at_a_non_positive_slope():
     pool, model, t, cfg = build_objects(LADDER)
     prefix = Distribution([(pt, w) for pt, w in pool.items() if pt.id <= "p06"])
-    probe = best_next_in_sequence(prefix, pool, cfg.sequence, model, t)
+    build = GreedyBuild(prefix, pool, cfg.sequence.chunk, model, t)
+    probe = best_next_in_sequence(build)
     assert [i.point.id for i in probe.increments] == ["p07"]
+    # the probe advanced the build it was given
+    assert build.d == combine(prefix, probe.block)
     assert probe.kappa == pytest.approx(-1.0 / 13.0, rel=1e-12)
 
 
@@ -142,7 +145,7 @@ def test_probe_reports_exhaustion_when_the_pool_runs_dry():
     # and the pool dries up before the probe can settle
     pool = make_dist(("a", 3.0, 1.0, 0.5), ("b", 3.2, 1.0, 0.5))
     prefix = make_dist(("a", 3.0, 1.0, 0.5))
-    probe = best_next_in_sequence(prefix, pool, SequenceConfig(), M11, IDENT)
+    probe = best_next_in_sequence(GreedyBuild(prefix, pool, None, M11, IDENT))
     assert [i.point.id for i in probe.increments] == ["b"]
     assert probe.kappa == pytest.approx(0.2, rel=1e-12)
 
@@ -150,11 +153,12 @@ def test_probe_reports_exhaustion_when_the_pool_runs_dry():
 def test_viability_respects_the_build_order():
     pool, model, t, cfg = build_objects(LADDER)
     res = optimize(pool, cfg, model, t)
-    last = res.trace.steps[-1].added
+    last = res.trace[-1].added
 
     def viable(candidate: PointIncrement) -> bool:
         """The earlier slope stays at or under the adjusted ordering limit."""
-        ctx = ExtensionContext.from_run(res.d_star, last, candidate, model, t)
+        block = candidate.as_distribution()
+        ctx = ExtensionContext.from_run(res.d_star, last, block, model, t)
         assert ctx.r1 == last  # measured against the base the last step joined
         _, adjusted = x_u_kappa(ctx.n_r1, ctx.n_r2, ctx.tp1_ratio, ctx.tp2_ratio)
         return ctx.kappa_ar2 <= adjusted + 1e-12
@@ -175,7 +179,7 @@ def _direct_delta_v(d, c, p, weight, model, t):
         return t.apply(p) * model.m(c)
     phi = weight / (d.n + weight)
     e = expected_t(d, t)
-    q = q_of(d)
+    q = d.q
     xi = (e + phi * (t.apply(p) - e)) * model.m(q + phi * (c - q))
     return xi - expected_t(d, t) * potential(model, d)
 
@@ -309,8 +313,8 @@ def test_a_greedy_step_takes_e_of_its_state_once(monkeypatch):
             monkeypatch.setattr(module, "expected_t", counted)
     pool, model, t, cfg = build_objects(generate_instance("uniform", 7, 80))
     result = optimize(pool, cfg, model, t)
-    assert len(result.trace.steps) >= 20
-    assert len(passes) >= len(result.trace.steps)
+    assert len(result.trace) >= 20
+    assert len(passes) >= len(result.trace)
     assert max(passes.values()) == 1, "a state's E(T|D) was taken more than once"
 
 
@@ -329,19 +333,31 @@ def _offers(build) -> list[tuple[Point, str]]:
     restart_at=st.integers(1, 40),
     restart=st.sampled_from(["carve", "rewind"]),
     share=st.floats(0.05, 1.0),
+    copy_at=st.integers(0, 12),
+    copy_picks=st.lists(st.one_of(st.none(), st.integers(0, 1000)), min_size=1, max_size=5),
 )
-def test_a_kept_pool_equals_a_fresh_one(rows, chunk, picks, restart_at, restart, share):
+def test_a_kept_pool_equals_a_fresh_one(
+    rows, chunk, picks, restart_at, restart, share, copy_at, copy_picks
+):
     # a run takes best or arbitrary offers and keeps its build's offers
     # current with ``add``; after every step, and after a restart that
     # retires a carve or rewinds to an earlier state, they equal a freshly
-    # built build's, bit for bit
+    # built build's, bit for bit.  A copy of the run's build, as a probe
+    # takes, goes on without touching the run's
     points = [Point(f"p{i:02d}", c, p) for i, (c, p, _) in enumerate(rows)]
     d_all = Distribution([(pt, w) for pt, (_, _, w) in zip(points, rows)])
     run = _Run(d_all, OptimizerConfig(sequence=SequenceConfig(chunk=chunk)), M11, IDENT)
     available = d_all
 
-    def fresh():
-        return _offers(GreedyBuild(run.current, available, chunk, M11, IDENT))
+    def fresh(d=None):
+        d = run.current if d is None else d
+        return _offers(GreedyBuild(d, available, chunk, M11, IDENT))
+
+    def take(build, pick):
+        if pick is None:
+            return build.best()
+        offers = list(build)
+        return PointIncrement(*offers[pick % len(offers)])
 
     for step, pick in enumerate(picks):
         if step == restart_at and restart == "carve":
@@ -358,10 +374,15 @@ def test_a_kept_pool_equals_a_fresh_one(rows, chunk, picks, restart_at, restart,
         assert _offers(run.build) == fresh()
         if not run.build:
             break
-        if pick is None:
-            inc = run.build.best()
-        else:
-            offers = list(run.build)
-            inc = PointIncrement(*offers[pick % len(offers)])
-        run.record_step(inc)
+        if step == copy_at:
+            state, offers = run.build.d, _offers(run.build)
+            twin = run.build.copy()
+            for twin_pick in copy_picks:
+                if not twin:
+                    break
+                twin.add(take(twin, twin_pick))
+                assert _offers(twin) == fresh(twin.d)
+            assert run.build.d is state
+            assert _offers(run.build) == offers
+        run.record_step(take(run.build, pick))
         assert _offers(run.build) == fresh()

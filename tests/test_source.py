@@ -160,8 +160,9 @@ def test_optimize_alone_builds_a_result():
 def test_no_greedy_loop_rebuilds_its_remaining_pool():
     # a build constructs its ``GreedyBuild`` once and keeps its offers
     # current with ``add``; one constructed inside a loop body would walk
-    # the pool again every step, and a lookahead goes on with its probe's
-    calls, in_loops, in_lookahead = [], [], []
+    # the pool again every step, and a probe and its lookahead go on with a
+    # copy of the run's
+    calls, in_loops, in_probe = [], [], []
     for path in SOURCES:
         if path.name not in ("sequence.py", "optimizer.py"):
             continue
@@ -173,10 +174,11 @@ def test_no_greedy_loop_rebuilds_its_remaining_pool():
             for stmt in loop.body + loop.orelse
             for node in ast.walk(stmt)
         }
-        lookahead = {
+        probe = {
             id(node)
             for func in ast.walk(tree)
-            if isinstance(func, ast.FunctionDef) and func.name == "_lookahead_block"
+            if isinstance(func, ast.FunctionDef)
+            and func.name in ("best_next_in_sequence", "_lookahead_block")
             for node in ast.walk(func)
         }
         for node in ast.walk(tree):
@@ -184,8 +186,8 @@ def test_no_greedy_loop_rebuilds_its_remaining_pool():
                 calls.append(f"{path.name}:{node.lineno}")
                 if id(node) in looped:
                     in_loops.append(calls[-1])
-                if id(node) in lookahead:
-                    in_lookahead.append(calls[-1])
-    assert len(calls) >= 4, calls  # the run, its restart, a probe, a sweep
+                if id(node) in probe:
+                    in_probe.append(calls[-1])
+    assert len(calls) >= 3, calls  # the run, its restart, a sweep
     assert in_loops == []
-    assert in_lookahead == []
+    assert in_probe == []

@@ -20,7 +20,6 @@ from distopt.optimizer import optimize
 from distopt.sequence import (
     ExhaustedPoolError,
     GreedyBuild,
-    SequenceTrace,
     best_increment,
     seed_distribution,
 )
@@ -36,7 +35,7 @@ from distopt.thresholds import (
 )
 
 
-def _reference_sweep(d_all, cfg, model, t) -> SequenceTrace:
+def _reference_sweep(d_all, cfg, model, t) -> tuple:
     """The from-scratch sweep: every step scored from a freshly built build,
     the seed block one step, at most ten steps per pool point."""
     steps = []
@@ -57,7 +56,7 @@ def _reference_sweep(d_all, cfg, model, t) -> SequenceTrace:
         taken += 1
         if not GreedyBuild(d, d_all, cfg.chunk, model, t):
             break
-    return SequenceTrace(tuple(steps))
+    return tuple(steps)
 
 
 def _searched(kind: str, seed: int, carve: bool = False) -> dict:
@@ -134,10 +133,10 @@ def _csv_pair(inst: dict, monkeypatch) -> tuple[str, str, object, object]:
 def test_resumed_sweep_csv_equals_the_from_scratch_sweep(name, monkeypatch):
     got, want, result, pool = _csv_pair(CASES[name](), monkeypatch)
     assert got == want
-    assert 0 <= result.greedy_steps <= len(result.trace.steps)
+    assert 0 <= result.greedy_steps <= len(result.trace)
     if name.startswith("d2-"):
         assert result.d2_star is not None
-        assert result.greedy_steps == len(result.trace.steps)
+        assert result.greedy_steps == len(result.trace)
     if name == "fine-chunks-12":
         assert want.count("\n") - 1 == 10 * len(pool)
     if name == "fine-chunks-explicit-seed-12":
@@ -152,7 +151,7 @@ def test_carve_instances_cover_a_chain_that_ends_inside_the_trace(monkeypatch):
     for name in carves:
         _, _, result, _ = _csv_pair(CASES[name](), monkeypatch)
         assert result.carveouts, name
-        if result.greedy_steps < len(result.trace.steps):
+        if result.greedy_steps < len(result.trace):
             shorter.append(name)
     assert shorter
 
@@ -193,7 +192,7 @@ def test_a_crossing_before_the_last_state_counts_the_chain_only_to_it(
     inst = CASES[name]()
     monkeypatch.setattr(optimizer._Run, "best_snapshot", forced)
     got, want, result, _ = _csv_pair(inst, monkeypatch)
-    assert result.greedy_steps < len(result.trace.steps)
+    assert result.greedy_steps < len(result.trace)
     if name == "d2-after-chunks":
         assert result.d2_star is not None
     else:
@@ -202,10 +201,10 @@ def test_a_crossing_before_the_last_state_counts_the_chain_only_to_it(
 
 
 def test_each_greedy_build_walks_the_pool_once(monkeypatch, tmp_path):
-    # the run, each probe (whose build a lookahead goes on with) and the
-    # sweep construct one ``GreedyBuild`` each and keep its offers current
-    # step by step: the constructions are bounded by a constant, not by the
-    # step count
+    # the run and the sweep construct one ``GreedyBuild`` each, and each
+    # probe (whose build a lookahead goes on with) copies the run's; all
+    # keep their offers current step by step: the constructions are
+    # bounded by a constant, not by the step count
     builds: list[int] = []
     scored: list[int] = []
     sweeps: list[tuple[int, int]] = []

@@ -186,7 +186,7 @@ def test_context_measured_without_a_last_increment_degrades_gracefully():
     t = ProducerTransform.identity()
     d_star = make_dist(("a", 2.0, 1.0, 1.0))
     r2 = PointIncrement(Point("x", 3.0, 0.5), 0.5)
-    ctx = ExtensionContext.from_run(d_star, None, r2, model, t, iota=0.1,
+    ctx = ExtensionContext.from_run(d_star, None, r2.as_distribution(), model, t, iota=0.1,
                                     consumer_mode=ADAPTIVE)
     # nothing was provided, so nothing degenerated — the context just
     # falls back to neutral last-step ratios
@@ -203,7 +203,7 @@ def test_context_measured_from_a_real_increment():
     d_star = make_dist(("a", 2.0, 1.0, 1.0), ("b", 1.5, 0.8, 0.5))
     r1 = PointIncrement(Point("b", 1.5, 0.8), 0.5)
     r2 = PointIncrement(Point("x", 3.0, 0.5), 0.75)
-    ctx = ExtensionContext.from_run(d_star, r1, r2, model, t, iota=0.1,
+    ctx = ExtensionContext.from_run(d_star, r1, r2.as_distribution(), model, t, iota=0.1,
                                     consumer_mode=ADAPTIVE)
     assert not ctx.r1_degenerate
     assert ctx.n_r1 == pytest.approx(0.5 / 1.5, rel=1e-12)
