@@ -316,6 +316,22 @@ def _csv_paths(output: str | None, fmt: str) -> tuple[str, str] | None:
     return f"{stem}.trace.csv", f"{stem}.thresholds.csv"
 
 
+def _write_thresholds(
+    path: str,
+    witness: ThresholdReport | None,
+    result: OptimizationResult,
+    model: ParticipationModel,
+) -> None:
+    """Write ``witness``'s threshold CSV to ``path``; a verdict without a
+    witness has none, so an earlier run's file there is removed."""
+    if witness is None:
+        Path(path).unlink(missing_ok=True)
+    else:
+        Path(path).write_text(
+            threshold_csv(witness, result.n_star, result.d_star.q, model)
+        )
+
+
 def _optimize(
     instance: dict, path: str
 ) -> tuple[
@@ -347,15 +363,7 @@ def _optimize_one(
     if csv_paths is not None:
         trace_path, thresh_path = csv_paths
         Path(trace_path).write_text(sweep_csv(pool, cfg, result, model, transform))
-        if result.verdict.witness is not None:
-            Path(thresh_path).write_text(
-                threshold_csv(
-                    result.verdict.witness,
-                    result.n_star,
-                    result.d_star.q,
-                    model,
-                )
-            )
+        _write_thresholds(thresh_path, result.verdict.witness, result, model)
     if result.verdict.kind in (UNDER_SERVED, SATURATED_CONSUMER):
         return 2
     return 0
@@ -416,12 +424,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "verdict": _verdict_dict(verdict),
     }
     _write(args.output, _report_json(report, args.input))
-    if csv_paths is not None and verdict.witness is not None:
-        Path(csv_paths[1]).write_text(
-            threshold_csv(
-                verdict.witness, result.n_star, result.d_star.q, model
-            )
-        )
+    if csv_paths is not None:
+        _write_thresholds(csv_paths[1], verdict.witness, result, model)
     return 0
 
 

@@ -456,9 +456,9 @@ def determine_d_star(run: _Run) -> EquilibriumVerdict:
 
         # at the crossing: probe the best extension
         build = run.build.copy()
-        probe = best_next_in_sequence(build)
-        run.evaluations += len(run.build) + len(probe.increments) - 1
-        block, k, increments = probe.block, probe.kappa, probe.increments
+        k, increments = best_next_in_sequence(build)
+        run.evaluations += len(run.build) + len(increments) - 1
+        block = Distribution([(inc.point, inc.weight) for inc in increments])
         r1 = run.last_accepted()
         verdict, ctx = extension_verdict(run.current, r1, block, model, t, cfg)
 

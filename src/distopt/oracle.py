@@ -547,6 +547,11 @@ def _template_continue(rng: random.Random) -> dict:
     return _instance(points, _power_spec(zeta, 0.5))
 
 
+#: the carve-required templates calibrate potential participation to this
+#: multiple of volume at the crossing
+CARVE_M_CAL = 1.02
+
+
 def _scenario_base(
     rng: random.Random,
     *,
@@ -555,34 +560,32 @@ def _scenario_base(
     alpha: float,
     iota: float,
     consumer_mode: str,
-    with_fodder: bool,
     chunked_carve: bool,
-    fodder_share: float = 0.1,
-    fodder_count: int = 2,
-    fodder_p: float = 0.3,
-    m_cal: float = 1.0,
+    fodder_p: float | None = None,
 ) -> dict:
     """Common crossing construction for the four sub-unit-slope scenarios.
 
     A base point, optional carve fodder, a final low-value increment, and
-    the candidate.  Participation is calibrated so potential meets
-    ``m_cal`` times volume when the final increment lands; keeping
-    ``m_cal`` just above 1 delays the probe until the whole base is in,
-    which pins the probed block to the candidate alone.
+    the candidate.  With a ``fodder_p`` the base cedes 0.4 of the volume
+    to eight fodder points of that producer value, and participation is
+    calibrated so potential meets ``CARVE_M_CAL`` times volume when the
+    final increment lands; just above 1, that delays the probe until the
+    whole base is in, which pins the probed block to the candidate alone.
+    Without one, potential meets volume there.
     """
     s = rng.uniform(0.8, 1.25)
     v = rng.uniform(0.8, 1.25)
-    if with_fodder:
-        c_a, c_r1 = 0.8, 0.48
-    else:
-        fodder_share, fodder_count = 0.0, 0
+    if fodder_p is None:
+        fodder_share, fodder_count, fodder_p, m_cal = 0.0, 0, 0.0, 1.0
         c_a, c_r1 = 0.95, 0.6
+    else:
+        fodder_share, fodder_count, m_cal = 0.4, 8, CARVE_M_CAL
+        c_a, c_r1 = 0.8, 0.48
     base_share = 0.9 - fodder_share
     r1_share = 0.1
     q_star_unit = base_share * c_a + r1_share * c_r1
     points = [_point("a", c_a * s, 1.0, base_share * v)]
-    fodder_c = 0.0
-    if with_fodder:
+    if fodder_count:
         fodder_c = 0.95 * c2_over_qstar * q_star_unit
         # recompute with fodder mass included
         q_star_unit = (
@@ -636,7 +639,7 @@ def _template_scenario(
         # a slope just above the producer threshold
         tp2 = rng.uniform(0.015, 0.03)
         c2q = rng.uniform(3.7, 4.1)
-        x_l = (1.0 - tp2) / (1.0 + tp2 * 0.5)
+        x_l = x_l_kappa(0.5, tp2)[0]
         kappa_target = min(0.995, x_l * rng.uniform(1.01, 1.03))
         return _scenario_base(
             rng,
@@ -645,7 +648,6 @@ def _template_scenario(
             alpha=_solve_alpha(kappa_target, c2q, 1.0),
             iota=0.1,
             consumer_mode="adaptive",
-            with_fodder=False,
             chunked_carve=False,
         )
     if kind == SCENARIO_II_CONSUMER_PREFERS:
@@ -658,15 +660,11 @@ def _template_scenario(
                 rng,
                 tp2=rng.uniform(0.05, 0.07),
                 c2_over_qstar=c2q,
-                alpha=_solve_alpha(rng.uniform(0.4, 0.6), c2q, 1.02),
+                alpha=_solve_alpha(rng.uniform(0.4, 0.6), c2q, CARVE_M_CAL),
                 iota=0.1,
                 consumer_mode="adaptive",
-                with_fodder=True,
                 chunked_carve=False,
-                fodder_share=0.4,
-                fodder_count=8,
                 fodder_p=0.06,
-                m_cal=1.02,
             )
         return _scenario_base(
             rng,
@@ -675,7 +673,6 @@ def _template_scenario(
             alpha=rng.uniform(0.52, 0.58),
             iota=0.1,
             consumer_mode="adaptive",
-            with_fodder=False,
             chunked_carve=False,
         )
     if kind == SCENARIO_III_PRODUCER_PREFERS:
@@ -688,15 +685,11 @@ def _template_scenario(
                 rng,
                 tp2=rng.uniform(0.7, 0.8),
                 c2_over_qstar=c2q,
-                alpha=_solve_alpha(rng.uniform(0.10, 0.16), c2q, 1.02),
+                alpha=_solve_alpha(rng.uniform(0.10, 0.16), c2q, CARVE_M_CAL),
                 iota=rng.uniform(0.95, 1.05),
                 consumer_mode="reactive",
-                with_fodder=True,
                 chunked_carve=False,
-                fodder_share=0.4,
-                fodder_count=8,
                 fodder_p=0.55,
-                m_cal=1.02,
             )
         return _scenario_base(
             rng,
@@ -705,7 +698,6 @@ def _template_scenario(
             alpha=rng.uniform(0.85, 0.95),
             iota=rng.uniform(0.9, 1.1),
             consumer_mode="reactive",
-            with_fodder=False,
             chunked_carve=True,
         )
     if kind == SCENARIO_IV_STAY:
@@ -716,7 +708,6 @@ def _template_scenario(
             alpha=rng.uniform(0.35, 0.5),
             iota=rng.uniform(0.7, 0.9),
             consumer_mode="adaptive",
-            with_fodder=False,
             chunked_carve=False,
         )
     raise ValueError(f"no template for target {kind!r}")

@@ -139,22 +139,6 @@ class GreedyBuild:
         )
 
 
-@dataclass(frozen=True)
-class ProbeResult:
-    """What accumulating past an entry distribution produced.
-
-    ``kappa`` is the marginal-participation slope of the whole block of
-    ``increments`` measured against the entry distribution.
-    """
-
-    kappa: float
-    increments: tuple[PointIncrement, ...] = ()
-
-    @property
-    def block(self) -> Distribution:
-        return Distribution([(inc.point, inc.weight) for inc in self.increments])
-
-
 def _tie_key(point: Point, tp: float) -> tuple[float, float, str]:
     """Higher c, then higher T(p) = ``tp``, then smaller id sorts first."""
     return (-point.c, -tp, point.id)
@@ -201,15 +185,17 @@ def seed_distribution(build: GreedyBuild, cfg: SequenceConfig) -> list[PointIncr
     return [build.best()]
 
 
-def best_next_in_sequence(build: GreedyBuild) -> ProbeResult:
+def best_next_in_sequence(build: GreedyBuild) -> tuple[float, tuple[PointIncrement, ...]]:
     """Advance ``build`` by best increments until the block slope settles.
 
-    The slope is measured against the state ``build`` entered with, whose
-    offers must not be empty.  Stops at the first accumulated block whose
-    slope versus the entry distribution leaves the open interval (0, 1) —
-    such a block is a complete candidate for the caller to classify — or
-    at the first block whose slope fails to improve on the previous one
-    while still inside (0, 1).  Runs the pool dry otherwise.
+    Returns ``(kappa, increments)``: the increments taken and the
+    marginal-participation slope of the block they make, measured against
+    the state ``build`` entered with, whose offers must not be empty.
+    Stops at the first accumulated block whose slope versus the entry
+    distribution leaves the open interval (0, 1) — such a block is a
+    complete candidate for the caller to classify — or at the first block
+    whose slope fails to improve on the previous one while still inside
+    (0, 1).  Runs the pool dry otherwise.
     """
     d = build.d
     increments: list[PointIncrement] = []
@@ -221,7 +207,7 @@ def best_next_in_sequence(build: GreedyBuild) -> ProbeResult:
         increments.append(inc)
         settled = prev_kappa is not None and k <= prev_kappa + KAPPA_IMPROVEMENT_TOL
         if k >= 1 or k <= 0 or settled or not build:
-            return ProbeResult(k, tuple(increments))
+            return k, tuple(increments)
         prev_kappa = k
 
 

@@ -96,9 +96,9 @@ class ExtensionContext:
     m_ar2_ratio: float
     q_prime_ratio: float
     n_star: float
-    r1_degenerate: bool = False
-    iota: float = 0.1
-    consumer_mode: str = ADAPTIVE
+    r1_degenerate: bool
+    iota: float
+    consumer_mode: str
 
     def __post_init__(self) -> None:
         if self.consumer_mode not in (ADAPTIVE, REACTIVE):
@@ -115,8 +115,8 @@ class ExtensionContext:
         block: Distribution,
         model: ParticipationModel,
         transform: ProducerTransform,
-        iota: float = 0.1,
-        consumer_mode: str = ADAPTIVE,
+        iota: float,
+        consumer_mode: str,
     ) -> "ExtensionContext":
         """Measure a realized crossing state.
 
@@ -311,10 +311,11 @@ def x_c_kappa(ctx: ExtensionContext) -> float:
     """Consumer's break-even marginal participation for the extension.
 
     Derived from the consumer's two-period utility with the continuation
-    weight ``iota``: richer-than-average candidates (c2 above the crossing
-    mean) push the threshold negative — the consumer wants them even at
-    participation cost — while cheap filler must attract participation to
-    be worth the dilution.
+    weight ``iota``.  The threshold is negative — the consumer wants the
+    candidate even at participation cost — exactly when
+    c2 > iota + 1/(1 + n_r2), so at iota = 0 and c2 = 1 it is −n_r2;
+    cheaper candidates must attract participation to be worth the
+    dilution.
     """
     n2, c2, iota = ctx.n_r2, ctx.c2_ratio, ctx.iota
     growth = 1.0 + n2

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from distopt import cli, instances
-from distopt.oracle import find_scenario_instance
+from distopt.oracle import find_scenario_instance, generate_instance
 from distopt.thresholds import (
     SCENARIO_II_CONSUMER_PREFERS,
     SCENARIO_III_PRODUCER_PREFERS,
@@ -73,6 +73,43 @@ def test_csv_curves_are_written(tmp_path):
     thresh = (tmp_path / "ladder.report.thresholds.csv").read_text().splitlines()
     assert thresh[0].startswith("n_r2,x_l_kappa,x_u_kappa,x_u_kappa_alt")
     assert len(thresh) == 51
+
+
+def test_a_run_without_a_witness_removes_an_earlier_thresholds_csv(tmp_path):
+    # both runs write next to one output path; the second instance is
+    # under-served, so its verdict has no witness and no thresholds file
+    out = str(tmp_path / "r.json")
+    thresholds = tmp_path / "r.thresholds.csv"
+    five = write(tmp_path, "five.json", FIVE_POINT)
+    assert cli.main(["optimize", "--input", five, "--output", out, "--format", "csv"]) == 0
+    assert thresholds.exists()
+    under = write(tmp_path, "under.json", generate_instance("underserved", 1))
+    assert cli.main(["optimize", "--input", under, "--output", out, "--format", "csv"]) == 2
+    assert json.loads((tmp_path / "r.json").read_text())["thresholds"] is None
+    assert (tmp_path / "r.trace.csv").exists()
+    assert not thresholds.exists()
+
+
+def test_analyze_without_a_witness_removes_an_earlier_thresholds_csv(tmp_path):
+    out = str(tmp_path / "a.json")
+    thresholds = tmp_path / "a.thresholds.csv"
+    five = write(tmp_path, "five.json", FIVE_POINT)
+    analyze = ["analyze", "--output", out, "--format", "csv", "--input"]
+    assert cli.main([*analyze, five, "--candidate", "c1"]) == 0
+    assert thresholds.exists()
+    # every point worthless to the producer: the crossing context is
+    # degenerate, so the verdict has no witness
+    worthless = json.loads(json.dumps(FIVE_POINT))
+    for point in worthless["points"]:
+        point["p"] = -1.0
+    assert cli.main([*analyze, write(tmp_path, "worthless.json", worthless),
+                     "--candidate", "c2"]) == 0
+    report = json.loads((tmp_path / "a.json").read_text())
+    assert report["thresholds"] is None
+    assert report["verdict"]["kind"] == "StayAtDStar_Thm2"
+    assert report["verdict"]["indeterminate"]
+    assert report["verdict"]["notes"][0].startswith("crossing context degenerate")
+    assert not thresholds.exists()
 
 
 def test_schema_violations_exit_one(tmp_path, capsys):

@@ -11,9 +11,10 @@ instances with and without carveouts.  Every
 of ``--format csv``) is hashed into the first file; the ``analyze``
 outputs (JSON, and the thresholds file of ``--format csv``) for the first
 pool point outside D*, and the ``carveout`` report, into the second.  A
-change that is meant to keep report bytes must keep every digest; a change
-that moves them on purpose re-records both files with
-``PYTHONPATH=src python3 tests/test_golden.py``.
+change that is meant to keep report bytes must keep every digest.  A new
+entry, or one that a change moves on purpose, is recorded in both files with
+``PYTHONPATH=src python3 tests/test_golden.py NAME [NAME ...]``, which
+leaves every other entry as it is.
 """
 from __future__ import annotations
 
@@ -107,6 +108,11 @@ SCENARIOS = {
     "scenario-ii-carve": ("Scenario_ii_ConsumerPrefers", 4, True),
     "scenario-iii-carve": ("Scenario_iii_ProducerPrefers", 5, True),
     "scenario-underserved": ("UnderServed", 3, False),
+    "scenario-ii": ("Scenario_ii_ConsumerPrefers", 3, False),
+    # the only searched template with ``unit_chunks``
+    "scenario-iii": ("Scenario_iii_ProducerPrefers", 3, False),
+    "scenario-iv": ("Scenario_iv_StayAtDStar", 3, False),
+    "scenario-saturated": ("SaturatedConsumer", 3, False),
 }
 
 
@@ -202,8 +208,16 @@ def test_analyze_and_carveout_outputs_match_recorded_digests(name: str, tmp_path
 if __name__ == "__main__":
     import tempfile
 
+    names = sys.argv[1:]
+    if not names:
+        sys.exit("no corpus names given, so nothing was recorded; "
+                 f"name entries of: {' '.join(NAMES)}")
+    unknown = [name for name in names if name not in NAMES]
+    if unknown:
+        sys.exit(f"not corpus names: {' '.join(unknown)}")
     for path, digests in ((DIGESTS, output_digests), (COMMAND_DIGESTS, command_digests)):
+        table = json.loads(path.read_text())
         with tempfile.TemporaryDirectory() as tmp:
-            table = {name: digests(name, Path(tmp) / name) for name in NAMES}
+            table.update((name, digests(name, Path(tmp) / name)) for name in names)
         path.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
-        print(f"recorded {len(table)} digests to {path}", file=sys.stderr)
+        print(f"recorded {', '.join(names)} in {path}", file=sys.stderr)

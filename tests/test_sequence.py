@@ -133,11 +133,12 @@ def test_probe_stops_at_a_non_positive_slope():
     pool, model, t, cfg = build_objects(LADDER)
     prefix = Distribution([(pt, w) for pt, w in pool.items() if pt.id <= "p06"])
     build = GreedyBuild(prefix, pool, cfg.sequence.chunk, model, t)
-    probe = best_next_in_sequence(build)
-    assert [i.point.id for i in probe.increments] == ["p07"]
+    k, increments = best_next_in_sequence(build)
+    assert [i.point.id for i in increments] == ["p07"]
     # the probe advanced the build it was given
-    assert build.d == combine(prefix, probe.block)
-    assert probe.kappa == pytest.approx(-1.0 / 13.0, rel=1e-12)
+    block = Distribution([(i.point, i.weight) for i in increments])
+    assert build.d == combine(prefix, block)
+    assert k == pytest.approx(-1.0 / 13.0, rel=1e-12)
 
 
 def test_probe_reports_exhaustion_when_the_pool_runs_dry():
@@ -145,9 +146,9 @@ def test_probe_reports_exhaustion_when_the_pool_runs_dry():
     # and the pool dries up before the probe can settle
     pool = make_dist(("a", 3.0, 1.0, 0.5), ("b", 3.2, 1.0, 0.5))
     prefix = make_dist(("a", 3.0, 1.0, 0.5))
-    probe = best_next_in_sequence(GreedyBuild(prefix, pool, None, M11, IDENT))
-    assert [i.point.id for i in probe.increments] == ["b"]
-    assert probe.kappa == pytest.approx(0.2, rel=1e-12)
+    k, increments = best_next_in_sequence(GreedyBuild(prefix, pool, None, M11, IDENT))
+    assert [i.point.id for i in increments] == ["b"]
+    assert k == pytest.approx(0.2, rel=1e-12)
 
 
 def test_viability_respects_the_build_order():
@@ -158,7 +159,9 @@ def test_viability_respects_the_build_order():
     def viable(candidate: PointIncrement) -> bool:
         """The earlier slope stays at or under the adjusted ordering limit."""
         block = candidate.as_distribution()
-        ctx = ExtensionContext.from_run(res.d_star, last, block, model, t)
+        ctx = ExtensionContext.from_run(
+            res.d_star, last, block, model, t, cfg.iota, cfg.consumer_mode
+        )
         assert ctx.r1 == last  # measured against the base the last step joined
         _, adjusted = x_u_kappa(ctx.n_r1, ctx.n_r2, ctx.tp1_ratio, ctx.tp2_ratio)
         return ctx.kappa_ar2 <= adjusted + 1e-12

@@ -23,6 +23,7 @@ from distopt.thresholds import (
     classify,
     threshold_report,
     viability_limit_m_ratio,
+    x_c_kappa,
 )
 
 from conftest import make_dist
@@ -69,6 +70,22 @@ def test_consumer_threshold_values():
         synth(n_r1=0.2, n_r2=0.5, tp2_ratio=0.5, c2_ratio=0.8, alpha=0.5, iota=0.1)
     )
     assert r1.x_c_kappa == pytest.approx(-0.05 / 1.15, rel=1e-12)
+
+
+@pytest.mark.parametrize("iota, n_r2", [(0.0, 0.5), (0.1, 0.25), (0.5, 1.0), (1.0, 3.0)])
+def test_consumer_threshold_turns_negative_past_iota_plus_the_share_bound(iota, n_r2):
+    # x_c < 0 exactly when c2 > iota + 1/(1 + n_r2)
+    edge = iota + 1.0 / (1.0 + n_r2)
+
+    def x_c(c2: float) -> float:
+        return x_c_kappa(dataclasses.replace(CTX, iota=iota, n_r2=n_r2, c2_ratio=c2))
+
+    assert x_c(edge) == pytest.approx(0.0, abs=1e-12)
+    assert x_c(edge * (1.0 - 1e-6)) > 0.0
+    assert x_c(edge * (1.0 + 1e-6)) < 0.0
+    if iota == 0.0:
+        # an average candidate costs the consumer its share of dilution
+        assert x_c(1.0) == pytest.approx(-n_r2, rel=1e-12)
 
 
 def test_transform_cutoff_on_the_reference_context():
