@@ -295,8 +295,11 @@ def threshold_csv(
 def _write(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
-        Path(path).write_text(text)
+        return
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}") from exc
 
 
 def _report_json(report: dict, path: str) -> str:
@@ -325,11 +328,12 @@ def _write_thresholds(
     """Write ``witness``'s threshold CSV to ``path``; a verdict without a
     witness has none, so an earlier run's file there is removed."""
     if witness is None:
-        Path(path).unlink(missing_ok=True)
+        try:
+            Path(path).unlink(missing_ok=True)
+        except OSError as exc:
+            raise CliError(f"cannot remove {path}: {exc}") from exc
     else:
-        Path(path).write_text(
-            threshold_csv(witness, result.n_star, result.d_star.q, model)
-        )
+        _write(path, threshold_csv(witness, result.n_star, result.d_star.q, model))
 
 
 def _optimize(
@@ -362,7 +366,7 @@ def _optimize_one(
     _write(output, _report_json(report, path))
     if csv_paths is not None:
         trace_path, thresh_path = csv_paths
-        Path(trace_path).write_text(sweep_csv(pool, cfg, result, model, transform))
+        _write(trace_path, sweep_csv(pool, cfg, result, model, transform))
         _write_thresholds(thresh_path, result.verdict.witness, result, model)
     if result.verdict.kind in (UNDER_SERVED, SATURATED_CONSUMER):
         return 2
@@ -375,7 +379,10 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         if not in_dir.is_dir():
             raise CliError(f"{args.batch} is not a directory")
         out_dir = Path(args.output) if args.output else in_dir
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise CliError(f"cannot write {out_dir}: {exc}") from exc
         worst = 0
         for path in sorted(in_dir.glob("*.json")):
             if path.name.endswith(".report.json"):

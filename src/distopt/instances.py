@@ -4,19 +4,25 @@ conversion to the package's types.
 An instance is a JSON object with the pool of points, the participation
 curve, the producer-value transform, and optional optimizer settings.
 ``load_instance`` reads and parses a file.  ``build_objects`` checks an
-instance against ``INSTANCE_SCHEMA`` (imported lazily: ``jsonschema`` is
-slow to import) and for duplicate point ids, then builds it, rejecting
-what the schema cannot express: knots out of order, explicit seed ids
-outside the pool, a table transform without an entry for some pool ``p``,
-weights or chunks too small to keep (``DROP_TOLERANCE``).
+instance against ``INSTANCE_SCHEMA`` and for duplicate point ids, then
+builds it, rejecting what the schema cannot express: knots out of order,
+explicit seed ids outside the pool, a table transform without an entry
+for some pool ``p``, weights or chunks too small to keep
+(``DROP_TOLERANCE``), numbers too large for a float.
 Every rejection is an ``InstanceError`` naming the instance's source.
+
+The schema is checked by a plain-Python predicate compiled from it once.
+``jsonschema`` is slow to import and to run, so it is loaded only when
+the predicate rejects an instance: it then decides, and words the error.
 """
 from __future__ import annotations
 
 import functools
 import json
+import operator
+from numbers import Number
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from .core import DROP_TOLERANCE, Distribution, Point, ProducerTransform
 from .participation import ParticipationModel
@@ -32,9 +38,9 @@ def _kind_requires(fields: dict[str, list[str]]) -> dict:
     """Schema clauses by which an object of each listed ``kind`` needs its
     fields.
 
-    An if/else chain that tests the kinds in the order given: a failed
-    test costs the validator far more than a passed one, so the commonest
-    kind goes first.
+    An if/else chain that tests the kinds in the order given.  The order
+    changes nothing that is accepted; the commonest kind goes first, so
+    that the compiled predicate usually makes one test.
     """
     clause: dict = {}
     for kind, names in reversed(fields.items()):
@@ -170,6 +176,176 @@ class InstanceError(ValueError):
     """An instance file or dict that breaks the contract."""
 
 
+def _is_number(x: Any) -> bool:
+    return isinstance(x, (int, float, Number)) and not isinstance(x, bool)
+
+
+def _is_integer(x: Any) -> bool:
+    # Draft 2020-12 counts a float with an integral value as an integer
+    if isinstance(x, float):
+        return x.is_integer()
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+#: jsonschema's Draft 2020-12 type checks, by type name
+_TYPES: dict[str, Callable[[Any], bool]] = {
+    "array": lambda x: isinstance(x, list),
+    "object": lambda x: isinstance(x, dict),
+    "string": lambda x: isinstance(x, str),
+    "number": _is_number,
+    "integer": _is_integer,
+}
+
+
+def _scalar(value: Any) -> Any:
+    """``value``, a ``const`` or ``enum`` value the predicate can compare."""
+    if value is not None and not isinstance(value, (str, int, float)):
+        raise NotImplementedError(f"the schema compiler cannot compare {value!r}")
+    return value
+
+
+def _same(x: Any, value: Any) -> bool:
+    """jsonschema's equality against a scalar: ``1.0`` equals ``1``, but
+    ``True`` does not."""
+    return x == value and isinstance(x, bool) == isinstance(value, bool)
+
+
+def _type(names: str | list[str], schema: dict) -> Callable[[Any], bool]:
+    names = [names] if isinstance(names, str) else names
+    try:
+        tests = [_TYPES[name] for name in names]
+    except KeyError as exc:
+        raise NotImplementedError(f"the schema compiler has no type {exc}") from None
+    if len(tests) == 1:
+        return tests[0]
+    return lambda x: any(test(x) for test in tests)
+
+
+def _const(value: Any, schema: dict) -> Callable[[Any], bool]:
+    value = _scalar(value)
+    return lambda x: _same(x, value)
+
+
+def _enum(values: list, schema: dict) -> Callable[[Any], bool]:
+    values = [_scalar(value) for value in values]
+    return lambda x: any(_same(x, value) for value in values)
+
+
+def _bound(fails: Callable[[Any, Any], bool]) -> Callable:
+    """A numeric bound's compiler; the bound applies to numbers only."""
+
+    def compile_bound(limit: Any, schema: dict) -> Callable[[Any], bool]:
+        return lambda x: not (_is_number(x) and fails(x, limit))
+
+    return compile_bound
+
+
+def _length(holds: Callable[[int, int], bool]) -> Callable:
+    """An array length bound's compiler; the bound applies to arrays only."""
+
+    def compile_length(count: int, schema: dict) -> Callable[[Any], bool]:
+        return lambda x: not isinstance(x, list) or holds(len(x), count)
+
+    return compile_length
+
+
+def _items(item: dict, schema: dict) -> Callable[[Any], bool]:
+    check = _compile(item)
+    return lambda x: not isinstance(x, list) or all(map(check, x))
+
+
+def _properties(props: dict, schema: dict) -> Callable[[Any], bool]:
+    checks = [(name, _compile(sub)) for name, sub in props.items()]
+
+    def check(x: Any) -> bool:
+        if isinstance(x, dict):
+            for name, sub in checks:
+                if name in x and not sub(x[name]):
+                    return False
+        return True
+
+    return check
+
+
+def _required(names: list[str], schema: dict) -> Callable[[Any], bool]:
+    names = frozenset(names)
+    return lambda x: not isinstance(x, dict) or x.keys() >= names
+
+
+def _additional_properties(allowed: Any, schema: dict) -> Callable[[Any], bool]:
+    if allowed is not False:
+        raise NotImplementedError(
+            "the schema compiler takes only additionalProperties: false"
+        )
+    known = frozenset(schema.get("properties", ()))
+    return lambda x: not isinstance(x, dict) or x.keys() <= known
+
+
+def _if(test: dict, schema: dict) -> Callable[[Any], bool]:
+    condition = _compile(test)
+    then = _compile(schema.get("then", {}))
+    otherwise = _compile(schema.get("else", {}))
+    return lambda x: then(x) if condition(x) else otherwise(x)
+
+
+def _one_of(branches: list[dict], schema: dict) -> Callable[[Any], bool]:
+    checks = [_compile(branch) for branch in branches]
+    return lambda x: sum(1 for check in checks if check(x)) == 1
+
+
+#: the compiler of each keyword ``INSTANCE_SCHEMA`` uses; ``then`` and
+#: ``else`` are compiled with their ``if``
+_KEYWORDS: dict[str, Callable[[Any, dict], Callable[[Any], bool]]] = {
+    "type": _type,
+    "const": _const,
+    "enum": _enum,
+    "minimum": _bound(operator.lt),
+    "maximum": _bound(operator.gt),
+    "exclusiveMinimum": _bound(operator.le),
+    "minItems": _length(operator.ge),
+    "maxItems": _length(operator.le),
+    "items": _items,
+    "properties": _properties,
+    "required": _required,
+    "additionalProperties": _additional_properties,
+    "if": _if,
+    "oneOf": _one_of,
+}
+
+
+def _compile(schema: dict) -> Callable[[Any], bool]:
+    """A predicate that accepts what jsonschema's Draft 2020-12 validator
+    of ``schema`` accepts; a keyword it does not know is an error, so a
+    schema edit cannot go unchecked."""
+    if not isinstance(schema, dict):
+        raise NotImplementedError(f"the schema compiler takes objects, not {schema!r}")
+    checks = []
+    for keyword, value in schema.items():
+        if keyword in ("then", "else"):
+            continue
+        if keyword not in _KEYWORDS:
+            raise NotImplementedError(f"the schema compiler has no keyword {keyword!r}")
+        checks.append(_KEYWORDS[keyword](value, schema))
+    if not checks:
+        return lambda x: True
+    if len(checks) == 1:
+        return checks[0]
+
+    def check(x: Any) -> bool:
+        for each in checks:
+            if not each(x):
+                return False
+        return True
+
+    return check
+
+
+@functools.cache
+def _instance_predicate() -> Callable[[Any], bool]:
+    """``INSTANCE_SCHEMA`` compiled, once, to a plain-Python predicate."""
+    return _compile(INSTANCE_SCHEMA)
+
+
 @functools.cache
 def _instance_validator() -> Any:
     """The validator of ``INSTANCE_SCHEMA``, checked against its metaschema
@@ -183,12 +359,16 @@ def _instance_validator() -> Any:
 
 def check_instance(instance: Any, source: str = "instance") -> None:
     """Reject ``instance`` where the schema does, with the error
-    ``jsonschema.validate`` would report, or where point ids repeat."""
-    from jsonschema.exceptions import best_match
+    ``jsonschema.validate`` would report, or where point ids repeat.
 
-    error = best_match(_instance_validator().iter_errors(instance))
-    if error is not None:
-        raise InstanceError(f"{source} failed schema validation: {error.message}")
+    ``jsonschema`` runs only on what the compiled predicate rejects, and
+    its answer alone decides and words the rejection."""
+    if not _instance_predicate()(instance):
+        from jsonschema.exceptions import best_match
+
+        error = best_match(_instance_validator().iter_errors(instance))
+        if error is not None:
+            raise InstanceError(f"{source} failed schema validation: {error.message}")
     ids = [str(p["id"]) for p in instance["points"]]
     if len(set(ids)) != len(ids):
         raise InstanceError(f"{source} has duplicate point ids")
@@ -203,7 +383,9 @@ def load_instance(path: str) -> Any:
     ``Infinity`` are not JSON numbers, and text that is not UTF-8 is not
     JSON."""
     try:
-        return json.loads(Path(path).read_text(), parse_constant=_reject_constant)
+        return json.loads(
+            Path(path).read_text(encoding="utf-8"), parse_constant=_reject_constant
+        )
     except OSError as exc:
         raise InstanceError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
@@ -287,6 +469,6 @@ def build_objects(
             raise ValueError(f"seed ids {missing} are not in the pool")
         for point, _ in pool.items():
             transform.apply(point.p)  # a table transform must cover every p
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # an integer too large for a float
         raise InstanceError(f"{source} is not a valid instance: {exc}") from exc
     return pool, model, transform, cfg

@@ -412,6 +412,16 @@ def test_canonical_json_is_stable_and_strict():
         lambda inst: inst.update(optimizer={"increment_policy": {"kind": "unit_chunks"}}),
         lambda inst: inst.update(optimizer={"seed_policy": "lowest"}),
         lambda inst: inst.update(schema_version=2),
+        # the edges of the compiled predicate's rules
+        lambda inst: inst["points"][0].update(n=True),
+        lambda inst: inst.update(schema_version=True),
+        lambda inst: inst.update(optimizer={"lookahead_steps": 2.5}),
+        lambda inst: inst.update(optimizer={"seed_policy": {"ids": []}}),
+        lambda inst: inst["points"][0].update(weight=1.0),
+        lambda inst: inst.update(
+            optimizer={"increment_policy": {"kind": "unit_chunks", "chunk": 0.5, "size": 1}}
+        ),
+        lambda inst: inst.update(participation={"kind": "table", "knots": [[1, 2, 3]]}),
     ],
 )
 def test_schema_errors_read_as_jsonschema_validate_reports_them(tmp_path, capsys, mutate):
@@ -426,6 +436,30 @@ def test_schema_errors_read_as_jsonschema_validate_reports_them(tmp_path, capsys
     assert capsys.readouterr().err == (
         f"error: {inp} failed schema validation: {expected.value.message}\n"
     )
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda inst: inst.update(schema_version=1.0),
+        lambda inst: inst.update(optimizer={"lookahead_steps": 2.0}),
+        lambda inst: inst["participation"].update(cap=3.0),
+    ],
+    ids=["schema-version-1.0", "lookahead-steps-2.0", "power-curve-with-a-cap"],
+)
+def test_schema_edges_are_accepted(tmp_path, capsys, mutate):
+    # 1.0 is the integer 1 to the schema, and a curve may carry the fields
+    # of another kind
+    inst = json.loads(json.dumps(FIVE_POINT))
+    mutate(inst)
+    assert instances._instance_predicate()(inst)
+    reports = []
+    for obj in (FIVE_POINT, inst):
+        assert cli.main(["optimize", "--input", write(tmp_path, "i.json", obj)]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    for report in reports:
+        del report["instance"]
+    assert reports[1] == reports[0]
 
 
 @pytest.mark.parametrize(
@@ -649,3 +683,118 @@ def test_batch_mode_carries_on_past_a_zero_volume_step(tmp_path):
     assert proc.stderr.startswith(f"error: {tmp_path / 'a.json'}: marginal participation")
     assert not (tmp_path / "a.report.json").exists()
     assert json.loads((tmp_path / "b.report.json").read_text())["n_star"] == 4.0
+
+
+#: an integer literal that passes the schema but is too large for a float
+HUGE = 10**400
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda inst: inst["points"][0].update(c=HUGE),
+        lambda inst: inst.update(optimizer={"ratio_threshold": HUGE}),
+    ],
+    ids=["c", "ratio-threshold"],
+)
+def test_an_integer_too_large_for_a_float_ends_as_an_error_line(tmp_path, mutate):
+    inst = json.loads(json.dumps(FIVE_POINT))
+    mutate(inst)
+    inp = write(tmp_path, "huge.json", inst)
+    proc = subprocess.run(
+        [sys.executable, "-m", "distopt.cli", "optimize", "--input", inp],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == (
+        f"error: {inp} is not a valid instance: int too large to convert to float\n"
+    )
+    assert proc.stdout == ""
+
+
+def test_batch_mode_carries_on_past_an_integer_too_large_for_a_float(tmp_path, capsys):
+    write(tmp_path, "a.json", {**FIVE_POINT, "optimizer": {"ratio_threshold": HUGE}})
+    write(tmp_path, "b.json", FIVE_POINT)
+    assert cli.main(["optimize", "--batch", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'a.json'} is not a valid instance: "
+        "int too large to convert to float\n"
+    )
+    assert not (tmp_path / "a.report.json").exists()
+    assert json.loads((tmp_path / "b.report.json").read_text())["n_star"] == 4.0
+
+
+def test_an_output_under_a_missing_directory_ends_as_an_error_line(tmp_path):
+    inp = write(tmp_path, "five.json", FIVE_POINT)
+    out = tmp_path / "missing" / "r.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "distopt.cli", "optimize", "--input", inp,
+         "--output", str(out)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == (
+        f"error: cannot write {out}: [Errno 2] No such file or directory: '{out}'\n"
+    )
+
+
+def test_a_batch_output_naming_a_file_ends_as_an_error_line(tmp_path):
+    src = tmp_path / "in"
+    src.mkdir()
+    write(src, "five.json", FIVE_POINT)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    proc = subprocess.run(
+        [sys.executable, "-m", "distopt.cli", "optimize", "--batch", str(src),
+         "--output", str(taken)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == f"error: cannot write {taken}: [Errno 17] File exists: '{taken}'\n"
+
+
+@pytest.mark.parametrize(
+    "occupied, instance, verb",
+    [
+        ("r.trace.csv", FIVE_POINT, "write"),
+        ("r.thresholds.csv", FIVE_POINT, "write"),
+        # no witness, so the earlier thresholds file is removed
+        ("r.thresholds.csv", make_instance([("u", 10.0, 1.0, 1.0)]), "remove"),
+    ],
+    ids=["trace", "thresholds", "thresholds-removed"],
+)
+def test_a_curve_file_that_cannot_be_written_ends_as_an_error_line(
+    tmp_path, capsys, occupied, instance, verb
+):
+    # a directory stands where the CSV file goes
+    (tmp_path / occupied).mkdir()
+    inp = write(tmp_path, "i.json", instance)
+    out = str(tmp_path / "r.json")
+    assert cli.main(["optimize", "--input", inp, "--output", out, "--format", "csv"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot {verb} {tmp_path / occupied}: [Errno 21] ")
+    assert err.count("\n") == 1
+
+
+def test_optimize_reads_and_writes_utf8_whatever_the_locale(tmp_path):
+    # every text file is opened as UTF-8, so a default-encoding warning,
+    # made an error, cannot stop the run
+    inst = json.loads(json.dumps(FIVE_POINT))
+    inst["points"][0]["id"] = "c5\u00e9"
+    inp = tmp_path / "accent.json"
+    inp.write_bytes(json.dumps(inst, ensure_ascii=False).encode("utf-8"))
+    out = tmp_path / "r.json"
+    proc = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+         "-m", "distopt.cli", "optimize", "--input", str(inp), "--output", str(out),
+         "--format", "csv"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert "c5\u00e9,".encode("utf-8") in (tmp_path / "r.trace.csv").read_bytes()
+    assert json.loads(out.read_text(encoding="utf-8"))["n_star"] == 4.0

@@ -1,9 +1,10 @@
 """Every generated instance ends in a report or in one ``error:`` line.
 
-Instances come from the ``uniform`` and ``monotone`` generators, with
-optional increment chunks, an explicit seed block and a lookahead bound
-drawn on top.  ``optimize --format csv`` runs on each one twice, in
-process: no exception may escape, and both runs must write the same bytes.
+Instances come from ``strategies.generated_instances``: the ``uniform``
+and ``monotone`` generators, with optional increment chunks, an explicit
+seed block and a lookahead bound drawn on top.  ``optimize --format csv``
+runs on each one twice, in process: no exception may escape, and both
+runs must write the same bytes.
 """
 from __future__ import annotations
 
@@ -13,31 +14,11 @@ import json
 import tempfile
 from pathlib import Path
 
-import hypothesis.strategies as st
 from hypothesis import event, given, settings
 
 from distopt import cli
-from distopt.oracle import generate_instance
 
-
-@st.composite
-def instances(draw) -> dict:
-    profile = draw(st.sampled_from(["uniform", "monotone"]))
-    inst = generate_instance(profile, draw(st.integers(0, 10_000)), draw(st.integers(2, 25)))
-    optimizer: dict = {}
-    chunk = draw(st.none() | st.floats(0.05, 1.0))
-    if chunk is not None:
-        optimizer["increment_policy"] = {"kind": "unit_chunks", "chunk": chunk}
-    ids = [pt["id"] for pt in inst["points"]]
-    seed = draw(st.none() | st.lists(st.sampled_from(ids), min_size=1, max_size=3, unique=True))
-    if seed is not None:
-        optimizer["seed_policy"] = {"ids": seed}
-    lookahead = draw(st.none() | st.integers(0, 5))
-    if lookahead is not None:
-        optimizer["lookahead_steps"] = lookahead
-    if optimizer:
-        inst["optimizer"] = optimizer
-    return inst
+from strategies import generated_instances
 
 
 def _optimize_csv(src: Path, out_dir: Path) -> tuple[int, str, dict[str, bytes]]:
@@ -54,7 +35,7 @@ def _optimize_csv(src: Path, out_dir: Path) -> tuple[int, str, dict[str, bytes]]
 
 
 @settings(max_examples=100, deadline=None)
-@given(inst=instances())
+@given(inst=generated_instances())
 def test_every_generated_instance_ends_in_a_report_or_an_error_line(inst):
     with tempfile.TemporaryDirectory() as tmp:
         src = Path(tmp) / "instance.json"

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -10,6 +11,8 @@ from pathlib import Path
 
 import distopt
 from distopt.optimizer import OptimizationResult
+
+from conftest import FIVE_POINT
 
 SOURCES = sorted(Path(distopt.__file__).parent.glob("*.py"))
 
@@ -113,21 +116,34 @@ def test_one_library_path_measures_a_crossing_candidate():
     assert found == []
 
 
-def test_importing_the_package_leaves_jsonschema_unloaded():
-    # ``jsonschema`` is imported on the first instance check, not with the
-    # package
-    proc = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "import sys, distopt, distopt.cli; print('jsonschema' in sys.modules)",
-        ],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(Path(distopt.__file__).parent.parent)},
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+def test_importing_the_package_leaves_jsonschema_unloaded(tmp_path):
+    # ``jsonschema`` is imported only to word a rejection: not with the
+    # package, not by ``gen`` and not by a valid instance's run
+    valid = tmp_path / "valid.json"
+    valid.write_text(json.dumps(FIVE_POINT))
+    invalid = tmp_path / "invalid.json"
+    invalid.write_text(json.dumps({**FIVE_POINT, "surprise": True}))
+    gen = ["gen", "--profile", "uniform", "--output", str(tmp_path / "gen.json")]
+    for argv, loaded in [
+        ([], False),
+        (gen, False),
+        (["optimize", "--input", str(valid)], False),
+        (["optimize", "--input", str(invalid)], True),
+    ]:
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, distopt, distopt.cli\n"
+                f"if {argv!r}: distopt.cli.main({argv!r})\n"
+                "print('jsonschema' in sys.modules)",
+            ],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(distopt.__file__).parent.parent)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == str(loaded), argv
 
 
 def test_optimize_alone_builds_a_result():
