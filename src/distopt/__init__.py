@@ -27,7 +27,6 @@ from .participation import (
 from .valuation import (
     ValueDelta,
     delta_s,
-    v_value,
 )
 from .sequence import (
     SequenceConfig,
@@ -52,10 +51,8 @@ from .optimizer import (
     optimize,
 )
 from .oracle import (
-    BruteForceResult,
     FoundInstance,
     OracleReport,
-    brute_force_w_max,
     crosscheck_thresholds,
     find_scenario_instance,
     finite_difference_facts,
@@ -81,7 +78,6 @@ __all__ = [
     "potential",
     "ValueDelta",
     "delta_s",
-    "v_value",
     "SequenceConfig",
     "SequenceStep",
     "greedy_sweep",
@@ -98,10 +94,8 @@ __all__ = [
     "OptimizationResult",
     "OptimizerConfig",
     "optimize",
-    "BruteForceResult",
     "FoundInstance",
     "OracleReport",
-    "brute_force_w_max",
     "crosscheck_thresholds",
     "find_scenario_instance",
     "finite_difference_facts",

@@ -233,9 +233,6 @@ class Distribution:
     def __contains__(self, point_id: str) -> bool:
         return point_id in self._entries
 
-    def __iter__(self) -> Iterator[tuple[Point, float]]:
-        return iter(self._entries.values())
-
     def items(self) -> Iterator[tuple[Point, float]]:
         return iter(self._entries.values())
 

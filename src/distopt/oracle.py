@@ -2,9 +2,6 @@
 
 Everything here verifies package behavior from first principles:
 
-* ``brute_force_w_max`` replays the greedy build with direct value
-  differences (no scoring shortcuts) and exhaustively scans subsets,
-  giving an independent target for the optimizer's crossing volume.
 * ``crosscheck_thresholds`` samples candidate extensions, measures value
   changes directly on concrete distributions, and compares their signs
   against the closed-form threshold rules written out inline here — it
@@ -32,7 +29,7 @@ from .core import (
 )
 from .instances import SCHEMA_VERSION, InstanceError, build_objects, check_instance
 from .optimizer import BuildOrderError, OptimizationResult, optimize
-from .participation import ParticipationModel, ZeroVolumeDeltaError, actual, potential
+from .participation import ParticipationModel, ZeroVolumeDeltaError, potential
 from .thresholds import (
     CONTINUE_TO_D2_STAR_THM4,
     SATURATED_CONSUMER,
@@ -42,12 +39,11 @@ from .thresholds import (
     SCENARIO_IV_STAY,
     STAY_AT_D_STAR_THM2,
     UNDER_SERVED,
-    ExtensionContext,
     viability_limit_m_ratio,
     x_l_kappa,
     x_u_kappa,
 )
-from .valuation import delta_s, v_value
+from .valuation import delta_s
 
 #: comparisons closer than this to a decision boundary are not scored
 BOUNDARY_BAND = 1e-9
@@ -62,69 +58,6 @@ class OracleReport:
     @property
     def ok(self) -> bool:
         return not self.mismatches
-
-
-@dataclass(frozen=True)
-class BruteForceResult:
-    best_prefix_w: float
-    best_subset_w: float
-    prefix_ws: tuple[float, ...]
-    greedy_order: tuple[str, ...]
-
-
-def brute_force_w_max(
-    pool: Distribution,
-    model: ParticipationModel,
-    t: ProducerTransform,
-    subset_cap: int = 20,
-) -> BruteForceResult:
-    """Reference crossing volume by direct replay and exhaustive scan.
-
-    The greedy replay ranks candidates by the raw potential-value
-    difference of concrete distributions — no incremental scoring — with
-    the same deterministic tie-break (higher c, higher T(p), smaller id).
-    The subset maximum is a diagnostic upper reference: the realized
-    mechanism is constrained to greedy prefixes.
-    """
-    entries = list(pool.items())
-    d = Distribution()
-    remaining = {pt.id: (pt, w) for pt, w in entries}
-    prefix_ws: list[float] = []
-    order: list[str] = []
-    while remaining:
-        best_key = None
-        best_id = None
-        base_v = v_value(d, model, t)
-        for pid, (pt, w) in remaining.items():
-            grown = apply_increment(d, PointIncrement(pt, w))
-            gain = v_value(grown, model, t) - base_v
-            key = (-gain, -pt.c, -t.apply(pt.p), pid)
-            if best_key is None or key < best_key:
-                best_key, best_id = key, pid
-        pt, w = remaining.pop(best_id)
-        d = apply_increment(d, PointIncrement(pt, w))
-        prefix_ws.append(actual(model, d))
-        order.append(best_id)
-
-    best_subset = 0.0
-    if len(entries) <= subset_cap:
-        n_pts = len(entries)
-        for mask in range(1, 1 << n_pts):
-            subset = Distribution(
-                [entries[i] for i in range(n_pts) if mask >> i & 1]
-            )
-            w = actual(model, subset)
-            if w > best_subset:
-                best_subset = w
-    else:
-        best_subset = math.nan
-
-    return BruteForceResult(
-        best_prefix_w=max(prefix_ws) if prefix_ws else 0.0,
-        best_subset_w=best_subset,
-        prefix_ws=tuple(prefix_ws),
-        greedy_order=tuple(order),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -396,12 +329,7 @@ def finite_difference_facts(grid_size: int = 50) -> OracleReport:
 
     # window between ordering limit and producer threshold vs tp2
     def window(n_r1: float, n_r2: float, tp2: float) -> float:
-        ctx = ExtensionContext.synthesize(
-            n_r1=n_r1, n_r2=n_r2, tp2_ratio=tp2, c2_ratio=1.0
-        )
-        standard, _ = x_u_kappa(ctx.n_r1, ctx.n_r2, ctx.tp1_ratio, ctx.tp2_ratio)
-        adaptive, _ = x_l_kappa(ctx.n_r2, ctx.tp2_ratio)
-        return standard - adaptive
+        return x_u_kappa(n_r1, n_r2, 1.0, tp2)[0] - x_l_kappa(n_r2, tp2)[0]
 
     for n_r1 in _grid(0.05, 0.6, 10):
         for n_r2 in _grid(0.05, 0.9, 10):

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 from .core import (
     Distribution,
-    Point,
     PointIncrement,
     ProducerTransform,
     SubdistributionError,
@@ -73,10 +72,7 @@ class DegenerateContextError(ValueError):
 class ExtensionContext:
     """Everything the threshold algebra needs about one candidate extension.
 
-    Built either from a realized optimizer state (``from_run``) or from
-    bare ratios (``synthesize``, which constructs a minimal concrete
-    instance realizing them so that closed forms and direct measurements
-    can be compared on the same object).
+    Built from a realized optimizer state by ``from_run``.
     """
 
     r1: PointIncrement | None
@@ -200,53 +196,6 @@ class ExtensionContext:
             consumer_mode=consumer_mode,
         )
 
-    @staticmethod
-    def synthesize(
-        n_r1: float,
-        n_r2: float,
-        tp2_ratio: float,
-        c2_ratio: float,
-        tp1_ratio: float = 1.0,
-        alpha: float = 0.5,
-        iota: float = 0.1,
-        consumer_mode: str = ADAPTIVE,
-    ) -> "ExtensionContext":
-        """Realize bare ratios as a minimal concrete crossing state.
-
-        Builds a two-point crossing distribution (a base point plus the
-        last increment, both of the same consumer value) with unit volume
-        and unit mean consumer value, under M(q) = q**alpha so potential
-        participation exactly meets volume there, then measures it with
-        ``from_run``.  With ``tp1_ratio = 1`` the last increment is
-        indistinguishable from the base.
-        """
-        if not (0 < n_r1 < 1):
-            raise ValueError("n_r1 must lie in (0, 1)")
-        if not (n_r2 > 0):
-            raise ValueError("n_r2 must be positive")
-        base_share = 1.0 - n_r1
-        q_a = 1.0 / (base_share + n_r1)
-        a = Point(id="base", c=q_a, p=1.0)
-        r1 = PointIncrement(Point(id="last", c=q_a, p=tp1_ratio), n_r1)
-        e_star = base_share + tp1_ratio * n_r1
-        if e_star <= 0:
-            raise DegenerateContextError(
-                "synthesized crossing mean producer value must be positive"
-            )
-        r2 = PointIncrement(
-            Point(id="cand", c=c2_ratio, p=tp2_ratio * e_star), n_r2
-        )
-        d_star = Distribution([(a, base_share), (r1.point, r1.weight)])
-        return ExtensionContext.from_run(
-            d_star,
-            r1,
-            r2.as_distribution(),
-            ParticipationModel.power(1.0, alpha),
-            ProducerTransform.identity(),
-            iota=iota,
-            consumer_mode=consumer_mode,
-        )
-
     # -- derived values ---------------------------------------------------
 
     def delta_v_hat(self) -> float:
@@ -350,12 +299,12 @@ def _f_bounds(ctx: ExtensionContext) -> tuple[float, float]:
     else:
         inv = 1.0 / ctx.m_r2_ratio
         low = (inv - 1.0) / n2 + inv
-    if ctx.m_ar2_ratio <= 0:
+    # a subnormal participation ratio can round this product to 0
+    pull = n2 * ctx.m_ar2_ratio
+    if pull <= 0:
         up = math.inf
     else:
-        up = (1.0 - n1 + n2) * ((1.0 - n1) + tp1 * n1) / (
-            n2 * ctx.m_ar2_ratio
-        ) - (1.0 - n1) / n2
+        up = (1.0 - n1 + n2) * ((1.0 - n1) + tp1 * n1) / pull - (1.0 - n1) / n2
     return low, up
 
 

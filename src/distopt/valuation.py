@@ -41,15 +41,6 @@ def _s_of(d: Distribution, m: float, t: ProducerTransform) -> float:
     return expected_t(d, t) * min(m, d.n)
 
 
-def v_value(
-    d: Distribution, model: ParticipationModel, t: ProducerTransform
-) -> float:
-    """Potential producer value V(D) = E(T|D) * M(Q(D))."""
-    if d.is_empty():
-        return 0.0
-    return expected_t(d, t) * potential(model, d)
-
-
 def _difference_mean_t(
     d: Distribution, d_prime: Distribution, t: ProducerTransform
 ) -> float:

@@ -70,6 +70,17 @@ LOOKAHEAD = {
     "participation": {"kind": "power", "zeta": 1.7893, "alpha": 0.769},
 }
 
+# A participation scale of 5e-324, the least subnormal: every participation
+# ratio at the crossing is subnormal, and the probe block's weight share
+# times one of them rounds to 0.
+SUBNORMAL_SCALE = {
+    "points": [
+        {"id": "a", "c": 1.9385183703262605, "p": -1, "n": 0.009951299105697144},
+        {"id": "b", "c": 3, "p": 1.9385183703262605, "n": 1},
+    ],
+    "participation": {"kind": "power", "zeta": 5e-324, "alpha": 0.05},
+}
+
 
 @pytest.fixture
 def linear_model() -> ParticipationModel:

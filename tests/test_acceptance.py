@@ -23,7 +23,6 @@ from distopt.core import (
 )
 from distopt.instances import SCHEMA_VERSION, build_objects
 from distopt.oracle import (
-    brute_force_w_max,
     crosscheck_thresholds,
     find_scenario_instance,
     finite_difference_facts,
@@ -39,13 +38,13 @@ from distopt.thresholds import (
     SCENARIO_II_CONSUMER_PREFERS,
     SCENARIO_III_PRODUCER_PREFERS,
     STAY_AT_D_STAR_THM2,
-    ExtensionContext,
     threshold_report,
     viability_limit_m_ratio,
 )
-from distopt.valuation import delta_s, delta_v_of_increment, v_value
+from distopt.valuation import delta_s, delta_v_of_increment
 
 from conftest import FIVE_POINT, LADDER, make_instance
+from reference import brute_force_w_max, synthesize, v_value
 
 IDENT = ProducerTransform.identity()
 
@@ -183,7 +182,7 @@ def test_threshold_boundary_identities():
     for mode in (ADAPTIVE, REACTIVE):
         for n2 in (0.1, 0.5, 0.9):
             r = threshold_report(
-                ExtensionContext.synthesize(
+                synthesize(
                     n_r1=0.2, n_r2=n2, tp2_ratio=0.0, c2_ratio=2.0, alpha=0.5,
                     consumer_mode=mode,
                 )
@@ -204,7 +203,7 @@ def test_threshold_boundary_identities():
     for tp2 in (0.0, 0.3, 0.7, 0.999):
         for n2 in (0.05, 0.4, 0.9):
             r = threshold_report(
-                ExtensionContext.synthesize(
+                synthesize(
                     n_r1=0.25, n_r2=n2, tp2_ratio=tp2, c2_ratio=2.0, alpha=0.5
                 )
             )

@@ -13,7 +13,7 @@ from distopt.thresholds import (
     SCENARIO_III_PRODUCER_PREFERS,
 )
 
-from conftest import FIVE_POINT, LADDER, SECOND_CROSSING, make_instance
+from conftest import FIVE_POINT, LADDER, SECOND_CROSSING, SUBNORMAL_SCALE, make_instance
 
 
 def write(tmp_path, name, obj) -> str:
@@ -595,6 +595,28 @@ def test_an_explicit_seed_off_the_greedy_order_ends_as_an_error_line(tmp_path, c
     assert "explicit seed ['p3']" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "participation",
+    [
+        SUBNORMAL_SCALE["participation"],
+        {"kind": "saturating", "zeta": 1, "alpha": 0.05, "cap": 5e-324},
+    ],
+    ids=["power-zeta", "saturating-cap"],
+)
+def test_a_subnormal_participation_scale_ends_in_a_report(tmp_path, participation):
+    # the ordering bound's pull n_r2 * M(D_a + r2)/N* rounds to 0, which
+    # leaves that bound as unbounded as a non-positive ratio does
+    inp = write(tmp_path, "subnormal.json", {**SUBNORMAL_SCALE, "participation": participation})
+    proc = subprocess.run(
+        [sys.executable, "-m", "distopt.cli", "optimize", "--input", inp],
+        capture_output=True,
+        text=True,
+    )
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["thresholds"]["f_up"] == "inf"
 
 
 #: c = p = 1e300 at one point: the report's values overflow to inf

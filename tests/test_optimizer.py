@@ -11,7 +11,7 @@ from distopt.core import (
     apply_increment,
 )
 from distopt.instances import build_objects
-from distopt.oracle import brute_force_w_max, find_scenario_instance, generate_instance
+from distopt.oracle import find_scenario_instance, generate_instance
 from distopt.optimizer import (
     CROSSING_REL_TOL,
     BuildOrderError,
@@ -31,7 +31,6 @@ from distopt.thresholds import (
     SCENARIO_III_PRODUCER_PREFERS,
     STAY_AT_D_STAR_THM2,
     UNDER_SERVED,
-    ExtensionContext,
 )
 
 from conftest import (
@@ -42,6 +41,7 @@ from conftest import (
     make_dist,
     make_instance,
 )
+from reference import brute_force_w_max, synthesize
 
 
 def run(instance):
@@ -295,7 +295,7 @@ def test_searcher_found_carveout_satisfies_its_contract():
 
 
 def test_dominating_extension_guard_fires():
-    ctx = ExtensionContext.synthesize(
+    ctx = synthesize(
         n_r1=0.2, n_r2=0.5, tp2_ratio=1.5, c2_ratio=3.0, alpha=0.9
     )
     # a RuntimeError still, so the scenario search keeps skipping such pools

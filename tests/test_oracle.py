@@ -7,7 +7,6 @@ import pytest
 from distopt import core, oracle
 from distopt.instances import InstanceError, build_objects
 from distopt.oracle import (
-    brute_force_w_max,
     crosscheck_thresholds,
     find_scenario_instance,
     finite_difference_facts,
@@ -27,6 +26,7 @@ from distopt.thresholds import (
 )
 
 from conftest import make_instance
+from reference import brute_force_w_max
 
 
 ALL_KINDS = (

@@ -47,7 +47,7 @@ def test_only_core_builds_distributions_from_checked_entries():
 
 def test_every_public_name_has_a_caller_in_the_library():
     # a name the package exports but none of its modules uses is API that
-    # only tests call; the reference brute force is kept for them on purpose
+    # only tests call; such code belongs in ``tests/reference.py``
     used = {
         node.id if isinstance(node, ast.Name) else node.attr
         for path in SOURCES
@@ -55,7 +55,7 @@ def test_every_public_name_has_a_caller_in_the_library():
         for node in ast.walk(ast.parse(path.read_text(), str(path)))
         if isinstance(node, (ast.Name, ast.Attribute))
     }
-    exempt = {"__version__", "brute_force_w_max"}
+    exempt = {"__version__"}
     assert sorted(set(distopt.__all__) - used - exempt) == []
 
 
@@ -102,18 +102,42 @@ def test_the_cli_imports_no_private_name():
 
 def test_one_library_path_measures_a_crossing_candidate():
     # ``extension_verdict`` measures and classifies every candidate the
-    # optimizer and the CLI look at; ``synthesize`` builds contexts from
-    # bare ratios
+    # optimizer and the CLI look at
     found = [
         f"{path.name}:{node.lineno}"
         for path in SOURCES
         for func in ast.walk(ast.parse(path.read_text(), str(path)))
         if isinstance(func, ast.FunctionDef)
-        and func.name not in ("extension_verdict", "synthesize")
+        and func.name != "extension_verdict"
         for node in ast.walk(func)
         if isinstance(node, ast.Attribute) and node.attr == "from_run"
     ]
     assert found == []
+
+
+def test_the_oracle_checks_thresholds_without_the_library_formulas():
+    # ``crosscheck_thresholds`` compares measured value changes against
+    # threshold rules it writes out itself; naming the library's formulas,
+    # classifier or context would let one algebra slip pass both sides
+    library = {
+        "x_l_kappa", "x_u_kappa", "x_c_kappa", "viability_limit_m_ratio",
+        "classify", "threshold_report", "extension_verdict", "ExtensionContext",
+    }
+    oracle = Path(distopt.__file__).with_name("oracle.py")
+    bodies = {
+        func.name: func
+        for func in ast.walk(ast.parse(oracle.read_text(), str(oracle)))
+        if isinstance(func, ast.FunctionDef)
+        and func.name in ("crosscheck_thresholds", "_sample_context")
+    }
+    assert sorted(bodies) == ["_sample_context", "crosscheck_thresholds"]
+    found = {
+        f"{name}:{node.lineno}": sorted(_names(node) & library)
+        for name, func in bodies.items()
+        for node in ast.walk(func)
+        if _names(node) & library
+    }
+    assert found == {}
 
 
 def test_importing_the_package_leaves_jsonschema_unloaded(tmp_path):

@@ -27,10 +27,7 @@ from distopt.thresholds import (
 )
 
 from conftest import make_dist
-
-
-def synth(**kw) -> ExtensionContext:
-    return ExtensionContext.synthesize(**kw)
+from reference import synthesize as synth
 
 
 # A reference context used by most of the frozen-value checks below:

@@ -22,10 +22,10 @@ from distopt.valuation import (
     _extended_value,
     delta_s,
     delta_v_of_increment,
-    v_value,
 )
 
 from conftest import make_dist
+from reference import v_value
 
 M11 = ParticipationModel.power(1.0, 1.0)
 IDENT = ProducerTransform.identity()
@@ -161,15 +161,6 @@ def _ref_s_value(
     return expected_t(d, t) * actual(model, d)
 
 
-def _ref_v_value(
-    d: Distribution, model: ParticipationModel, t: ProducerTransform
-) -> float:
-    """Potential producer value V(D) = E(T|D) * M(Q(D))."""
-    if d.is_empty():
-        return 0.0
-    return expected_t(d, t) * potential(model, d)
-
-
 def _ref_difference_mean_t(
     smaller: Distribution, larger: Distribution, t: ProducerTransform
 ) -> float:
@@ -189,9 +180,9 @@ def _ref_delta_v(
     if d.is_empty() and d_prime.is_empty():
         return 0.0
     if d.is_empty():
-        return _ref_v_value(d_prime, model, t)
+        return v_value(d_prime, model, t)
     if d_prime.is_empty():
-        return -_ref_v_value(d, model, t)
+        return -v_value(d, model, t)
     expansive = d_prime.n >= d.n
     base, other = (d, d_prime) if expansive else (d_prime, d)
     h = _ref_difference_mean_t(base, other, t)
