@@ -98,54 +98,6 @@ def delta_s(
     return ValueDelta(ds, dv)
 
 
-def _extended_value(
-    e: float, q: float, c: float, tp: float, phi: float, model: ParticipationModel
-) -> float:
-    """Potential value of a base with mean values E and Q extended by a
-    share φ of a point with consumer value c and T(p) = ``tp``:
-    [E + φ (T(p) − E)] * M(Q + φ (c − Q)).  At φ = N_r/(N + N_r) this is
-    V(D + I_r) exactly.  The share of a heavy increment can round to
-    φ = 1, where this is T(p) * M(c) up to rounding."""
-    if not (0 <= phi <= 1):
-        raise ValueError(f"share must lie in [0, 1], got {phi!r}")
-    return (e + phi * (tp - e)) * model.m(q + phi * (c - q))
-
-
-class IncrementScorer:
-    """ΔV of single-point increments to one base distribution, O(1) each.
-
-    N(D), E(T|D), Q(D) and V(D) = E * M(Q) are taken once, on
-    construction, so scoring every candidate of a greedy step costs one
-    pass over the base instead of one per candidate.  ``delta_v`` is the
-    extended value at the realized share minus V(D), term for term, so its
-    scores equal the direct computation bit for bit.  An empty base scores a candidate by
-    the potential value of its own singleton, T(p) * M(c); ``e`` and ``q``
-    are None there.
-    """
-
-    __slots__ = ("model", "n", "e", "q", "v")
-
-    def __init__(
-        self, d: Distribution, model: ParticipationModel, t: ProducerTransform
-    ) -> None:
-        self.model = model
-        self.n = d.n
-        self.e: float | None = None
-        self.q: float | None = None
-        self.v = 0.0
-        if not d.is_empty():
-            self.e = expected_t(d, t)
-            self.q = d.q
-            self.v = self.e * model.m(self.q)
-
-    def delta_v(self, c: float, tp: float, weight: float) -> float:
-        """ΔV for adding ``weight`` at consumer value c and T(p) = ``tp``."""
-        if self.e is None:
-            return tp * self.model.m(c)
-        phi = weight / (self.n + weight)
-        return _extended_value(self.e, self.q, c, tp, phi, self.model) - self.v
-
-
 def delta_v_of_increment(
     d: Distribution,
     c: float,
@@ -154,6 +106,23 @@ def delta_v_of_increment(
     model: ParticipationModel,
     t: ProducerTransform,
 ) -> float:
-    """ΔV for adding ``weight`` at (c, p): the extended value at the
-    realized share − V(D)."""
-    return IncrementScorer(d, model, t).delta_v(c, t.apply(p), weight)
+    """ΔV for adding ``weight`` at (c, p) to ``d``.
+
+    At the realized share φ = weight/(N + weight) the extended value is
+    [E + φ (T(p) − E)] * M(Q + φ (c − Q)), and ΔV is that minus
+    V(D) = E * M(Q).  The share of a heavy increment can round to φ = 1,
+    where the extended value is T(p) * M(c) up to rounding.  An empty base
+    scores the potential value of the singleton, T(p) * M(c).
+    ``sequence.best_increment`` keeps its own copy of this arithmetic,
+    inlined in its scoring loop, in the same operation order, so the two
+    agree bit for bit; ``tests/test_sequence.py`` checks that they do.
+    """
+    if d.is_empty():
+        return t.apply(p) * model.m(c)
+    e = expected_t(d, t)
+    q = d.q
+    tp = t.apply(p)
+    phi = weight / (d.n + weight)
+    if not (0 <= phi <= 1):
+        raise ValueError(f"share must lie in [0, 1], got {phi!r}")
+    return (e + phi * (tp - e)) * model.m(q + phi * (c - q)) - e * model.m(q)

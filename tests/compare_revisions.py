@@ -4,24 +4,34 @@
 
 REV is any git revision of this repository.  It is unpacked with
 ``git archive`` into a temporary directory, which reads ``.git`` only.
-One input set is written with the working tree's generator: ``uniform``
-and ``monotone`` pools of 4-60 points at generator seeds 900-932, each
-plain, with 0.3 increment chunks, with a two-point explicit seed and with
-``lookahead_steps: 0``.  Each tree then runs, in one child process whose
-``PYTHONPATH`` is its own ``src`` and which calls ``cli.main`` in process:
+One input set is written from ``RECIPES`` with the working tree's
+generator:
+
+- ``uniform`` and ``monotone`` pools of 4-60 points at generator seeds
+  900-932, each plain, with 0.3 increment chunks, with a two-point
+  explicit seed and with ``lookahead_steps: 0``;
+- 200-point ``uniform`` and 150-point ``monotone`` pools at seeds 940 and
+  941, each plain, with a ``table`` transform, a ``table`` participation
+  curve, a ``saturating`` curve, 0.5 increment chunks and an ``affine``
+  transform.
+
+Each tree then runs, in one child process whose ``PYTHONPATH`` is its own
+``src`` and which calls ``cli.main`` in process:
 
 - ``optimize --format csv`` and ``carveout`` on every input;
 - ``gen`` for five profiles at seeds 0-3.
 
 Every command's output files, exit code and stderr are compared.  The
 script names each command that differs and exits 1 if any does, else 0.
-It is not a pytest module.
+It is not a pytest module; ``tests/test_recipe_digests.py`` checks the
+same commands against recorded digests.
 """
 from __future__ import annotations
 
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -29,9 +39,9 @@ import tarfile
 import tempfile
 from collections import Counter
 from pathlib import Path
+from typing import Callable
 
 ROOT = Path(__file__).resolve().parent.parent
-POOL_PROFILES = ("uniform", "monotone")
 POOL_SEEDS = range(900, 933)
 GEN_PROFILES = (
     "uniform",
@@ -43,33 +53,111 @@ GEN_PROFILES = (
 GEN_SEEDS = range(4)
 
 
+def table_transform(inst: dict) -> None:
+    ps = sorted({pt["p"] for pt in inst["points"]})
+    inst["transform"] = {
+        "kind": "table",
+        "table": [[p, round(math.sqrt(p) + 0.1, 6)] for p in ps],
+    }
+
+
+def affine_transform(inst: dict) -> None:
+    inst["transform"] = {"kind": "affine", "a": 0.7, "b": 0.15}
+
+
+def table_participation(inst: dict) -> None:
+    part = inst["participation"]
+    knots = [0.25 * (k + 1) for k in range(24)]
+    inst["participation"] = {
+        "kind": "table",
+        "knots": [[q, round(part["zeta"] * q ** part["alpha"], 6)] for q in knots],
+    }
+
+
+def saturating(inst: dict) -> None:
+    part = inst["participation"]
+    total = sum(pt["n"] for pt in inst["points"])
+    inst["participation"] = {
+        "kind": "saturating",
+        "zeta": part["zeta"],
+        "alpha": part["alpha"],
+        "cap": round(0.6 * total, 6),
+    }
+
+
+def unit_chunks(inst: dict) -> None:
+    inst["optimizer"] = {"increment_policy": {"kind": "unit_chunks", "chunk": 0.5}}
+
+
+def _plain(inst: dict) -> None:
+    """The generated instance as it is."""
+
+
+def _optimizer(settings: dict) -> Callable[[dict], None]:
+    def variant(inst: dict) -> None:
+        inst["optimizer"] = settings
+
+    return variant
+
+
+def _two_point_seed(inst: dict) -> None:
+    inst["optimizer"] = {"seed_policy": {"ids": [pt["id"] for pt in inst["points"][:2]]}}
+
+
+SMALL_VARIANTS: dict[str, Callable[[dict], None]] = {
+    "plain": _plain,
+    "chunks": _optimizer({"increment_policy": {"kind": "unit_chunks", "chunk": 0.3}}),
+    "seed": _two_point_seed,
+    "lookahead0": _optimizer({"lookahead_steps": 0}),
+}
+
+#: the benchmark's pool variants, and the affine transform
+LARGE_VARIANTS: dict[str, Callable[[dict], None]] = {
+    "plain": _plain,
+    "table-transform": table_transform,
+    "table-participation": table_participation,
+    "saturating": saturating,
+    "chunks": unit_chunks,
+    "affine": affine_transform,
+}
+
+#: (profile, size) of the large pools, each at generator seeds 940 and 941
+LARGE_POOLS = (("uniform", 200), ("monotone", 150))
+LARGE_SEEDS = range(940, 942)
+
+
 def _pool_size(seed: int) -> int:
     """4 points at the first seed, 60 at the last, evenly in between."""
     return 4 + (seed - POOL_SEEDS[0]) * 56 // (len(POOL_SEEDS) - 1)
 
 
+def _recipes() -> dict[str, tuple[str, int, int, Callable[[dict], None]]]:
+    found = {}
+    for profile in ("uniform", "monotone"):
+        for seed in POOL_SEEDS:
+            for name, variant in SMALL_VARIANTS.items():
+                found[f"{profile}-{seed}-{name}"] = (profile, seed, _pool_size(seed), variant)
+    for profile, size in LARGE_POOLS:
+        for seed in LARGE_SEEDS:
+            for name, variant in LARGE_VARIANTS.items():
+                found[f"{profile}{size}-{seed}-{name}"] = (profile, seed, size, variant)
+    return found
+
+
+#: input name -> (generator profile, generator seed, size, variant)
+RECIPES = _recipes()
+
+
 def write_inputs(directory: Path) -> list[str]:
-    """Write the pool inputs with the working tree's generator; their names."""
-    sys.path.insert(0, str(ROOT / "src"))
+    """Write the pool inputs with the generator that ``distopt`` imports;
+    their names."""
     from distopt.oracle import generate_instance
 
-    names = []
-    for profile in POOL_PROFILES:
-        for seed in POOL_SEEDS:
-            inst = generate_instance(profile, seed, _pool_size(seed))
-            ids = [pt["id"] for pt in inst["points"]]
-            variants = {
-                "plain": None,
-                "chunks": {"increment_policy": {"kind": "unit_chunks", "chunk": 0.3}},
-                "seed": {"seed_policy": {"ids": ids[:2]}},
-                "lookahead0": {"lookahead_steps": 0},
-            }
-            for variant, optimizer in variants.items():
-                name = f"{profile}-{seed}-{variant}"
-                body = inst if optimizer is None else {**inst, "optimizer": optimizer}
-                (directory / f"{name}.json").write_text(json.dumps(body), encoding="utf-8")
-                names.append(name)
-    return names
+    for name, (profile, seed, size, variant) in RECIPES.items():
+        inst = generate_instance(profile, seed, size)
+        variant(inst)
+        (directory / f"{name}.json").write_text(json.dumps(inst), encoding="utf-8")
+    return list(RECIPES)
 
 
 def commands(inputs: Path, names: list[str]) -> dict[str, list[str]]:
@@ -89,24 +177,33 @@ def commands(inputs: Path, names: list[str]) -> dict[str, list[str]]:
     return found
 
 
+def run_command(argv: list[str], out: Path, hidden: Path) -> tuple[int | str, str]:
+    """Run one planned command in process with ``out`` for ``{out}``; its
+    exit code and its stderr, with ``hidden`` written as ``<out>``."""
+    from distopt import cli
+
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            code = cli.main([arg.replace("{out}", str(out)) for arg in argv])
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:  # an escaped exception is itself a result to compare
+            code, err = "exception", io.StringIO(f"{type(exc).__name__}: {exc}")
+    return code, err.getvalue().replace(str(hidden), "<out>")
+
+
 def run_commands(plan: Path, out_root: Path) -> None:
-    """Child side: run every planned command in process, recording its exit
-    code and stderr (``out_root`` written as ``<out>``) in ``results.json``."""
+    """Child side: run every planned command, recording its exit code and
+    stderr in ``results.json``."""
     from distopt import cli
 
     results = {}
     for name, argv in json.loads(plan.read_text(encoding="utf-8")).items():
         out = out_root / name
         out.mkdir(parents=True)
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            try:
-                code = cli.main([arg.replace("{out}", str(out)) for arg in argv])
-            except SystemExit as exc:
-                code = exc.code
-            except Exception as exc:  # an escaped exception is itself a result to compare
-                code, err = "exception", io.StringIO(f"{type(exc).__name__}: {exc}")
-        results[name] = {"code": code, "stderr": err.getvalue().replace(str(out_root), "<out>")}
+        code, stderr = run_command(argv, out, out_root)
+        results[name] = {"code": code, "stderr": stderr}
     (out_root / "results.json").write_text(json.dumps(results), encoding="utf-8")
     print(cli.__file__)
 
@@ -151,6 +248,7 @@ def main(argv: list[str]) -> int:
         other = tmp / "checkout"
         with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
             tar.extractall(other, filter="data")
+        sys.path.insert(0, str(ROOT / "src"))
         inputs = tmp / "inputs"
         inputs.mkdir()
         plan = tmp / "plan.json"

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -29,42 +28,11 @@ import pytest
 from distopt.cli import canonical_json, main
 from distopt.oracle import find_scenario_instance, generate_instance
 
+from compare_revisions import saturating, table_participation, table_transform, unit_chunks
 from conftest import LOOKAHEAD
 
 DIGESTS = Path(__file__).with_name("golden_digests.json")
 COMMAND_DIGESTS = Path(__file__).with_name("golden_command_digests.json")
-
-
-def _table_transform(inst: dict) -> None:
-    ps = sorted({pt["p"] for pt in inst["points"]})
-    inst["transform"] = {
-        "kind": "table",
-        "table": [[p, round(math.sqrt(p) + 0.1, 6)] for p in ps],
-    }
-
-
-def _table_participation(inst: dict) -> None:
-    part = inst["participation"]
-    knots = [0.25 * (k + 1) for k in range(24)]
-    inst["participation"] = {
-        "kind": "table",
-        "knots": [[q, round(part["zeta"] * q ** part["alpha"], 6)] for q in knots],
-    }
-
-
-def _saturating(inst: dict) -> None:
-    part = inst["participation"]
-    total = sum(pt["n"] for pt in inst["points"])
-    inst["participation"] = {
-        "kind": "saturating",
-        "zeta": part["zeta"],
-        "alpha": part["alpha"],
-        "cap": round(0.6 * total, 6),
-    }
-
-
-def _unit_chunks(inst: dict) -> None:
-    inst["optimizer"] = {"increment_policy": {"kind": "unit_chunks", "chunk": 0.5}}
 
 
 def _fine_chunks(inst: dict) -> None:
@@ -83,11 +51,11 @@ POOLS = {
     "uniform-60": ("uniform", 12, 60, None),
     "monotone-30": ("monotone", 13, 30, None),
     "monotone-50": ("monotone", 14, 50, None),
-    "table-transform-40": ("uniform", 15, 40, _table_transform),
-    "table-curve-50": ("uniform", 16, 50, _table_participation),
-    "saturating-45": ("uniform", 17, 45, _saturating),
-    "unit-chunks-40": ("uniform", 18, 40, _unit_chunks),
-    "monotone-unit-chunks-35": ("monotone", 19, 35, _unit_chunks),
+    "table-transform-40": ("uniform", 15, 40, table_transform),
+    "table-curve-50": ("uniform", 16, 50, table_participation),
+    "saturating-45": ("uniform", 17, 45, saturating),
+    "unit-chunks-40": ("uniform", 18, 40, unit_chunks),
+    "monotone-unit-chunks-35": ("monotone", 19, 35, unit_chunks),
     "fine-chunks-12": ("uniform", 20, 12, _fine_chunks),
     "explicit-seed-30": ("uniform", 20, 30, _explicit_seed),
     # the declining-tail walk records one step past D*: 5 of 6 steps build it

@@ -1,0 +1,80 @@
+"""Every command of the ``compare_revisions.py`` corpus writes the bytes
+recorded in ``recipe_digests.json``.
+
+The corpus is that tool's: ``optimize --format csv`` and ``carveout`` on
+each input of ``RECIPES``, and ``gen`` on five profiles at seeds 0-3.  A
+command's digest is one sha256 over its exit code, its stderr and every
+file it writes, by name.  A change that is meant to keep output bytes must
+keep every digest.  A new entry, or one that a change moves on purpose, is
+recorded with ``PYTHONPATH=src python3 tests/test_recipe_digests.py NAME
+[NAME ...]``, which leaves every other entry as it is.
+"""
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from compare_revisions import RECIPES, commands, run_command, write_inputs
+
+DIGESTS = Path(__file__).with_name("recipe_digests.json")
+
+#: command names do not depend on where the inputs are written
+NAMES = list(commands(Path("inputs"), list(RECIPES)))
+
+
+def write_plan(root: Path) -> dict[str, list[str]]:
+    """Write the corpus inputs under ``root``; each command's argv by name."""
+    inputs = root / "inputs"
+    inputs.mkdir()
+    return commands(inputs, write_inputs(inputs))
+
+
+def command_digest(name: str, argv: list[str], root: Path) -> str:
+    """Run command ``name`` with its output directory under ``root``; the
+    sha256 of its exit code, stderr and output files."""
+    out = root / "out" / name
+    out.mkdir(parents=True)
+    code, stderr = run_command(argv, out, root)
+    files = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out.iterdir())
+    }
+    text = json.dumps({"code": code, "stderr": stderr, "files": files}, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory) -> tuple[Path, dict[str, list[str]], dict[str, str]]:
+    root = tmp_path_factory.mktemp("recipes")
+    return root, write_plan(root), json.loads(DIGESTS.read_text())
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_command_output_matches_its_recorded_digest(name: str, corpus, monkeypatch) -> None:
+    monkeypatch.delenv("DISTOPT_LOG", raising=False)
+    root, plan, recorded = corpus
+    assert command_digest(name, plan[name], root) == recorded[name]
+
+
+if __name__ == "__main__":
+    import os
+    import tempfile
+
+    names = sys.argv[1:]
+    if not names:
+        sys.exit("no command names given, so nothing was recorded; "
+                 f"name entries of: {' '.join(NAMES)}")
+    unknown = [name for name in names if name not in NAMES]
+    if unknown:
+        sys.exit(f"not command names: {' '.join(unknown)}")
+    os.environ.pop("DISTOPT_LOG", None)
+    table = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
+    with tempfile.TemporaryDirectory() as tmp:
+        plan = write_plan(Path(tmp))
+        table.update((name, command_digest(name, plan[name], Path(tmp))) for name in names)
+    DIGESTS.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
+    print(f"recorded {len(names)} entries in {DIGESTS}", file=sys.stderr)

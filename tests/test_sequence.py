@@ -266,6 +266,27 @@ def test_best_increment_matches_the_per_candidate_reference(
     assert best_increment(GreedyBuild(base, pool, cfg.chunk, model, t)) == want
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    pairs=st.lists(st.tuples(st.floats(0.05, 6.0), st.floats(0.05, 6.0)), min_size=1, max_size=10),
+    weight=st.floats(0.05, 4.0),
+    x=st.floats(0.05, 6.0),
+    n=st.floats(0.05, 4.0),
+)
+def test_best_increment_keeps_the_exact_ties_of_swapped_values(pairs, weight, x, n):
+    # under M(q) = q and T(p) = p, on a base with E = Q, ΔV is
+    # (E + φ (p − E)) * (Q + φ (c − Q)) − V, so a point and its twin with c
+    # and p swapped tie exactly and the higher c takes the tie.  Scoring
+    # arithmetic that rounds one factor otherwise than
+    # ``delta_v_of_increment`` does breaks such ties at random
+    base = make_dist(("base", x, x, n))
+    rows = [(f"a{i}", c, p, weight) for i, (c, p) in enumerate(pairs)]
+    rows += [(f"b{i}", p, c, weight) for i, (c, p) in enumerate(pairs)]
+    pool = make_dist(("base", x, x, n), *rows)
+    want = _reference_best_increment(base, pool, SequenceConfig(), M11, IDENT)
+    assert best_increment(GreedyBuild(base, pool, None, M11, IDENT)) == want
+
+
 @pytest.mark.parametrize("size", [8, 80, 320])
 def test_best_increment_passes_over_the_base_a_fixed_number_of_times(size, monkeypatch):
     calls = []
@@ -321,11 +342,39 @@ def test_a_greedy_step_takes_e_of_its_state_once(monkeypatch):
     assert max(passes.values()) == 1, "a state's E(T|D) was taken more than once"
 
 
+def test_scoring_applies_t_to_no_offer(monkeypatch):
+    # T(p) is taken when a build is made; a step whose base already has
+    # E(T|D) cached scores every offer without applying T again
+    pool, model, t, _ = build_objects(generate_instance("uniform", 7, 40))
+    applies = 0
+    apply = ProducerTransform.apply
+
+    def counted_apply(self, p):
+        nonlocal applies
+        applies += 1
+        return apply(self, p)
+
+    for chunk in (None, 0.5):
+        build = GreedyBuild(Distribution(), pool, chunk, model, t)
+        for _ in range(6):
+            build.add(build.best())
+        twin = build.copy()
+        empty = GreedyBuild(Distribution(), pool, chunk, model, t)
+        expected_t(build.d, t)
+        monkeypatch.setattr(ProducerTransform, "apply", counted_apply)
+        best_increment(empty)
+        best_increment(build)
+        best_increment(twin)
+        monkeypatch.undo()
+        assert applies == 0
+
+
 # -- the offers a build keeps ----------------------------------------------
 
 
-def _offers(build) -> list[tuple[Point, str]]:
-    return [(pt, w.hex()) for pt, w in build]
+def _offers(build) -> list[tuple[Point, str, str]]:
+    """Each offer's point, weight and the T(p) the build took for it."""
+    return [(pt, w.hex(), tp.hex()) for pt, w, tp in build._offers.values()]
 
 
 @settings(max_examples=300, deadline=None)
@@ -344,9 +393,9 @@ def test_a_kept_pool_equals_a_fresh_one(
 ):
     # a run takes best or arbitrary offers and keeps its build's offers
     # current with ``add``; after every step, and after a restart that
-    # retires a carve or rewinds to an earlier state, they equal a freshly
-    # built build's, bit for bit.  A copy of the run's build, as a probe
-    # takes, goes on without touching the run's
+    # retires a carve or rewinds to an earlier state, they and their T(p)
+    # equal a freshly built build's, bit for bit.  A copy of the run's
+    # build, as a probe takes, goes on without touching the run's
     points = [Point(f"p{i:02d}", c, p) for i, (c, p, _) in enumerate(rows)]
     d_all = Distribution([(pt, w) for pt, (_, _, w) in zip(points, rows)])
     run = _Run(d_all, OptimizerConfig(sequence=SequenceConfig(chunk=chunk)), M11, IDENT)

@@ -19,7 +19,6 @@ from distopt.core import (
 from distopt.participation import ParticipationModel, actual, potential
 from distopt.valuation import (
     ValueDelta,
-    _extended_value,
     delta_s,
     delta_v_of_increment,
 )
@@ -83,13 +82,14 @@ def test_realized_delta_straddling_the_crossing():
 
 
 def test_share_bounds_are_enforced():
-    # a base with E = 1 and Q = 2 extended by a share of (c, T(p)) = (1, 1)
-    assert _extended_value(1.0, 2.0, 1.0, 1.0, 0.5, M11) == 1.5
-    # a heavy increment's share can round to 1: the point alone, T(p) * M(c)
-    assert _extended_value(1.0, 2.0, 3.0, 5.0, 1.0, M11) == 5.0 * 3.0
-    for phi in (1.1, -0.1):
+    # a base with E = 1 and Q = 2, so V = 2, extended by (c, T(p)) = (1, 1)
+    base = make_dist(("b", 2.0, 1.0, 1.0))
+    assert delta_v_of_increment(base, 1.0, 1.0, 1.0, M11, IDENT) == 1.5 - 2.0
+    # a heavy increment's share rounds to 1: the point alone, T(p) * M(c)
+    assert delta_v_of_increment(base, 3.0, 5.0, 1e300, M11, IDENT) == 5.0 * 3.0 - 2.0
+    for weight in (-11.0, -0.5):  # shares 1.1 and -1
         with pytest.raises(ValueError):
-            _extended_value(1.0, 2.0, 1.0, 1.0, phi, M11)
+            delta_v_of_increment(base, 1.0, 1.0, weight, M11, IDENT)
 
 
 def _random_dist(rng: random.Random, prefix: str, size: int) -> Distribution:
