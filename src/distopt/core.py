@@ -8,7 +8,10 @@ the handful of pure operations in this module.
 
 Distributions are immutable: every operation returns a new value.  Totals
 (``n``) and the volume-weighted mean consumer value (``q``) are computed
-eagerly with compensated summation so long build sequences do not drift.
+eagerly and correctly rounded, so long build sequences do not drift: with
+``math.fsum`` over the entries, or, along a greedy build's chain, from
+exact integer running sums that ``apply_increment`` moves by the changed
+entry alone and rounds once (``running_sums``).
 """
 from __future__ import annotations
 
@@ -18,6 +21,12 @@ from typing import Iterable, Iterator
 
 #: weights within this absolute tolerance of zero are treated as removed
 DROP_TOLERANCE = 1e-9
+
+#: exact running sums count in units of 2**-1074, of which every float is a
+#: whole number; ``units / _UNIT`` rounds correctly, as ``math.fsum`` does
+_UNIT = 1 << 1074
+#: a term at least this large, or non-finite, leaves its state to ``fsum``
+_SUM_LIMIT = 2.0**960
 
 
 class DistributionError(ValueError):
@@ -179,7 +188,7 @@ class Distribution:
     reproducible byte-for-byte.
     """
 
-    __slots__ = ("_entries", "_n", "_q_numerator", "_e_cache")
+    __slots__ = ("_entries", "_n", "_q_numerator", "_e_cache", "_sums")
 
     def __init__(self, entries: Iterable[tuple[Point, float]] = ()):
         merged: dict[str, tuple[Point, float]] = {}
@@ -209,6 +218,24 @@ class Distribution:
         # (transform, E(T|D)) of the last ``expected_t`` taken; it never
         # goes stale, as neither the distribution nor the transform changes
         self._e_cache = None
+        self._sums = None  # see ``running_sums``
+
+    @classmethod
+    def _summed(
+        cls,
+        entries: dict[str, tuple[Point, float]],
+        sums: tuple[int, int, int, ProducerTransform | None],
+    ) -> "Distribution":
+        """A distribution over ``entries``, all above ``DROP_TOLERANCE``, whose
+        N, Q and, when ``sums`` name a transform, E(T|D) come from ``sums``
+        (see ``running_sums``) without a pass."""
+        d = cls.__new__(cls)
+        d._entries, d._sums = entries, sums
+        n_units, q_units, e_units, t = sums
+        d._n = n_units / _UNIT
+        d._q_numerator = q_units / _UNIT
+        d._e_cache = None if t is None or not entries else (t, e_units / _UNIT / d._n)
+        return d
 
     # -- basic views ------------------------------------------------------
 
@@ -289,11 +316,68 @@ def expected_t(d: Distribution, t: ProducerTransform) -> float:
     return e
 
 
-def apply_increment(d: Distribution, inc: PointIncrement) -> Distribution:
-    """Return d with inc.weight added at inc.point (expansive shift)."""
+def _units(w: float, c: float, tp: float | None) -> list[int] | None:
+    """``w``, ``w * c`` and ``w * tp`` (0 without ``tp``) as whole numbers
+    of 2**-1074 units, or None when one is non-finite or at least
+    ``_SUM_LIMIT`` in magnitude."""
+    units = []
+    for x in (w, w * c, 0.0 if tp is None else w * tp):
+        if not -_SUM_LIMIT < x < _SUM_LIMIT:
+            return None
+        num, den = x.as_integer_ratio()  # den is a power of two, <= 2**1074
+        units.append(num << (1075 - den.bit_length()))
+    return units
+
+
+def running_sums(
+    d: Distribution, t: ProducerTransform, tps: dict[str, float]
+) -> Distribution:
+    """``d`` with exact running sums of N, the Q numerator and, under ``t``,
+    E(T|D)'s numerator, for ``apply_increment`` to carry along a chain of
+    increments; ``tps`` holds T(p) by point id.  E(T|D) is not carried when
+    ``tps`` misses a point of ``d``, and nothing is when a term is out of
+    range: ``d`` itself comes back, and its chain sums with ``fsum``."""
+    if not tps.keys() >= d._entries.keys():
+        t = None
+    sums = [0, 0, 0]
+    for point, w in d._entries.values():
+        units = _units(w, point.c, None if t is None else tps[point.id])
+        if units is None:
+            return d
+        sums = [a + b for a, b in zip(sums, units)]
+    return Distribution._summed(d._entries, (*sums, t))
+
+
+def apply_increment(
+    d: Distribution, inc: PointIncrement, tp: float | None = None
+) -> Distribution:
+    """Return d with inc.weight added at inc.point (expansive shift).
+
+    When ``d`` carries running sums, the result carries them too, moved by
+    the changed entry alone; E(T|D)'s only when ``tp`` gives the point's
+    T(p) under the transform the sums were taken with.  A term out of
+    range leaves the result to ``fsum``."""
+    point = inc.point
     merged = dict(d._entries)
-    _merge(merged, inc.point, _checked_weight(inc.point, inc.weight))
-    return Distribution._from_checked(merged)
+    _merge(merged, point, _checked_weight(point, inc.weight))
+    if d._sums is None:
+        return Distribution._from_checked(merged)
+    n_units, q_units, e_units, t = d._sums
+    if tp is None or t is None:
+        tp = t = None
+    w = merged[point.id][1]
+    now = _units(w, point.c, tp) if w > DROP_TOLERANCE else None
+    if now is None:  # a new entry light enough to drop, or a term out of range
+        return Distribution._from_checked(merged)
+    old = d._entries.get(point.id)
+    if old is not None:  # d's own terms, all in range
+        was = _units(old[1], point.c, tp)
+        n_units -= was[0]
+        q_units -= was[1]
+        e_units -= was[2]
+    return Distribution._summed(
+        merged, (n_units + now[0], q_units + now[1], e_units + now[2], t)
+    )
 
 
 def remove_subdistribution(d: Distribution, y: Distribution) -> Distribution:

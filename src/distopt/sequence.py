@@ -20,6 +20,7 @@ from .core import (
     ProducerTransform,
     apply_increment,
     expected_t,
+    running_sums,
     DROP_TOLERANCE,
 )
 from .participation import ParticipationModel, kappa, potential
@@ -78,7 +79,9 @@ class GreedyBuild:
     weight ``d`` has not taken of it, capped at ``chunk`` when one is set.
     The build keeps its offers current as it ``add``s increments, so each
     build walks its pool once.  It takes T(p) of each pool point once,
-    when it is built, and keeps it with the point's offer.
+    when it is built, and keeps it with the point's offer.  Its state
+    carries exact running sums (``core.running_sums``), seeded when it is
+    built, so a step moves N, Q and E(T|D) by the changed entry alone.
     """
 
     def __init__(
@@ -89,7 +92,8 @@ class GreedyBuild:
         model: ParticipationModel,
         t: ProducerTransform,
     ):
-        self.d = d
+        tps = {point.id: t.apply(point.p) for point, _ in available.items()}
+        self.d = running_sums(d, t, tps)
         self.available = available
         self.model = model
         self.t = t
@@ -97,7 +101,7 @@ class GreedyBuild:
         #: point id -> (point, offered weight, T(p))
         self._offers: dict[str, tuple[Point, float, float]] = {}
         for point, _ in available.items():
-            self._offer(point, t.apply(point.p))
+            self._offer(point, tps[point.id])
 
     def _offer(self, point: Point, tp: float) -> None:
         """Recompute ``point``'s offer as available minus taken, so that a
@@ -128,11 +132,12 @@ class GreedyBuild:
         return best_increment(self)
 
     def add(self, inc: PointIncrement) -> None:
-        self.d = apply_increment(self.d, inc)
         # taking weight only shrinks offers, so a point without one keeps none
         offer = self._offers.get(inc.point.id)
+        tp = None if offer is None else offer[2]
+        self.d = apply_increment(self.d, inc, tp)
         if offer is not None:
-            self._offer(inc.point, offer[2])
+            self._offer(inc.point, tp)
 
     def record(self, inc: PointIncrement, steps: list[SequenceStep]) -> None:
         """``add`` ``inc`` and append the step it makes to ``steps``."""

@@ -14,6 +14,10 @@ generator:
   941, each plain, with a ``table`` transform, a ``table`` participation
   curve, a ``saturating`` curve, 0.5 increment chunks and an ``affine``
   transform.
+- searched scenario instances, from ``find_scenario_instance`` at search
+  seeds 10-17: Scenario i adoptions, Scenario ii and iii carves and
+  ``ContinueToD2Star`` climbs; a carve and a climb restart their greedy
+  build from a non-empty state.
 
 Each tree then runs, in one child process whose ``PYTHONPATH`` is its own
 ``src`` and which calls ``cli.main`` in process:
@@ -38,6 +42,7 @@ import sys
 import tarfile
 import tempfile
 from collections import Counter
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -131,32 +136,66 @@ def _pool_size(seed: int) -> int:
     return 4 + (seed - POOL_SEEDS[0]) * 56 // (len(POOL_SEEDS) - 1)
 
 
-def _recipes() -> dict[str, tuple[str, int, int, Callable[[dict], None]]]:
+#: name -> (verdict kind searched for, carveout required) of the searched
+#: scenario inputs, each at search seeds ``SCENARIO_SEEDS``
+SCENARIOS = {
+    "scenario-i": ("Scenario_i_BothPreferDPrime", False),
+    "scenario-ii-carve": ("Scenario_ii_ConsumerPrefers", True),
+    "scenario-iii-carve": ("Scenario_iii_ProducerPrefers", True),
+    "scenario-d2": ("ContinueToD2Star_Thm4", False),
+}
+SCENARIO_SEEDS = range(10, 18)
+
+
+def _pool(profile: str, seed: int, size: int, variant: Callable[[dict], None]) -> dict:
+    from distopt.oracle import generate_instance
+
+    inst = generate_instance(profile, seed, size)
+    variant(inst)
+    return inst
+
+
+def _searched(target: str, seed: int, require_carveout: bool) -> dict:
+    from distopt.oracle import find_scenario_instance
+
+    found = find_scenario_instance(
+        target, budget=300, rng_seed=seed, require_carveout=require_carveout
+    )
+    if found is None:
+        raise SystemExit(f"no {target} instance found at search seed {seed}")
+    return found.instance
+
+
+def _recipes() -> dict[str, partial[dict]]:
     found = {}
     for profile in ("uniform", "monotone"):
         for seed in POOL_SEEDS:
             for name, variant in SMALL_VARIANTS.items():
-                found[f"{profile}-{seed}-{name}"] = (profile, seed, _pool_size(seed), variant)
+                found[f"{profile}-{seed}-{name}"] = partial(
+                    _pool, profile, seed, _pool_size(seed), variant
+                )
     for profile, size in LARGE_POOLS:
         for seed in LARGE_SEEDS:
             for name, variant in LARGE_VARIANTS.items():
-                found[f"{profile}{size}-{seed}-{name}"] = (profile, seed, size, variant)
+                found[f"{profile}{size}-{seed}-{name}"] = partial(
+                    _pool, profile, seed, size, variant
+                )
+    for name, (target, carve) in SCENARIOS.items():
+        for seed in SCENARIO_SEEDS:
+            found[f"{name}-{seed}"] = partial(_searched, target, seed, carve)
     return found
 
 
-#: input name -> (generator profile, generator seed, size, variant)
+#: input name -> the call that makes it: ``_pool(profile, generator seed,
+#: size, variant)`` or ``_searched(target, search seed, require_carveout)``
 RECIPES = _recipes()
 
 
 def write_inputs(directory: Path) -> list[str]:
-    """Write the pool inputs with the generator that ``distopt`` imports;
+    """Write the inputs with the generators that ``distopt`` imports;
     their names."""
-    from distopt.oracle import generate_instance
-
-    for name, (profile, seed, size, variant) in RECIPES.items():
-        inst = generate_instance(profile, seed, size)
-        variant(inst)
-        (directory / f"{name}.json").write_text(json.dumps(inst), encoding="utf-8")
+    for name, recipe in RECIPES.items():
+        (directory / f"{name}.json").write_text(json.dumps(recipe()), encoding="utf-8")
     return list(RECIPES)
 
 

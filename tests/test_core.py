@@ -4,9 +4,10 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
+from distopt import core
 from distopt.core import (
     DROP_TOLERANCE,
     Distribution,
@@ -21,6 +22,8 @@ from distopt.core import (
     expected_t,
     remove_subdistribution,
 )
+from distopt.participation import ParticipationModel
+from distopt.sequence import GreedyBuild
 
 from conftest import make_dist
 
@@ -355,3 +358,159 @@ def test_expected_t_on_an_empty_distribution_still_raises():
             expected_t(empty, t)
         with pytest.raises(EmptyDistributionError):
             expected_t(empty, t)
+
+
+# -- a greedy build's running sums against fsum -------------------------------
+
+# huge finite scores make terms past the exact sums' range, which leave their
+# state to fsum, overflow errors and infinities included
+_CHAIN_SCORE = st.one_of(
+    st.sampled_from([-0.0, 0.0, 1.0, -2.5]),
+    st.floats(-1e3, 1e3),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_CHAIN_WEIGHT = st.one_of(
+    st.sampled_from(
+        [
+            math.nextafter(DROP_TOLERANCE, 0.0),
+            DROP_TOLERANCE,
+            math.nextafter(DROP_TOLERANCE, 1.0),
+            2 * DROP_TOLERANCE,
+            0.5,
+        ]
+    ),
+    st.floats(1e-12, 1e3),
+    st.floats(min_value=5e-324, allow_infinity=False),
+)
+_CHAIN_STEP = st.one_of(
+    st.tuples(st.just("offer"), st.integers(0, 7)),  # what a greedy step takes
+    st.tuples(st.just("add"), st.integers(0, 7), _CHAIN_WEIGHT),
+    st.tuples(st.just("copy")),
+    st.tuples(st.just("carve"), st.floats(0.0, 1.0)),
+)
+_POOL_ROW = st.tuples(_CHAIN_SCORE, _CHAIN_SCORE, _CHAIN_WEIGHT)
+_TRANSFORM = st.one_of(
+    st.just(ProducerTransform.identity()),
+    st.builds(ProducerTransform.affine, _CHAIN_SCORE, _CHAIN_SCORE),
+)
+
+
+def _outcome(value) -> str:
+    """``value()`` as hex, or the name of the error it raised."""
+    try:
+        return value().hex()
+    except (OverflowError, ValueError) as exc:
+        return type(exc).__name__
+
+
+def _assert_summed_as_fsum(d: Distribution, t: ProducerTransform) -> None:
+    """N, Q and E(T|D) of ``d`` as a fresh distribution over its entries
+    takes them, with ``fsum``, bit for bit."""
+    fresh = Distribution(list(d.items()))
+    _assert_same(d, fresh)
+    if not fresh.is_empty():
+        assert _outcome(lambda: expected_t(d, t)) == _outcome(lambda: expected_t(fresh, t))
+
+
+def _big(c: float) -> list:
+    """A pool whose second point's Q term is ``c``."""
+    return [(1.0, 1.0, 1.0), (c, 1.0, 1.0)]
+
+
+def _huge_adds(weight: float) -> list:
+    """Steps that add ``weight`` at each of two pool points."""
+    return [("add", 0, weight), ("add", 1, weight)]
+
+
+@given(
+    rows=st.lists(_POOL_ROW, min_size=1, max_size=6),
+    start=st.integers(0, 3),
+    chunk=st.sampled_from([None, 2 * DROP_TOLERANCE, 0.3, 1.0]),
+    t=_TRANSFORM,
+    steps=st.lists(_CHAIN_STEP, max_size=12),
+)
+@settings(max_examples=300, deadline=None)
+# a term of 2**960 leaves its state to fsum; one just below it does not
+@example(_big(2.0**960), 0, None, ProducerTransform.identity(), [("offer", 0)] * 2)
+@example(
+    _big(math.nextafter(2.0**960, 0.0)), 0, None, ProducerTransform.identity(), [("offer", 0)] * 2
+)
+# fsum raises an intermediate overflow on N, on Q and on E(T|D)
+@example([(1.0, 1.0, 1.0)] * 2, 0, None, ProducerTransform.identity(), _huge_adds(1e308))
+@example([(1e200, 1.0, 1.0)] * 2, 0, None, ProducerTransform.identity(), _huge_adds(1e108))
+@example([(1.0, 1e308, 1.0)] * 2, 0, None, ProducerTransform.identity(), [("offer", 0)] * 2)
+def test_a_greedy_chain_sums_as_fsum_does(rows, start, chunk, t, steps):
+    points = [Point(f"x{i}", c, p) for i, (c, p, _) in enumerate(rows)]
+    try:
+        pool = Distribution([(pt, w) for pt, (_, _, w) in zip(points, rows)])
+        d = Distribution([(pt, w / 2) for pt, (_, _, w) in zip(points[:start], rows)])
+    except (OverflowError, ValueError):  # fsum's errors, as at any construction
+        return
+    model = ParticipationModel.power(1.0, 1.0)
+    build = GreedyBuild(d, pool, chunk, model, t)
+    _assert_summed_as_fsum(build.d, t)
+    for step in steps:
+        if step[0] == "copy":
+            build = build.copy()
+            continue
+        if step[0] == "carve":
+            d, available = build.d, build.available
+            y = Distribution(
+                [(pt, min(w, available.weight_of(pt.id)) * step[1]) for pt, w in d.items()]
+            )
+            try:
+                build = GreedyBuild(
+                    remove_subdistribution(d, y),
+                    remove_subdistribution(available, y),
+                    chunk,
+                    model,
+                    t,
+                )
+            except (OverflowError, ValueError):
+                continue
+        else:
+            if step[0] == "offer":
+                offers = list(build)
+                if not offers:
+                    continue
+                point, weight = offers[step[1] % len(offers)]
+            else:
+                point, weight = points[step[1] % len(points)], step[2]
+                if not math.isfinite(build.d.weight_of(point.id) + weight):
+                    continue  # a merged weight the constructor refuses
+            before = list(build.d.items())
+            try:
+                build.add(PointIncrement(point, weight))
+            except (OverflowError, ValueError) as exc:
+                with pytest.raises(type(exc)):
+                    Distribution(before + [(point, weight)])
+                continue
+            _assert_same(build.d, Distribution(before + [(point, weight)]))
+        _assert_summed_as_fsum(build.d, t)
+
+
+def test_a_plain_chain_of_increments_sums_with_fsum(monkeypatch):
+    # only a ``GreedyBuild`` seeds exact sums: a chain of ``apply_increment``
+    # from ``Distribution()``, the brute force's and the carve's path, takes
+    # N and Q with fsum at every step and E(T|D) by a pass, T(p) given or not
+    fsums = 0
+    fsum = math.fsum
+
+    def counted(terms):
+        nonlocal fsums
+        fsums += 1
+        return fsum(terms)
+
+    t = ProducerTransform.affine(2.0, 0.5)
+    points = [Point(f"r{i}", 1.0 + i / 7, i / 3) for i in range(6)]
+    monkeypatch.setattr(core.math, "fsum", counted)
+    applies = _count_applies(monkeypatch)
+    for with_tp in (False, True):
+        d = Distribution()
+        for step, pt in enumerate(points + points[:2]):
+            before = fsums
+            d = apply_increment(d, PointIncrement(pt, 0.5), t.apply(pt.p) if with_tp else None)
+            assert fsums == before + 2
+            applies.clear()
+            expected_t(d, t)
+            assert len(applies) == len(d)

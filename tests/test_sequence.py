@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import math
 import sys
-from collections import Counter
 
 import hypothesis.strategies as st
 import pytest
@@ -23,7 +22,7 @@ from distopt.core import (
 from distopt.instances import INSTANCE_SCHEMA, InstanceError, build_objects
 from distopt.participation import ParticipationModel, potential
 from distopt.optimizer import OptimizerConfig, _Run, optimize
-from distopt.oracle import generate_instance
+from distopt.oracle import find_scenario_instance, generate_instance
 from distopt.sequence import (
     GreedyBuild,
     SequenceConfig,
@@ -308,38 +307,59 @@ def test_best_increment_passes_over_the_base_a_fixed_number_of_times(size, monke
         assert len(calls) <= 2, f"{len(calls)} passes over the base at pool size {size}"
 
 
-def test_a_greedy_step_takes_e_of_its_state_once(monkeypatch):
-    # scoring the step's candidates and recording the chosen one both read
-    # E(T|D) of the step's state; only the first may pass over it
-    passes: Counter[int] = Counter()
-    seen: list[Distribution] = []  # kept alive, so no id is reused
+@pytest.mark.parametrize(
+    "instance, min_steps",
+    [
+        (lambda: generate_instance("uniform", 7, 80), 20),
+        # a carve restart and a return to D* seed new builds mid-run
+        (lambda: find_scenario_instance("Scenario_ii_ConsumerPrefers", 300, 4, True).instance, 3),
+        (lambda: find_scenario_instance("ContinueToD2Star_Thm4", 300, 3).instance, 3),
+    ],
+    ids=["uniform-80", "carve", "d2"],
+)
+def test_a_greedy_step_takes_e_of_its_state_once(instance, min_steps, monkeypatch):
+    # E(T|D) of a state that ``add`` (and so ``record``) reaches comes with
+    # the state, from the build's running sums: neither ``add`` nor any
+    # later ``expected_t`` of that state passes over its entries, which
+    # would apply T to each of them
+    reached: dict[int, Distribution] = {}  # both kept alive, so no id is reused
+    passed: dict[int, Distribution] = {}
     applies = 0
+    add_applies = 0
     apply = ProducerTransform.apply
+    add = GreedyBuild.add
 
     def counted_apply(self, p):
         nonlocal applies
         applies += 1
         return apply(self, p)
 
+    def counted_add(self, inc):
+        nonlocal add_applies
+        before = applies
+        add(self, inc)
+        add_applies += applies - before
+        reached[id(self.d)] = self.d
+
+    pool, model, t, cfg = build_objects(instance())
     original = core.expected_t
 
     def counted(d, t):
         before = applies
         value = original(d, t)
-        seen.append(d)
         if applies > before:
-            passes[id(d)] += 1
+            passed[id(d)] = d
         return value
 
     monkeypatch.setattr(ProducerTransform, "apply", counted_apply)
+    monkeypatch.setattr(GreedyBuild, "add", counted_add)
     for name, module in list(sys.modules.items()):
         if name.startswith("distopt") and getattr(module, "expected_t", None) is original:
             monkeypatch.setattr(module, "expected_t", counted)
-    pool, model, t, cfg = build_objects(generate_instance("uniform", 7, 80))
     result = optimize(pool, cfg, model, t)
-    assert len(result.trace) >= 20
-    assert len(passes) >= len(result.trace)
-    assert max(passes.values()) == 1, "a state's E(T|D) was taken more than once"
+    assert len(reached) >= len(result.trace) >= min_steps
+    assert add_applies == 0, "add applied T"
+    assert not passed.keys() & reached.keys(), "a state reached by add summed E(T|D)"
 
 
 def test_scoring_applies_t_to_no_offer(monkeypatch):

@@ -45,6 +45,39 @@ def test_only_core_builds_distributions_from_checked_entries():
     assert found == []
 
 
+def test_only_core_names_the_exact_sums_and_only_a_greedy_build_seeds_them():
+    # the exact running sums live in the core; a state carries them only
+    # when a ``GreedyBuild`` seeds its start state, so the brute force, the
+    # carve and the oracle build their distributions with fsum
+    private = {"_sums", "_summed", "_units", "_UNIT", "_SUM_LIMIT"}
+    named, seeded = [], []
+    for path in SOURCES:
+        if path.name == "core.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        named += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if _names(node) & private
+        ]
+        init = {
+            id(node)
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and cls.name == "GreedyBuild"
+            for func in cls.body
+            if isinstance(func, ast.FunctionDef) and func.name == "__init__"
+            for node in ast.walk(func)
+        }
+        seeded += [
+            (f"{path.name}:{node.lineno}", id(node) in init)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and _names(node) == {"running_sums"}
+        ]
+    assert named == []
+    assert [inside for _, inside in seeded] == [True], seeded
+
+
 def test_every_public_name_has_a_caller_in_the_library():
     # a name the package exports but none of its modules uses is API that
     # only tests call; such code belongs in ``tests/reference.py``
