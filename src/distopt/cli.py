@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -34,6 +35,8 @@ import logging
 import math
 import os
 import sys
+from itertools import chain
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 from typing import Any
 
@@ -68,8 +71,73 @@ class CliError(Exception):
     """A usage error, or a run the pipeline cannot finish."""
 
 
+_CONTAINERS = (dict, list, tuple)
+
+
+@functools.cache
+def _c_encoder(level: int):
+    """The stdlib's C encoder, separating items by a newline and ``level``
+    indents: it writes a container of scalars at that level in one call,
+    all but the newline after the opening bracket and the indent before
+    the closing one."""
+    # markers, default, encoder, indent, key and item separators,
+    # sort_keys, skipkeys, allow_nan
+    return c_make_encoder(
+        None, None, encode_basestring_ascii, None,
+        ": ", ",\n" + "  " * level, True, False, False,
+    )
+
+
+def _flat(values) -> bool:
+    """No value is a dict, list or tuple (one check per type, not per value)."""
+    for kind in set(map(type, values)):
+        if issubclass(kind, _CONTAINERS):
+            return False
+    return True
+
+
+def _emit(obj: Any, level: int) -> str:
+    """``obj`` as ``json.dumps(obj, sort_keys=True, indent=2)`` writes it
+    ``level`` indents deep; raises on anything it does not write so."""
+    if not isinstance(obj, _CONTAINERS):
+        return _c_encoder(0)(obj, 0)[0]
+    if not obj:
+        return "{}" if isinstance(obj, dict) else "[]"
+    ind, close = "\n" + "  " * (level + 1), "\n" + "  " * level
+    values = obj.values() if isinstance(obj, dict) else obj
+    if _flat(values):
+        text = _c_encoder(level + 1)(obj, 0)[0]
+        return text[0] + ind + text[1:-1] + close + text[-1]
+    if isinstance(obj, dict):
+        items = [
+            encode_basestring_ascii(key) + ": " + _emit(value, level + 1)
+            for key, value in sorted(obj.items())
+        ]
+        return "{" + ind + ("," + ind).join(items) + close + "}"
+    if (
+        set(map(type, obj)) == {dict}
+        and all(obj)
+        and _flat(chain.from_iterable(map(dict.values, obj)))
+    ):
+        # the encoder escapes every newline in a string and no scalar ends
+        # in "}", so "},\n<indent>{" is a boundary between two rows and
+        # nothing else
+        row_ind = "\n" + "  " * (level + 2)
+        text = _c_encoder(level + 2)(obj, 0)[0][2:-2]
+        text = text.replace("}," + row_ind + "{", ind + "}," + ind + "{" + row_ind)
+        return "[" + ind + "{" + row_ind + text + ind + "}" + close + "]"
+    return "[" + ind + ("," + ind).join(_emit(v, level + 1) for v in obj) + close + "]"
+
+
 def canonical_json(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """``json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)`` and a
+    newline, byte for byte, written by the C encoder where it can be."""
+    try:
+        return _emit(obj, 0) + "\n"
+    except Exception:
+        # anything the C path does not write byte for byte, and a Python
+        # without the C encoder, takes the stdlib's own path and its errors
+        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def fingerprint(instance: dict) -> str:

@@ -169,7 +169,8 @@ def _merge(
     merged: dict[str, tuple[Point, float]], point: Point, weight: float
 ) -> None:
     """Add ``weight`` at ``point`` into ``merged``; an id already present
-    must carry the same scores, and the incoming point replaces it."""
+    must carry the same scores, the incoming point replaces it, and the
+    summed weight must stay finite."""
     prev = merged.get(point.id)
     if prev is None:
         merged[point.id] = (point, weight)
@@ -177,7 +178,7 @@ def _merge(
     prev_point, prev_weight = prev
     if prev_point.c != point.c or prev_point.p != point.p:
         raise ValueError(f"point id {point.id!r} reused with different scores")
-    merged[point.id] = (point, prev_weight + weight)
+    merged[point.id] = (point, _checked_weight(point, prev_weight + weight))
 
 
 class Distribution:

@@ -23,7 +23,8 @@ Each tree then runs, in one child process whose ``PYTHONPATH`` is its own
 ``src`` and which calls ``cli.main`` in process:
 
 - ``optimize --format csv`` and ``carveout`` on every input;
-- ``gen`` for five profiles at seeds 0-3.
+- ``gen`` for five profiles at seeds 0-3;
+- ``oracle-check --samples 200 --grid 8`` at seeds 0 and 1.
 
 Every command's output files, exit code and stderr are compared.  The
 script names each command that differs and exits 1 if any does, else 0.
@@ -56,6 +57,7 @@ GEN_PROFILES = (
     "scenario:Scenario_iv_StayAtDStar",
 )
 GEN_SEEDS = range(4)
+ORACLE_SEEDS = range(2)
 
 
 def table_transform(inst: dict) -> None:
@@ -213,6 +215,11 @@ def commands(inputs: Path, names: list[str]) -> dict[str, list[str]]:
             found[f"gen/{profile}-{seed}"] = [
                 "gen", "--profile", profile, "--seed", str(seed), "--output", "{out}/g.json"
             ]
+    for seed in ORACLE_SEEDS:
+        found[f"oracle-check/{seed}"] = [
+            "oracle-check", "--samples", "200", "--grid", "8", "--seed", str(seed),
+            "--output", "{out}/o.json",
+        ]
     return found
 
 

@@ -51,6 +51,18 @@ def test_duplicate_id_with_different_scores_rejected():
         Distribution([(Point("a", 1.0, 1.0), 1.0), (Point("a", 2.0, 1.0), 1.0)])
 
 
+def test_a_merged_weight_must_stay_finite():
+    p = Point("a", 1.0, 1.0)
+    big = Distribution([(p, 1e308)])
+    refused = "weight of 'a' must be finite, got inf"
+    with pytest.raises(ValueError, match=refused):
+        Distribution([(p, 1e308), (p, 1e308)])
+    with pytest.raises(ValueError, match=refused):
+        apply_increment(big, PointIncrement(p, 1e308))
+    with pytest.raises(ValueError, match=refused):
+        combine(big, big)
+
+
 def test_negligible_weights_are_dropped():
     d = make_dist(("a", 1, 1, 1.0), ("b", 1, 1, DROP_TOLERANCE), ("c", 1, 1, DROP_TOLERANCE / 2))
     assert "a" in d
@@ -439,6 +451,8 @@ def _huge_adds(weight: float) -> list:
 @example([(1.0, 1.0, 1.0)] * 2, 0, None, ProducerTransform.identity(), _huge_adds(1e308))
 @example([(1e200, 1.0, 1.0)] * 2, 0, None, ProducerTransform.identity(), _huge_adds(1e108))
 @example([(1.0, 1e308, 1.0)] * 2, 0, None, ProducerTransform.identity(), [("offer", 0)] * 2)
+# two adds at one point whose merged weight overflows
+@example([(1.0, 1.0, 1.0)], 0, None, ProducerTransform.identity(), [("add", 0, 1e308)] * 2)
 def test_a_greedy_chain_sums_as_fsum_does(rows, start, chunk, t, steps):
     points = [Point(f"x{i}", c, p) for i, (c, p, _) in enumerate(rows)]
     try:
@@ -476,8 +490,6 @@ def test_a_greedy_chain_sums_as_fsum_does(rows, start, chunk, t, steps):
                 point, weight = offers[step[1] % len(offers)]
             else:
                 point, weight = points[step[1] % len(points)], step[2]
-                if not math.isfinite(build.d.weight_of(point.id) + weight):
-                    continue  # a merged weight the constructor refuses
             before = list(build.d.items())
             try:
                 build.add(PointIncrement(point, weight))

@@ -2,12 +2,13 @@
 recorded in ``recipe_digests.json``.
 
 The corpus is that tool's: ``optimize --format csv`` and ``carveout`` on
-each input of ``RECIPES``, and ``gen`` on five profiles at seeds 0-3.  A
-command's digest is one sha256 over its exit code, its stderr and every
-file it writes, by name.  A change that is meant to keep output bytes must
-keep every digest.  A new entry, or one that a change moves on purpose, is
-recorded with ``PYTHONPATH=src python3 tests/test_recipe_digests.py NAME
-[NAME ...]``, which leaves every other entry as it is.
+each input of ``RECIPES``, ``gen`` on five profiles at seeds 0-3, and
+``oracle-check`` at seeds 0 and 1.  A command's digest is one sha256 over
+its exit code, its stderr and every file it writes, by name.  A change
+that is meant to keep output bytes must keep every digest.  A new entry,
+or one that a change moves on purpose, is recorded with
+``PYTHONPATH=src python3 tests/test_recipe_digests.py NAME [NAME ...]``,
+which leaves every other entry as it is.
 """
 from __future__ import annotations
 

@@ -119,6 +119,33 @@ def test_only_instances_knows_the_schema():
     assert found == []
 
 
+def test_json_is_written_only_through_canonical_json():
+    # ``canonical_json`` writes the stdlib's bytes; its fallback is the one
+    # place that calls ``json.dumps``, so no writer can bypass it
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        fallback = {
+            id(node)
+            for func in ast.walk(tree)
+            if isinstance(func, ast.FunctionDef) and func.name == "canonical_json"
+            for handler in ast.walk(func)
+            if isinstance(handler, ast.ExceptHandler)
+            for node in ast.walk(handler)
+        }
+        found += [
+            (f"{path.name}:{node.lineno}", id(node) in fallback)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and node.module == "json"
+            and {a.name for a in node.names} & {"dump", "dumps"}
+            or isinstance(node, ast.Attribute)
+            and node.attr in ("dump", "dumps")
+            and _names(node.value) == {"json"}
+        ]
+    assert [inside for _, inside in found] == [True], found
+
+
 def test_the_cli_imports_no_private_name():
     # the CLI goes through the library's public entry points, so it reads
     # what ``optimize`` decided instead of running a step of it again
