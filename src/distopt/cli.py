@@ -79,7 +79,8 @@ def _c_encoder(level: int):
     """The stdlib's C encoder, separating items by a newline and ``level``
     indents: it writes a container of scalars at that level in one call,
     all but the newline after the opening bracket and the indent before
-    the closing one."""
+    the closing one.  A call returns its text in chunks (more than one
+    for a long container before Python 3.12), which the caller joins."""
     # markers, default, encoder, indent, key and item separators,
     # sort_keys, skipkeys, allow_nan
     return c_make_encoder(
@@ -100,13 +101,13 @@ def _emit(obj: Any, level: int) -> str:
     """``obj`` as ``json.dumps(obj, sort_keys=True, indent=2)`` writes it
     ``level`` indents deep; raises on anything it does not write so."""
     if not isinstance(obj, _CONTAINERS):
-        return _c_encoder(0)(obj, 0)[0]
+        return "".join(_c_encoder(0)(obj, 0))
     if not obj:
         return "{}" if isinstance(obj, dict) else "[]"
     ind, close = "\n" + "  " * (level + 1), "\n" + "  " * level
     values = obj.values() if isinstance(obj, dict) else obj
     if _flat(values):
-        text = _c_encoder(level + 1)(obj, 0)[0]
+        text = "".join(_c_encoder(level + 1)(obj, 0))
         return text[0] + ind + text[1:-1] + close + text[-1]
     if isinstance(obj, dict):
         items = [
@@ -123,7 +124,7 @@ def _emit(obj: Any, level: int) -> str:
         # in "}", so "},\n<indent>{" is a boundary between two rows and
         # nothing else
         row_ind = "\n" + "  " * (level + 2)
-        text = _c_encoder(level + 2)(obj, 0)[0][2:-2]
+        text = "".join(_c_encoder(level + 2)(obj, 0))[2:-2]
         text = text.replace("}," + row_ind + "{", ind + "}," + ind + "{" + row_ind)
         return "[" + ind + "{" + row_ind + text + ind + "}" + close + "]"
     return "[" + ind + ("," + ind).join(_emit(v, level + 1) for v in obj) + close + "]"

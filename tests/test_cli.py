@@ -443,6 +443,22 @@ def test_canonical_json_writes_the_stdlib_bytes(obj):
     assert cli.canonical_json(obj) == _stdlib_json(obj)
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [
+        [{"id": f"p{i}", "c": i / 3, "p": i / 7, "n": i} for i in range(6000)],
+        list(range(60_000)),
+        {f"k{i}": i / 3 for i in range(40_000)},
+        {"d_star": {"points": [{"id": f"p{i}", "n": 1.5} for i in range(12_000)]}},
+    ],
+    ids=["rows", "ints", "dict", "nested-rows"],
+)
+def test_canonical_json_writes_every_chunk_of_a_long_container(obj):
+    # on Python 3.10 and 3.11 the C encoder returns a list that starts a new
+    # chunk after every 100,000 pieces; each of these needs more than one
+    assert cli.canonical_json(obj) == _stdlib_json(obj)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     _TREES,
