@@ -273,9 +273,7 @@ def sweep_csv(
     equals the crossing distribution is marked.  The sweep resumes from the
     leading steps of ``result``'s trace that lie on it.
     """
-    steps = greedy_sweep(
-        pool, cfg.sequence, model, t, result.trace[: result.greedy_steps]
-    )
+    steps = greedy_sweep(pool, cfg, model, t, result.trace[: result.greedy_steps])
     target = {pid: result.d_star.weight_of(pid) for pid in result.d_star.ids()}
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")

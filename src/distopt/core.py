@@ -29,19 +29,15 @@ _UNIT = 1 << 1074
 _SUM_LIMIT = 2.0**960
 
 
-class DistributionError(ValueError):
-    """Base class for errors raised by distribution operations."""
-
-
-class EmptyDistributionError(DistributionError):
+class EmptyDistributionError(ValueError):
     """An operation that needs volume was handed an empty distribution."""
 
 
-class SubdistributionError(DistributionError):
+class SubdistributionError(ValueError):
     """Attempted to remove more weight than a distribution holds."""
 
 
-class TableLookupError(DistributionError):
+class TableLookupError(ValueError):
     """A table transform has no entry for a requested producer value."""
 
 

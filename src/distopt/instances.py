@@ -26,7 +26,6 @@ from typing import Any, Callable
 
 from .core import DROP_TOLERANCE, Distribution, Point, ProducerTransform
 from .participation import ParticipationModel
-from .sequence import SequenceConfig
 from .optimizer import OptimizerConfig
 
 SCHEMA_VERSION = 1
@@ -437,12 +436,9 @@ def build_optimizer_config(opt: dict[str, Any] | None) -> OptimizerConfig:
     opt = opt or {}
     seeds = opt.get("seed_policy")
     inc = opt.get("increment_policy")
-    sequence = SequenceConfig(
-        tuple(str(i) for i in seeds["ids"]) if isinstance(seeds, dict) else (),
-        float(inc["chunk"]) if isinstance(inc, dict) else None,
-    )
     return OptimizerConfig(
-        sequence=sequence,
+        seed_ids=tuple(map(str, seeds["ids"])) if isinstance(seeds, dict) else (),
+        chunk=float(inc["chunk"]) if isinstance(inc, dict) else None,
         **{key: cast(opt[key]) for key, cast in _OPTIMIZER_FIELDS if key in opt},
     )
 
@@ -464,7 +460,7 @@ def build_objects(
         model = build_participation(instance["participation"])
         transform = build_transform(instance.get("transform"))
         cfg = build_optimizer_config(instance.get("optimizer"))
-        missing = [pid for pid in cfg.sequence.seed_ids if pid not in pool]
+        missing = [pid for pid in cfg.seed_ids if pid not in pool]
         if missing:
             raise ValueError(f"seed ids {missing} are not in the pool")
         for point, _ in pool.items():

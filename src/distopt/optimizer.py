@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .core import (
+    DROP_TOLERANCE,
     Distribution,
     PointIncrement,
     ProducerTransform,
@@ -32,7 +33,6 @@ from .core import (
 from .participation import ParticipationModel, actual, kappa, potential
 from .sequence import (
     GreedyBuild,
-    SequenceConfig,
     SequenceStep,
     best_next_in_sequence,
     seed_distribution,
@@ -41,6 +41,7 @@ from .sequence import (
 from .thresholds import (
     ADAPTIVE,
     CONTINUE_TO_D2_STAR_THM4,
+    REACTIVE,
     SATURATED_CONSUMER,
     SCENARIO_I_BOTH_PREFER,
     SCENARIO_II_CONSUMER_PREFERS,
@@ -74,27 +75,42 @@ class CarveoutInfeasibleError(ValueError):
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """The instance's optimizer settings.
+    """The instance's optimizer settings, checked once, here.
 
     ``ratio_threshold`` is the demand/supply ratio below which growth
     stops and probing starts; ``lookahead_steps`` bounds how far a probe
     block may be extended in search of participation that keeps pace
     with volume; ``iota`` and ``consumer_mode`` set the consumer's side of
-    the threshold algebra; ``sequence`` holds the seeding and increment
-    policies.
+    the threshold algebra.  An empty distribution starts from the ids in
+    ``seed_ids``, in order, or from the best-scoring point when there are
+    none.  Increments take at most ``chunk`` of a point's remaining
+    weight, or all of it when ``chunk`` is None; a chunk must outweigh
+    ``DROP_TOLERANCE``, below which a distribution drops a weight.
     """
 
     ratio_threshold: float = 1.05
     lookahead_steps: int = 5
     iota: float = 0.1
     consumer_mode: str = ADAPTIVE
-    sequence: SequenceConfig = field(default_factory=SequenceConfig)
+    seed_ids: tuple[str, ...] = ()
+    chunk: float | None = None
 
     def __post_init__(self) -> None:
+        if self.chunk is not None and not (self.chunk > DROP_TOLERANCE):
+            raise ValueError(
+                f"chunked increments need a chunk size > {DROP_TOLERANCE!r}, "
+                f"got {self.chunk!r}"
+            )
+        if len(set(self.seed_ids)) != len(self.seed_ids):
+            raise ValueError(f"seed ids {list(self.seed_ids)} repeat an id")
         if self.ratio_threshold < 1.0:
             raise ValueError("ratio_threshold must be >= 1")
         if self.lookahead_steps < 0:
             raise ValueError("lookahead_steps must be >= 0")
+        if self.consumer_mode not in (ADAPTIVE, REACTIVE):
+            raise ValueError(f"unknown consumer mode {self.consumer_mode!r}")
+        if self.iota < 0:
+            raise ValueError(f"iota must be >= 0, got {self.iota!r}")
 
 
 @dataclass(frozen=True)
@@ -171,7 +187,7 @@ class BuildOrderError(RuntimeError):
 
 
 def _assert_no_dominating_extension(
-    ctx: ExtensionContext, seq: SequenceConfig
+    ctx: ExtensionContext, cfg: OptimizerConfig
 ) -> None:
     """An adopted extension must not beat the crossing on both axes.
 
@@ -188,10 +204,10 @@ def _assert_no_dominating_extension(
             "adopted extension dominates the crossing prefix on both value "
             "and participation; build order violated"
         )
-        if seq.seed_ids:
+        if cfg.seed_ids:
             message += (
                 "; the build starts from the explicit seed "
-                f"{list(seq.seed_ids)}, which need not follow the greedy order"
+                f"{list(cfg.seed_ids)}, which need not follow the greedy order"
             )
         raise BuildOrderError(message)
 
@@ -259,7 +275,7 @@ class _Run:
         self.cfg = cfg
         self.model = model
         self.t = t
-        self.build = GreedyBuild(Distribution(), d_all, cfg.sequence.chunk, model, t)
+        self.build = GreedyBuild(Distribution(), d_all, cfg.chunk, model, t)
         self.steps: list[SequenceStep] = []
         self.best: tuple[float, Distribution, int] | None = None
         self.events: list[EquilibriumVerdict] = []
@@ -302,9 +318,7 @@ class _Run:
         available = self.build.available
         if retired is not None:
             available = remove_subdistribution(available, retired)
-        self.build = GreedyBuild(
-            d, available, self.cfg.sequence.chunk, self.model, self.t
-        )
+        self.build = GreedyBuild(d, available, self.cfg.chunk, self.model, self.t)
 
     def last_accepted(self) -> PointIncrement | None:
         return self.steps[-1].added if self.steps else None
@@ -427,7 +441,7 @@ def determine_d_star(run: _Run) -> EquilibriumVerdict:
     if d_all.is_empty():
         raise ValueError("candidate pool is empty")
     run.evaluations += len(run.build)
-    for inc in seed_distribution(run.build, cfg.sequence):
+    for inc in seed_distribution(run.build, cfg):
         run.record_step(inc)
     if all(point.c <= 0 for point, _ in d_all.items()):
         # nothing can draw participation: M(Q) = 0 for every subset
@@ -474,7 +488,7 @@ def determine_d_star(run: _Run) -> EquilibriumVerdict:
         run.events.append(verdict)
 
         if verdict.kind == SCENARIO_I_BOTH_PREFER:
-            _assert_no_dominating_extension(ctx, cfg.sequence)
+            _assert_no_dominating_extension(ctx, cfg)
             for inc in increments:
                 run.record_step(inc)
             log.debug("adopted extension both players prefer (k=%.6g)", k)
@@ -490,7 +504,7 @@ def determine_d_star(run: _Run) -> EquilibriumVerdict:
                 run.carve_failure = exc.reason
                 note = f"carveout infeasible: {exc.reason}"
                 return replace(verdict, notes=verdict.notes + (note,))
-            _assert_no_dominating_extension(ctx, cfg.sequence)
+            _assert_no_dominating_extension(ctx, cfg)
             run.carveouts.append(replace(carve, trigger_kind=verdict.kind))
             for inc in increments:
                 run.record_step(inc)
@@ -595,7 +609,7 @@ def _carve_block(
             "no point in the base is cheaper than the extension"
         )
 
-    chunk = cfg.sequence.chunk
+    chunk = cfg.chunk
     bound = sum(
         (1 if chunk is None else max(1, math.ceil(w / chunk)))
         for _, w in candidates

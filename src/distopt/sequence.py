@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from .core import (
     Distribution,
@@ -26,36 +26,15 @@ from .core import (
 from .participation import ParticipationModel, kappa, potential
 from .valuation import delta_v_of_increment
 
+if TYPE_CHECKING:
+    from .optimizer import OptimizerConfig
+
 #: a kappa sequence must rise by more than this to count as still improving
 KAPPA_IMPROVEMENT_TOL = 1e-12
 
 
 class ExhaustedPoolError(ValueError):
     """No candidate weight remains to extend the distribution with."""
-
-
-@dataclass(frozen=True)
-class SequenceConfig:
-    """Seeding and increment sizing.
-
-    An empty distribution starts from the ids in ``seed_ids``, in order,
-    or from the best-scoring point when there are none.  Increments take
-    at most ``chunk`` of a point's remaining weight, or all of it when
-    ``chunk`` is None; a chunk must outweigh ``DROP_TOLERANCE``, below
-    which a distribution drops a weight.
-    """
-
-    seed_ids: tuple[str, ...] = ()
-    chunk: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.chunk is not None and not (self.chunk > DROP_TOLERANCE):
-            raise ValueError(
-                f"chunked increments need a chunk size > {DROP_TOLERANCE!r}, "
-                f"got {self.chunk!r}"
-            )
-        if len(set(self.seed_ids)) != len(self.seed_ids):
-            raise ValueError(f"seed ids {list(self.seed_ids)} repeat an id")
 
 
 @dataclass(frozen=True)
@@ -206,9 +185,10 @@ def best_increment(build: GreedyBuild) -> PointIncrement:
     return PointIncrement(best[0], best[1])
 
 
-def seed_distribution(build: GreedyBuild, cfg: SequenceConfig) -> list[PointIncrement]:
+def seed_distribution(build: GreedyBuild, cfg: OptimizerConfig) -> list[PointIncrement]:
     """Increments that install the configured seed into ``build``, whose
-    state is empty."""
+    state is empty: the ids in ``cfg.seed_ids``, in order, or the
+    best-scoring offer when there are none."""
     if cfg.seed_ids:
         d_all = build.available
         incs = []
@@ -248,7 +228,7 @@ def best_next_in_sequence(build: GreedyBuild) -> tuple[float, tuple[PointIncreme
 
 def greedy_sweep(
     d_all: Distribution,
-    cfg: SequenceConfig,
+    cfg: OptimizerConfig,
     model: ParticipationModel,
     t: ProducerTransform,
     prefix: tuple[SequenceStep, ...] = (),

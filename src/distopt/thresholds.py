@@ -96,12 +96,6 @@ class ExtensionContext:
     iota: float
     consumer_mode: str
 
-    def __post_init__(self) -> None:
-        if self.consumer_mode not in (ADAPTIVE, REACTIVE):
-            raise ValueError(f"unknown consumer mode {self.consumer_mode!r}")
-        if self.iota < 0:
-            raise ValueError(f"iota must be >= 0, got {self.iota!r}")
-
     # -- constructors -----------------------------------------------------
 
     @staticmethod

@@ -151,7 +151,7 @@ def test_crossing_build_matches_brute_force_and_rejects_deviations():
             assert _w_of(d_minus, model) <= bound, f"seed {seed}: step back"
         try:
             nxt = best_increment(
-                GreedyBuild(res.d_star, pool, cfg.sequence.chunk, model, t)
+                GreedyBuild(res.d_star, pool, cfg.chunk, model, t)
             )
         except ExhaustedPoolError:
             continue

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distopt import cli, instances
+from distopt import cli, instances, oracle
 from distopt.oracle import find_scenario_instance, generate_instance
 from distopt.thresholds import (
     SCENARIO_II_CONSUMER_PREFERS,
@@ -207,6 +207,22 @@ def test_batch_mode_carries_on_past_an_invalid_file(tmp_path, capsys):
     assert json.loads((tmp_path / "b.report.json").read_text())["n_star"] == 4.0
 
 
+def test_optimize_needs_an_input_or_a_batch(capsys):
+    assert cli.main(["optimize"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: optimize needs --input or --batch\n"
+
+
+def test_batch_mode_needs_a_directory(tmp_path, capsys):
+    inp = write(tmp_path, "five.json", FIVE_POINT)
+    assert cli.main(["optimize", "--batch", inp]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {inp} is not a directory\n"
+    assert not (tmp_path / "five.report.json").exists()
+
+
 def test_analyze_reports_the_probe_candidate(tmp_path):
     inp = write(tmp_path, "five.json", FIVE_POINT)
     out = tmp_path / "ana.json"
@@ -335,6 +351,20 @@ def test_gen_profiles_validate_and_are_deterministic(tmp_path):
 def test_gen_rejects_unknown_profiles(tmp_path, capsys):
     assert cli.main(["gen", "--profile", "mystery"]) == 1
     capsys.readouterr()
+
+
+def test_gen_of_an_unfound_scenario_exits_two(monkeypatch, capsys):
+    # a search that finds nothing is an unmet generation target, not a
+    # usage error
+    monkeypatch.setattr(oracle, "find_scenario_instance", lambda *a, **kw: None)
+    argv = ["gen", "--profile", f"scenario:{SCENARIO_II_CONSUMER_PREFERS}"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"no instance realizing {SCENARIO_II_CONSUMER_PREFERS!r} "
+        "found within the search budget\n"
+    )
 
 
 @pytest.mark.parametrize(

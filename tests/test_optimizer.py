@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from distopt import optimizer
 from distopt.core import (
+    DROP_TOLERANCE,
     Distribution,
     Point,
     PointIncrement,
@@ -22,7 +25,6 @@ from distopt.optimizer import (
     optimize,
 )
 from distopt.participation import ParticipationModel, actual, potential
-from distopt.sequence import SequenceConfig
 from distopt.thresholds import (
     CONTINUE_TO_D2_STAR_THM4,
     SATURATED_CONSUMER,
@@ -47,6 +49,44 @@ from reference import brute_force_w_max, synthesize
 def run(instance):
     pool, model, t, cfg = build_objects(instance)
     return optimize(pool, cfg, model, t), pool, model, t, cfg
+
+
+#: (setting, invalid value, the error's text)
+INVALID_SETTINGS = [
+    ("ratio_threshold", 0.99, "ratio_threshold must be >= 1"),
+    ("lookahead_steps", -1, "lookahead_steps must be >= 0"),
+    ("consumer_mode", "bogus", "unknown consumer mode 'bogus'"),
+    ("iota", -0.1, "iota must be >= 0, got -0.1"),
+    # a chunk no heavier than DROP_TOLERANCE would be dropped as zero
+    *(
+        ("chunk", chunk, "chunked increments need a chunk size > 1e-09")
+        for chunk in (DROP_TOLERANCE, 0.0, -0.5, math.nan)
+    ),
+    # a repeated seed id would install the point's weight twice
+    ("seed_ids", ("a", "a"), r"seed ids \['a', 'a'\] repeat an id"),
+    ("seed_ids", ("a", "b", "a"), "repeat an id"),
+]
+
+
+@pytest.mark.parametrize(
+    "setting, value, message",
+    INVALID_SETTINGS,
+    ids=[f"{setting}={value}" for setting, value, _ in INVALID_SETTINGS],
+)
+def test_the_config_checks_every_setting(setting, value, message):
+    with pytest.raises(ValueError, match=message):
+        OptimizerConfig(**{setting: value})
+
+
+def test_an_invalid_setting_fails_before_a_run_that_never_classifies():
+    # an UnderServed run stops before it measures an extension, so a check
+    # made there would never see these settings
+    pool, model, t, cfg = build_objects(generate_instance("underserved", 1))
+    assert optimize(pool, cfg, model, t).verdict.kind == UNDER_SERVED
+    with pytest.raises(ValueError, match="unknown consumer mode 'bogus'"):
+        optimize(pool, OptimizerConfig(consumer_mode="bogus", iota=-5.0), model, t)
+    with pytest.raises(ValueError, match="iota must be >= 0, got -5.0"):
+        optimize(pool, OptimizerConfig(iota=-5.0), model, t)
 
 
 def test_five_point_reference_build():
@@ -243,7 +283,7 @@ def test_d_star_is_the_first_max_over_every_state_reached(name, monkeypatch):
 
 # -- carveouts ---------------------------------------------------------------
 
-CFG = OptimizerConfig(sequence=SequenceConfig())
+CFG = OptimizerConfig()
 M05 = ParticipationModel.power(1.0, 0.5)
 IDENT = ProducerTransform.identity()
 
@@ -301,8 +341,8 @@ def test_dominating_extension_guard_fires():
     # a RuntimeError still, so the scenario search keeps skipping such pools
     assert issubclass(BuildOrderError, RuntimeError)
     with pytest.raises(BuildOrderError, match="build order violated$"):
-        _assert_no_dominating_extension(ctx, SequenceConfig())
-    seeded = SequenceConfig(seed_ids=("b", "a"))
+        _assert_no_dominating_extension(ctx, OptimizerConfig())
+    seeded = OptimizerConfig(seed_ids=("b", "a"))
     with pytest.raises(BuildOrderError, match=r"explicit seed \['b', 'a'\]"):
         _assert_no_dominating_extension(ctx, seeded)
 

@@ -19,6 +19,8 @@ from pathlib import Path
 
 import pytest
 
+from distopt import oracle
+
 from compare_revisions import RECIPES, commands, run_command, write_inputs
 
 DIGESTS = Path(__file__).with_name("recipe_digests.json")
@@ -59,6 +61,45 @@ def test_command_output_matches_its_recorded_digest(name: str, corpus, monkeypat
     monkeypatch.delenv("DISTOPT_LOG", raising=False)
     root, plan, recorded = corpus
     assert command_digest(name, plan[name], root) == recorded[name]
+
+
+#: ``crosscheck_measurements(seed)`` at the revision that recorded them
+CROSSCHECK_MEASUREMENTS = {
+    0: "3267ffe9c202662a1b534d6d0dc7699f703d08feba18bb11d31e6503044a4f7d",
+    1: "b529d11f62ba7c4f0d72031968826ec799d8fe542751fd570dcdaf0b99b6bc38",
+}
+
+
+def crosscheck_measurements(seed: int) -> str:
+    """The sha256 of every potential and value change that
+    ``crosscheck_thresholds(200, seed)`` measures, in order, bit for bit."""
+    measured: list[str] = []
+    potential, delta_s = oracle.potential, oracle.delta_s
+
+    def recorded_potential(*args):
+        m = potential(*args)
+        measured.append(m.hex())
+        return m
+
+    def recorded_delta_s(*args):
+        delta = delta_s(*args)
+        measured.append(f"{delta.delta_s.hex()} {delta.delta_v.hex()}")
+        return delta
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "potential", recorded_potential)
+        mp.setattr(oracle, "delta_s", recorded_delta_s)
+        oracle.crosscheck_thresholds(200, seed)
+    return hashlib.sha256("\n".join(measured).encode()).hexdigest()
+
+
+def test_the_crosscheck_measures_what_it_measured_at_each_seed() -> None:
+    # the ``oracle-check`` report counts checks and lists mismatches, so
+    # its bytes are the same at seeds 0 and 1 and miss a change of what
+    # the cross-check measures; these digests do not
+    digests = {seed: crosscheck_measurements(seed) for seed in CROSSCHECK_MEASUREMENTS}
+    assert digests[0] != digests[1]
+    assert digests == CROSSCHECK_MEASUREMENTS
 
 
 if __name__ == "__main__":

@@ -25,7 +25,6 @@ from distopt.optimizer import OptimizerConfig, _Run, optimize
 from distopt.oracle import find_scenario_instance, generate_instance
 from distopt.sequence import (
     GreedyBuild,
-    SequenceConfig,
     best_increment,
     best_next_in_sequence,
     greedy_sweep,
@@ -53,26 +52,16 @@ def test_remaining_pool_subtracts_current_weights():
 def test_seed_picks_the_highest_first_content_value():
     pool = make_dist(("hi", 5.0, 1.0, 1.0), ("mix", 2.0, 3.0, 1.0))
     empty = GreedyBuild(Distribution(), pool, None, M11, IDENT)
-    seeds = seed_distribution(empty, SequenceConfig())
+    seeds = seed_distribution(empty, OptimizerConfig())
     # T(p) * M(c): 3*2 beats 1*5
     assert [i.point.id for i in seeds] == ["mix"]
 
 
 def test_explicit_seed_policy_uses_listed_ids():
     pool = make_dist(("hi", 5.0, 1.0, 1.0), ("mix", 2.0, 3.0, 1.0))
-    cfg = SequenceConfig(seed_ids=("hi",))
+    cfg = OptimizerConfig(seed_ids=("hi",))
     empty = GreedyBuild(Distribution(), pool, None, M11, IDENT)
     assert [i.point.id for i in seed_distribution(empty, cfg)] == ["hi"]
-
-
-def test_config_validation():
-    # a chunk no heavier than DROP_TOLERANCE would be dropped as zero
-    for chunk in (0.0, -0.5, math.nan, 1e-9):
-        with pytest.raises(ValueError):
-            SequenceConfig(chunk=chunk)
-    # a repeated seed id would install the point's weight twice
-    with pytest.raises(ValueError, match="repeat an id"):
-        SequenceConfig(seed_ids=("a", "b", "a"))
 
 
 @pytest.mark.parametrize(
@@ -107,14 +96,14 @@ def test_equal_candidates_break_ties_by_id():
 
 def test_chunked_weights_split_points():
     pool = make_dist(("a", 2.0, 1.0, 0.26))
-    cfg = SequenceConfig(chunk=0.1)
+    cfg = OptimizerConfig(chunk=0.1)
     trace = greedy_sweep(pool, cfg, M11, IDENT)
     assert [round(s.added.weight, 10) for s in trace] == [0.1, 0.1, 0.06]
 
 
 def test_sweep_step_bookkeeping_is_consistent():
     pool, model, t, cfg = build_objects(LADDER)
-    trace = greedy_sweep(pool, cfg.sequence, model, t)
+    trace = greedy_sweep(pool, cfg, model, t)
     assert [s.added.point.id for s in trace] == sorted(pool.ids())
     n = 0.0
     for s in trace:
@@ -131,7 +120,7 @@ def test_sweep_step_bookkeeping_is_consistent():
 def test_probe_stops_at_a_non_positive_slope():
     pool, model, t, cfg = build_objects(LADDER)
     prefix = Distribution([(pt, w) for pt, w in pool.items() if pt.id <= "p06"])
-    build = GreedyBuild(prefix, pool, cfg.sequence.chunk, model, t)
+    build = GreedyBuild(prefix, pool, cfg.chunk, model, t)
     k, increments = best_next_in_sequence(build)
     assert [i.point.id for i in increments] == ["p07"]
     # the probe advanced the build it was given
@@ -223,9 +212,9 @@ _MODELS = st.one_of(
 )
 
 _CONFIGS = st.one_of(
-    st.just(SequenceConfig()),
+    st.just(OptimizerConfig()),
     st.builds(
-        lambda chunk: SequenceConfig(chunk=chunk),
+        lambda chunk: OptimizerConfig(chunk=chunk),
         st.sampled_from([0.3, 0.5, 1.0]),
     ),
 )
@@ -282,7 +271,7 @@ def test_best_increment_keeps_the_exact_ties_of_swapped_values(pairs, weight, x,
     rows = [(f"a{i}", c, p, weight) for i, (c, p) in enumerate(pairs)]
     rows += [(f"b{i}", p, c, weight) for i, (c, p) in enumerate(pairs)]
     pool = make_dist(("base", x, x, n), *rows)
-    want = _reference_best_increment(base, pool, SequenceConfig(), M11, IDENT)
+    want = _reference_best_increment(base, pool, OptimizerConfig(), M11, IDENT)
     assert best_increment(GreedyBuild(base, pool, None, M11, IDENT)) == want
 
 
@@ -301,7 +290,7 @@ def test_best_increment_passes_over_the_base_a_fixed_number_of_times(size, monke
     rows = [(f"x{i:03d}", 1.0 + (i * 37 % 101) / 50.0, (i % 5) / 2.0, 1.0) for i in range(size)]
     pool = make_dist(*rows)
     base = make_dist(*rows[: size // 2])
-    for cfg in (SequenceConfig(), SequenceConfig(chunk=0.5)):
+    for cfg in (OptimizerConfig(), OptimizerConfig(chunk=0.5)):
         calls.clear()
         best_increment(GreedyBuild(base, pool, cfg.chunk, M11, IDENT))
         assert len(calls) <= 2, f"{len(calls)} passes over the base at pool size {size}"
@@ -418,7 +407,7 @@ def test_a_kept_pool_equals_a_fresh_one(
     # build, as a probe takes, goes on without touching the run's
     points = [Point(f"p{i:02d}", c, p) for i, (c, p, _) in enumerate(rows)]
     d_all = Distribution([(pt, w) for pt, (_, _, w) in zip(points, rows)])
-    run = _Run(d_all, OptimizerConfig(sequence=SequenceConfig(chunk=chunk)), M11, IDENT)
+    run = _Run(d_all, OptimizerConfig(chunk=chunk), M11, IDENT)
     available = d_all
 
     def fresh(d=None):

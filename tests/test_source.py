@@ -106,6 +106,38 @@ def _names(node: ast.AST) -> set[str]:
     return set()
 
 
+def test_the_lower_layers_import_no_upper_one_at_run_time():
+    # ``optimizer`` imports the lower layers, and ``sequence`` takes its
+    # ``OptimizerConfig``; were a lower layer to import an upper one when
+    # run, importing the package would go round a cycle
+    lower = {"core", "participation", "valuation", "sequence", "thresholds"}
+    upper = {"optimizer", "instances", "oracle", "cli"}
+    found, typing_only = [], []
+    for path in SOURCES:
+        if path.stem not in lower:
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        guarded = {
+            id(node)
+            for branch in ast.walk(tree)
+            if isinstance(branch, ast.If) and _names(branch.test) == {"TYPE_CHECKING"}
+            for node in ast.walk(branch)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                named = {part for a in node.names for part in a.name.split(".")}
+            elif isinstance(node, ast.ImportFrom):
+                named = set((node.module or "").split(".")) | {a.name for a in node.names}
+            else:
+                continue
+            where = [f"{path.name}:{node.lineno} {name}" for name in sorted(named & upper)]
+            (typing_only if id(node) in guarded else found).extend(where)
+    assert found == []
+    assert any(
+        w.startswith("sequence.py:") and w.endswith(" optimizer") for w in typing_only
+    ), typing_only
+
+
 def test_only_instances_knows_the_schema():
     # the instance contract lives in one module: the others neither import
     # ``jsonschema`` nor name the schema
