@@ -28,43 +28,23 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import hashlib
 import io
 import json
-import logging
 import math
 import os
 import sys
 from itertools import chain
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from . import oracle
-from .core import Distribution, PointIncrement, ProducerTransform, expected_t
 from .instances import SCHEMA_VERSION, InstanceError, build_objects, load_instance
-from .optimizer import (
-    BuildOrderError,
-    CarveoutResult,
-    OptimizationResult,
-    OptimizerConfig,
-    extension_verdict,
-    optimize,
-)
-from .participation import ParticipationModel, ZeroVolumeDeltaError, potential
-from .sequence import greedy_sweep
-from .thresholds import (
-    REACTIVE,
-    SATURATED_CONSUMER,
-    UNDER_SERVED,
-    DegenerateContextError,
-    EquilibriumVerdict,
-    ThresholdReport,
-    x_l_kappa,
-    x_u_kappa,
-)
 
-log = logging.getLogger("distopt.cli")
+if TYPE_CHECKING:
+    from .core import Distribution, ProducerTransform
+    from .optimizer import CarveoutResult, OptimizationResult, OptimizerConfig
+    from .participation import ParticipationModel
+    from .thresholds import EquilibriumVerdict, ThresholdReport
 
 
 class CliError(Exception):
@@ -142,6 +122,8 @@ def canonical_json(obj: Any) -> str:
 
 
 def fingerprint(instance: dict) -> str:
+    import hashlib
+
     return hashlib.sha256(canonical_json(instance).encode()).hexdigest()
 
 
@@ -153,6 +135,9 @@ def fingerprint(instance: dict) -> str:
 def _dist_summary(
     d: Distribution, model: ParticipationModel, t: ProducerTransform
 ) -> dict:
+    from .core import expected_t
+    from .participation import potential
+
     m = potential(model, d)
     return {
         "points": [
@@ -273,6 +258,8 @@ def sweep_csv(
     equals the crossing distribution is marked.  The sweep resumes from the
     leading steps of ``result``'s trace that lie on it.
     """
+    from .sequence import greedy_sweep
+
     steps = greedy_sweep(pool, cfg, model, t, result.trace[: result.greedy_steps])
     target = {pid: result.d_star.weight_of(pid) for pid in result.d_star.ids()}
     out = io.StringIO()
@@ -315,6 +302,8 @@ def threshold_csv(
     participation curve directly.  A threshold whose denominator vanishes
     reads ``inf``.
     """
+    from .thresholds import REACTIVE, DegenerateContextError, x_l_kappa, x_u_kappa
+
     ctx = report.context
     m_star = ctx.m_star_ratio * n_star
     c2_raw = ctx.c2_ratio * q_star
@@ -416,6 +405,9 @@ def _optimize(
     ``path``, with a build found off the greedy order (an explicit seed can
     start it there), or a step too light to move the volume's float sum,
     reported as an error."""
+    from .optimizer import BuildOrderError, optimize
+    from .participation import ZeroVolumeDeltaError
+
     pool, model, transform, cfg = build_objects(instance, path)
     try:
         result = optimize(pool, cfg, model, transform)
@@ -427,6 +419,8 @@ def _optimize(
 def _optimize_one(
     path: str, output: str | None, csv_paths: tuple[str, str] | None
 ) -> int:
+    from .thresholds import SATURATED_CONSUMER, UNDER_SERVED
+
     instance = load_instance(path)
     pool, model, transform, cfg, result = _optimize(instance, path)
     report = run_report(instance, result, model, transform)
@@ -450,6 +444,9 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise CliError(f"cannot write {out_dir}: {exc}") from exc
+        import logging
+
+        log = logging.getLogger("distopt.cli")
         worst = 0
         for path in sorted(in_dir.glob("*.json")):
             if path.name.endswith(".report.json"):
@@ -472,6 +469,9 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    from .core import PointIncrement
+    from .optimizer import extension_verdict
+
     csv_paths = _csv_paths(args.output, args.format)
     instance = load_instance(args.input)
     pool, model, transform, cfg, result = _optimize(instance, args.input)
@@ -528,8 +528,10 @@ def cmd_carveout(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    from .generate import generate_instance
+
     try:
-        instance = oracle.generate_instance(args.profile, args.seed, args.size)
+        instance = generate_instance(args.profile, args.seed, args.size)
     except LookupError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -540,6 +542,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle_check(args: argparse.Namespace) -> int:
+    from . import oracle
+
     try:
         cross = oracle.crosscheck_thresholds(args.samples, args.seed)
         fd = oracle.finite_difference_facts(args.grid)
@@ -623,6 +627,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     level = os.environ.get("DISTOPT_LOG")
     if level:
+        import logging
+
         logging.basicConfig(
             level=getattr(logging, level.upper(), logging.INFO),
             stream=sys.stderr,

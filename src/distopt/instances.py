@@ -14,6 +14,8 @@ Every rejection is an ``InstanceError`` naming the instance's source.
 The schema is checked by a plain-Python predicate compiled from it once.
 ``jsonschema`` is slow to import and to run, so it is loaded only when
 the predicate rejects an instance: it then decides, and words the error.
+The ``build_*`` functions import the package's types when they run, so a
+command that only checks instances (``gen``) does not load them.
 """
 from __future__ import annotations
 
@@ -22,11 +24,12 @@ import json
 import operator
 from numbers import Number
 from pathlib import Path
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
-from .core import DROP_TOLERANCE, Distribution, Point, ProducerTransform
-from .participation import ParticipationModel
-from .optimizer import OptimizerConfig
+if TYPE_CHECKING:
+    from .core import Distribution, ProducerTransform
+    from .optimizer import OptimizerConfig
+    from .participation import ParticipationModel
 
 SCHEMA_VERSION = 1
 
@@ -392,6 +395,8 @@ def load_instance(path: str) -> Any:
 
 
 def build_pool(points: list[dict[str, Any]]) -> Distribution:
+    from .core import Distribution, Point
+
     return Distribution(
         [
             (Point(id=str(p["id"]), c=float(p["c"]), p=float(p["p"])), float(p["n"]))
@@ -401,6 +406,8 @@ def build_pool(points: list[dict[str, Any]]) -> Distribution:
 
 
 def build_participation(spec: dict[str, Any]) -> ParticipationModel:
+    from .participation import ParticipationModel
+
     kind = spec["kind"]
     if kind == "power":
         return ParticipationModel.power(float(spec["zeta"]), float(spec["alpha"]))
@@ -414,6 +421,8 @@ def build_participation(spec: dict[str, Any]) -> ParticipationModel:
 
 
 def build_transform(spec: dict[str, Any] | None) -> ProducerTransform:
+    from .core import ProducerTransform
+
     if spec is None or spec["kind"] == "identity":
         return ProducerTransform.identity()
     if spec["kind"] == "affine":
@@ -433,6 +442,8 @@ _OPTIMIZER_FIELDS = (
 
 
 def build_optimizer_config(opt: dict[str, Any] | None) -> OptimizerConfig:
+    from .optimizer import OptimizerConfig
+
     opt = opt or {}
     seeds = opt.get("seed_policy")
     inc = opt.get("increment_policy")
@@ -454,6 +465,8 @@ def build_objects(
     try:
         pool = build_pool(instance["points"])
         if pool.is_empty():
+            from .core import DROP_TOLERANCE
+
             raise ValueError(
                 f"every point weight is at most {DROP_TOLERANCE!r}, so the pool is empty"
             )

@@ -233,6 +233,8 @@ def test_the_oracle_checks_thresholds_without_the_library_formulas():
 
 
 def test_importing_the_package_leaves_jsonschema_unloaded(tmp_path):
+    # importing the package loads none of its submodules, ``gen`` loads
+    # the contract and the generators but not the optimizer, and
     # ``jsonschema`` is imported only to word a rejection: not with the
     # package, not by ``gen`` and not by a valid instance's run
     valid = tmp_path / "valid.json"
@@ -240,26 +242,40 @@ def test_importing_the_package_leaves_jsonschema_unloaded(tmp_path):
     invalid = tmp_path / "invalid.json"
     invalid.write_text(json.dumps({**FIVE_POINT, "surprise": True}))
     gen = ["gen", "--profile", "uniform", "--output", str(tmp_path / "gen.json")]
-    for argv, loaded in [
-        ([], False),
-        (gen, False),
-        (["optimize", "--input", str(valid)], False),
-        (["optimize", "--input", str(invalid)], True),
+    watched = ("jsonschema", "dataclasses", "logging", "hashlib")
+    loaded = {}
+    for name, argv in [
+        ("import", []),
+        ("gen", gen),
+        ("valid", ["optimize", "--input", str(valid)]),
+        ("invalid", ["optimize", "--input", str(invalid)]),
     ]:
         proc = subprocess.run(
             [
                 sys.executable,
                 "-c",
-                "import sys, distopt, distopt.cli\n"
-                f"if {argv!r}: distopt.cli.main({argv!r})\n"
-                "print('jsonschema' in sys.modules)",
+                "import sys, distopt\n"
+                f"if {argv!r}:\n"
+                "    import distopt.cli\n"
+                f"    distopt.cli.main({argv!r})\n"
+                "print(sorted(m for m in sys.modules\n"
+                f"    if m.startswith('distopt') or m in {watched!r}))",
             ],
             capture_output=True,
             text=True,
             env={**os.environ, "PYTHONPATH": str(Path(distopt.__file__).parent.parent)},
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == str(loaded), argv
+        loaded[name] = set(ast.literal_eval(proc.stdout.splitlines()[-1]))
+    assert loaded["import"] == {"distopt"}
+    assert loaded["gen"] == {
+        "distopt", "distopt.cli", "distopt.instances", "distopt.generate",
+    }
+    assert not loaded["valid"] & {"distopt.oracle", "distopt.generate"}
+    assert "distopt.optimizer" in loaded["valid"]
+    assert ["jsonschema" in loaded[name] for name in loaded] == [
+        False, False, False, True,
+    ]
 
 
 def test_optimize_alone_builds_a_result():

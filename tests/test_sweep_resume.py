@@ -121,7 +121,7 @@ def _csv_pair(inst: dict, monkeypatch) -> tuple[str, str, object, object]:
     got = cli.sweep_csv(pool, cfg, result, model, t)
     with monkeypatch.context() as m:
         m.setattr(
-            cli,
+            sequence,
             "greedy_sweep",
             lambda d_all, scfg, model, t, prefix=(): _reference_sweep(d_all, scfg, model, t),
         )
@@ -232,7 +232,7 @@ def test_each_greedy_build_walks_the_pool_once(monkeypatch, tmp_path):
     for module in (sequence, optimizer, cli):
         if hasattr(module, "best_increment"):
             monkeypatch.setattr(module, "best_increment", counted_score)
-    monkeypatch.setattr(cli, "greedy_sweep", counted_sweep)
+    monkeypatch.setattr(sequence, "greedy_sweep", counted_sweep)
 
     inst = generate_instance("uniform", 7, 80)
     src = tmp_path / "pool.json"
