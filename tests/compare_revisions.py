@@ -13,7 +13,11 @@ generator:
 - 200-point ``uniform`` and 150-point ``monotone`` pools at seeds 940 and
   941, each plain, with a ``table`` transform, a ``table`` participation
   curve, a ``saturating`` curve, 0.5 increment chunks and an ``affine``
-  transform.
+  transform;
+- the ``SINGLES``: pools of each variant, pools whose trace sweep meets
+  its step limit, whose seed is the last two points, whose trace runs
+  one step past D*, whose run exhausts its step budget or that hold one
+  point, ``LOOKAHEAD``, and a search for each of the eight outcome kinds;
 - searched scenario instances, from ``find_scenario_instance`` at search
   seeds 10-17: Scenario i adoptions, Scenario ii and iii carves and
   ``ContinueToD2Star`` climbs; a carve and a climb restart their greedy
@@ -23,11 +27,14 @@ Each tree then runs, in one child process whose ``PYTHONPATH`` is its own
 ``src`` and which calls ``cli.main`` in process:
 
 - ``optimize --format csv`` and ``carveout`` on every input;
+- on each of the ``SINGLES``, a plain-JSON ``optimize`` and, on the
+  candidate named there, ``analyze`` in both formats;
 - ``gen`` for five profiles at seeds 0-3;
 - ``oracle-check --samples 200 --grid 8`` at seeds 0 and 1.
 
 Every command's output files, exit code and stderr are compared.  The
-script names each command that differs and exits 1 if any does, else 0.
+script names each command that differs, counts the commands and the
+differences of each subcommand, and exits 1 if any differs, else 0.
 It is not a pytest module; ``tests/test_recipe_digests.py`` checks the
 same commands against recorded digests.
 """
@@ -92,10 +99,6 @@ def saturating(inst: dict) -> None:
     }
 
 
-def unit_chunks(inst: dict) -> None:
-    inst["optimizer"] = {"increment_policy": {"kind": "unit_chunks", "chunk": 0.5}}
-
-
 def _plain(inst: dict) -> None:
     """The generated instance as it is."""
 
@@ -107,14 +110,23 @@ def _optimizer(settings: dict) -> Callable[[dict], None]:
     return variant
 
 
-def _two_point_seed(inst: dict) -> None:
-    inst["optimizer"] = {"seed_policy": {"ids": [pt["id"] for pt in inst["points"][:2]]}}
+def _chunks(chunk: float) -> Callable[[dict], None]:
+    return _optimizer({"increment_policy": {"kind": "unit_chunks", "chunk": chunk}})
+
+
+def _seed(pick: slice) -> Callable[[dict], None]:
+    """Seed the build with the points ``pick`` selects, as one block."""
+
+    def variant(inst: dict) -> None:
+        inst["optimizer"] = {"seed_policy": {"ids": [pt["id"] for pt in inst["points"][pick]]}}
+
+    return variant
 
 
 SMALL_VARIANTS: dict[str, Callable[[dict], None]] = {
     "plain": _plain,
-    "chunks": _optimizer({"increment_policy": {"kind": "unit_chunks", "chunk": 0.3}}),
-    "seed": _two_point_seed,
+    "chunks": _chunks(0.3),
+    "seed": _seed(slice(2)),
     "lookahead0": _optimizer({"lookahead_steps": 0}),
 }
 
@@ -124,7 +136,7 @@ LARGE_VARIANTS: dict[str, Callable[[dict], None]] = {
     "table-transform": table_transform,
     "table-participation": table_participation,
     "saturating": saturating,
-    "chunks": unit_chunks,
+    "chunks": _chunks(0.5),
     "affine": affine_transform,
 }
 
@@ -148,6 +160,20 @@ SCENARIOS = {
 }
 SCENARIO_SEEDS = range(10, 18)
 
+# The probe block's slope lies in (0, 1), and one lookahead step past it
+# reaches slope >= 1 with a block worth continuing for.
+LOOKAHEAD = {
+    "points": [
+        {"id": "D", "c": 0.894, "p": 4.138, "n": 1.667},
+        {"id": "q0", "c": 10.894, "p": -3.137, "n": 1.026},
+        {"id": "q1", "c": 0.694, "p": -0.69, "n": 0.75},
+        {"id": "q2", "c": 3.285, "p": 1.445, "n": 1.889},
+        {"id": "q3", "c": 8.322, "p": 0.675, "n": 0.052},
+        {"id": "q4", "c": 0.509, "p": 0.577, "n": 0.187},
+    ],
+    "participation": {"kind": "power", "zeta": 1.7893, "alpha": 0.769},
+}
+
 
 def _pool(profile: str, seed: int, size: int, variant: Callable[[dict], None]) -> dict:
     from distopt.oracle import generate_instance
@@ -168,6 +194,42 @@ def _searched(target: str, seed: int, require_carveout: bool) -> dict:
     return found.instance
 
 
+#: name -> (the call that makes it, the candidate ``analyze`` runs on:
+#: the first pool point outside D*, or None) of the single inputs
+SINGLES = {
+    "uniform-40": (partial(_pool, "uniform", 11, 40, _plain), "p0"),
+    "uniform-60": (partial(_pool, "uniform", 12, 60, _plain), "p1"),
+    "monotone-30": (partial(_pool, "monotone", 13, 30, _plain), "p14"),
+    "monotone-50": (partial(_pool, "monotone", 14, 50, _plain), "p28"),
+    "table-transform-40": (partial(_pool, "uniform", 15, 40, table_transform), "p0"),
+    "table-curve-50": (partial(_pool, "uniform", 16, 50, table_participation), "p0"),
+    "saturating-45": (partial(_pool, "uniform", 17, 45, saturating), "p1"),
+    "unit-chunks-40": (partial(_pool, "uniform", 18, 40, _chunks(0.5)), "p0"),
+    "monotone-unit-chunks-35": (partial(_pool, "monotone", 19, 35, _chunks(0.5)), "p12"),
+    # the trace sweep stops at its 10-steps-per-point limit
+    "fine-chunks-12": (partial(_pool, "uniform", 20, 12, _chunks(0.05)), "p3"),
+    "explicit-seed-30": (partial(_pool, "uniform", 20, 30, _seed(slice(-2, None))), "p1"),
+    # the declining-tail walk records one step past D*: 5 of 6 steps build it
+    "monotone-past-d-star-7": (partial(_pool, "monotone", 2, 7, _plain), "p05"),
+    # the run ends "step budget exhausted" after 120 steps
+    "step-budget-12": (partial(_pool, "uniform", 0, 12, _chunks(0.02)), "p1"),
+    # the pool is exhausted at the crossing, with nothing left to extend
+    "one-point-1": (partial(_pool, "uniform", 0, 1, _plain), None),
+    "lookahead": (partial(dict, LOOKAHEAD), "q0"),
+    "scenario-stay-3": (partial(_searched, "StayAtDStar_Thm2", 3, False), "p3"),
+    "scenario-d2-3": (partial(_searched, "ContinueToD2Star_Thm4", 3, False), "b"),
+    "scenario-i-3": (partial(_searched, "Scenario_i_BothPreferDPrime", 3, False), None),
+    "scenario-ii-carve-4": (partial(_searched, "Scenario_ii_ConsumerPrefers", 4, True), "f0"),
+    "scenario-iii-carve-5": (partial(_searched, "Scenario_iii_ProducerPrefers", 5, True), "f0"),
+    "scenario-underserved-3": (partial(_searched, "UnderServed", 3, False), None),
+    "scenario-ii-3": (partial(_searched, "Scenario_ii_ConsumerPrefers", 3, False), None),
+    # the only searched template with ``unit_chunks``
+    "scenario-iii-3": (partial(_searched, "Scenario_iii_ProducerPrefers", 3, False), "r1"),
+    "scenario-iv-3": (partial(_searched, "Scenario_iv_StayAtDStar", 3, False), "r2"),
+    "scenario-saturated-3": (partial(_searched, "SaturatedConsumer", 3, False), None),
+}
+
+
 def _recipes() -> dict[str, partial[dict]]:
     found = {}
     for profile in ("uniform", "monotone"):
@@ -185,11 +247,13 @@ def _recipes() -> dict[str, partial[dict]]:
     for name, (target, carve) in SCENARIOS.items():
         for seed in SCENARIO_SEEDS:
             found[f"{name}-{seed}"] = partial(_searched, target, seed, carve)
+    found.update((name, recipe) for name, (recipe, _) in SINGLES.items())
     return found
 
 
 #: input name -> the call that makes it: ``_pool(profile, generator seed,
-#: size, variant)`` or ``_searched(target, search seed, require_carveout)``
+#: size, variant)``, ``dict(LOOKAHEAD)`` or ``_searched(target, search
+#: seed, require_carveout)``
 RECIPES = _recipes()
 
 
@@ -210,6 +274,15 @@ def commands(inputs: Path, names: list[str]) -> dict[str, list[str]]:
             "optimize", "--input", src, "--output", "{out}/r.json", "--format", "csv"
         ]
         found[f"carveout/{name}"] = ["carveout", "--input", src, "--output", "{out}/c.json"]
+        if name not in SINGLES:
+            continue
+        found[f"optimize-json/{name}"] = ["optimize", "--input", src, "--output", "{out}/r.json"]
+        candidate = SINGLES[name][1]
+        for fmt in ("json", "csv") if candidate else ():
+            found[f"analyze-{fmt}/{name}"] = [
+                "analyze", "--input", src, "--candidate", candidate,
+                "--output", "{out}/a.json", "--format", fmt,
+            ]
     for profile in GEN_PROFILES:
         for seed in GEN_SEEDS:
             found[f"gen/{profile}-{seed}"] = [
@@ -298,10 +371,11 @@ def main(argv: list[str]) -> int:
         inputs = tmp / "inputs"
         inputs.mkdir()
         plan = tmp / "plan.json"
-        plan.write_text(json.dumps(commands(inputs, write_inputs(inputs))), encoding="utf-8")
+        planned = commands(inputs, write_inputs(inputs))
+        plan.write_text(json.dumps(planned), encoding="utf-8")
         rev = _run_tree(other, plan, tmp / "out-rev")
         ours = _run_tree(ROOT, plan, tmp / "out-tree")
-        differ = 0
+        ran, differ = Counter(), Counter()
         for name in rev:
             what = [
                 part
@@ -312,14 +386,17 @@ def main(argv: list[str]) -> int:
                 )
                 if not same
             ]
+            ran[planned[name][0]] += 1
             if what:
-                differ += 1
+                differ[planned[name][0]] += 1
                 print(f"differs: {name} ({', '.join(what)})")
         codes = Counter(str(r["code"]) for r in ours.values())
         print(
             f"{len(rev)} commands against {argv[0]} (exit codes here: "
             + ", ".join(f"{n} x {code}" for code, n in sorted(codes.items()))
-            + f"): {differ} differ"
+            + "): "
+            + "; ".join(f"{sub} {n}, {differ[sub]} differ" for sub, n in ran.items())
+            + f"; {differ.total()} differ in all"
         )
         return 1 if differ else 0
 

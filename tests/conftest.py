@@ -56,20 +56,6 @@ SECOND_CROSSING = {
     "transform": {"kind": "identity"},
 }
 
-# The probe block's slope lies in (0, 1), and one lookahead step past it
-# reaches slope >= 1 with a block worth continuing for.
-LOOKAHEAD = {
-    "points": [
-        {"id": "D", "c": 0.894, "p": 4.138, "n": 1.667},
-        {"id": "q0", "c": 10.894, "p": -3.137, "n": 1.026},
-        {"id": "q1", "c": 0.694, "p": -0.69, "n": 0.75},
-        {"id": "q2", "c": 3.285, "p": 1.445, "n": 1.889},
-        {"id": "q3", "c": 8.322, "p": 0.675, "n": 0.052},
-        {"id": "q4", "c": 0.509, "p": 0.577, "n": 0.187},
-    ],
-    "participation": {"kind": "power", "zeta": 1.7893, "alpha": 0.769},
-}
-
 # A participation scale of 5e-324, the least subnormal: every participation
 # ratio at the crossing is subnormal, and the probe block's weight share
 # times one of them rounds to 0.

@@ -35,10 +35,10 @@ from distopt.thresholds import (
     UNDER_SERVED,
 )
 
+from compare_revisions import LOOKAHEAD
 from conftest import (
     FIVE_POINT,
     LADDER,
-    LOOKAHEAD,
     SECOND_CROSSING,
     make_dist,
     make_instance,

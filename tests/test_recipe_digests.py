@@ -2,7 +2,8 @@
 recorded in ``recipe_digests.json``.
 
 The corpus is that tool's: ``optimize --format csv`` and ``carveout`` on
-each input of ``RECIPES``, ``gen`` on five profiles at seeds 0-3, and
+each input of ``RECIPES``, plain-JSON ``optimize`` and ``analyze`` in both
+formats on its ``SINGLES``, ``gen`` on five profiles at seeds 0-3, and
 ``oracle-check`` at seeds 0 and 1.  A command's digest is one sha256 over
 its exit code, its stderr and every file it writes, by name.  A change
 that is meant to keep output bytes must keep every digest.  A new entry,
@@ -19,14 +20,15 @@ from pathlib import Path
 
 import pytest
 
-from distopt import oracle
+from distopt import oracle, thresholds as th
 
-from compare_revisions import RECIPES, commands, run_command, write_inputs
+from compare_revisions import RECIPES, _searched, commands, run_command, write_inputs
 
 DIGESTS = Path(__file__).with_name("recipe_digests.json")
 
-#: command names do not depend on where the inputs are written
-NAMES = list(commands(Path("inputs"), list(RECIPES)))
+#: command names and subcommands do not depend on where the inputs are written
+PLAN = commands(Path("inputs"), list(RECIPES))
+NAMES = list(PLAN)
 
 
 def write_plan(root: Path) -> dict[str, list[str]]:
@@ -61,6 +63,16 @@ def test_command_output_matches_its_recorded_digest(name: str, corpus, monkeypat
     monkeypatch.delenv("DISTOPT_LOG", raising=False)
     root, plan, recorded = corpus
     assert command_digest(name, plan[name], root) == recorded[name]
+
+
+def test_the_corpus_runs_every_subcommand_and_searches_every_outcome_kind() -> None:
+    subcommands = {argv[0] for argv in PLAN.values()}
+    assert subcommands == {"optimize", "analyze", "carveout", "gen", "oracle-check"}
+    searched = {recipe.args[0] for recipe in RECIPES.values() if recipe.func is _searched}
+    assert searched == th.NASH_KINDS | {
+        th.SCENARIO_II_CONSUMER_PREFERS, th.SCENARIO_III_PRODUCER_PREFERS,
+        th.UNDER_SERVED, th.SATURATED_CONSUMER,
+    }
 
 
 #: ``crosscheck_measurements(seed)`` at the revision that recorded them
