@@ -403,15 +403,16 @@ def _optimize(
 ]:
     """``build_objects`` and ``optimize`` on the instance read from
     ``path``, with a build found off the greedy order (an explicit seed can
-    start it there), or a step too light to move the volume's float sum,
-    reported as an error."""
+    start it there), a step too light to move the volume's float sum, or an
+    E(T|D) whose terms overflow to both infinities, reported as an error."""
+    from .core import UndefinedMeanError
     from .optimizer import BuildOrderError, optimize
     from .participation import ZeroVolumeDeltaError
 
     pool, model, transform, cfg = build_objects(instance, path)
     try:
         result = optimize(pool, cfg, model, transform)
-    except (BuildOrderError, ZeroVolumeDeltaError) as exc:
+    except (BuildOrderError, UndefinedMeanError, ZeroVolumeDeltaError) as exc:
         raise CliError(f"{path}: {exc}") from exc
     return pool, model, transform, cfg, result
 

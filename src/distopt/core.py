@@ -9,9 +9,10 @@ the handful of pure operations in this module.
 Distributions are immutable: every operation returns a new value.  Totals
 (``n``) and the volume-weighted mean consumer value (``q``) are computed
 eagerly and correctly rounded, so long build sequences do not drift: with
-``math.fsum`` over the entries, or, along a greedy build's chain, from
-exact integer running sums that ``apply_increment`` moves by the changed
-entry alone and rounds once (``running_sums``).
+``math.fsum`` over the entries, gathered in the one pass that drops the
+negligible ones, or, along a greedy build's chain, from exact integer
+running sums that ``apply_increment`` moves by the changed entry alone and
+rounds once (``running_sums``).
 """
 from __future__ import annotations
 
@@ -39,6 +40,10 @@ class SubdistributionError(ValueError):
 
 class TableLookupError(ValueError):
     """A table transform has no entry for a requested producer value."""
+
+
+class UndefinedMeanError(ValueError):
+    """E(T|D) has no value: its terms w·T(p) overflow to both -inf and +inf."""
 
 
 def _require_finite(name: str, value: float) -> float:
@@ -200,18 +205,28 @@ class Distribution:
         """A distribution over ``merged``, whose weights are already checked
         finite and non-negative and whose ids already agree with their
         scores: the derived operations below vouch for the entries of the
-        distributions they start from, so only new mass is validated."""
+        distributions they start from, so only new mass is validated.
+
+        It takes ownership of ``merged``, which it keeps as its entries when
+        no weight drops, so a caller passes a dict it has just built and
+        shares with nothing."""
         d = cls.__new__(cls)
         d._settle(merged)
         return d
 
     def _settle(self, merged: dict[str, tuple[Point, float]]) -> None:
-        self._entries = {
-            pid: entry for pid, entry in merged.items() if entry[1] > DROP_TOLERANCE
-        }
-        entries = self._entries.values()
-        self._n = math.fsum([w for _, w in entries])
-        self._q_numerator = math.fsum([w * pt.c for pt, w in entries])
+        weights, q_terms = [], []
+        for point, w in merged.values():
+            if w > DROP_TOLERANCE:
+                weights.append(w)
+                q_terms.append(w * point.c)
+        if len(weights) < len(merged):
+            merged = {
+                pid: entry for pid, entry in merged.items() if entry[1] > DROP_TOLERANCE
+            }
+        self._entries = merged
+        self._n = math.fsum(weights)
+        self._q_numerator = math.fsum(q_terms)
         # (transform, E(T|D)) of the last ``expected_t`` taken; it never
         # goes stale, as neither the distribution nor the transform changes
         self._e_cache = None
@@ -304,11 +319,19 @@ def expected_t(d: Distribution, t: ProducerTransform) -> float:
     cached = d._e_cache
     if cached is not None and cached[0] is t:
         return cached[1]
-    if d.is_empty():
+    entries = d._entries
+    if not entries:
         raise EmptyDistributionError(
             "expected producer value is undefined on an empty distribution"
         )
-    e = math.fsum(w * t.apply(pt.p) for pt, w in d.items()) / d.n
+    terms = [w * t.apply(pt.p) for pt, w in entries.values()]
+    try:
+        e = math.fsum(terms) / d._n
+    except ValueError:  # fsum's "-inf + inf"; a failed lookup raised above
+        raise UndefinedMeanError(
+            "expected producer value is undefined: its terms w*T(p) "
+            "overflow to both -inf and +inf"
+        ) from None
     d._e_cache = (t, e)
     return e
 
@@ -356,7 +379,7 @@ def apply_increment(
     range leaves the result to ``fsum``."""
     point = inc.point
     merged = dict(d._entries)
-    _merge(merged, point, _checked_weight(point, inc.weight))
+    _merge(merged, point, inc.weight)  # checked finite and positive already
     if d._sums is None:
         return Distribution._from_checked(merged)
     n_units, q_units, e_units, t = d._sums
@@ -379,19 +402,19 @@ def apply_increment(
 
 def remove_subdistribution(d: Distribution, y: Distribution) -> Distribution:
     """Return d − y.  y must be point-wise within d (a true carve)."""
+    held, cut = d._entries, y._entries
     remaining: dict[str, tuple[Point, float]] = {}
-    for point, weight in d.items():
-        removed = y.weight_of(point.id)
+    for pid, (point, weight) in held.items():
+        entry = cut.get(pid)
+        removed = 0.0 if entry is None else entry[1]
         if removed > weight + DROP_TOLERANCE:
             raise SubdistributionError(
-                f"cannot remove {removed!r} from {weight!r} at point {point.id!r}"
+                f"cannot remove {removed!r} from {weight!r} at point {pid!r}"
             )
         left = weight - removed
         if left > DROP_TOLERANCE:
-            remaining[point.id] = (point, left)
-    for point, weight in y.items():
-        if point.id not in d and weight > DROP_TOLERANCE:
-            raise SubdistributionError(
-                f"point {point.id!r} is not part of the distribution"
-            )
+            remaining[pid] = (point, left)
+    for pid, (_, weight) in cut.items():
+        if pid not in held and weight > DROP_TOLERANCE:
+            raise SubdistributionError(f"point {pid!r} is not part of the distribution")
     return Distribution._from_checked(remaining)

@@ -12,7 +12,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
-from .core import Distribution
+from .core import Distribution, EmptyDistributionError
 
 
 class ZeroVolumeDeltaError(ValueError):
@@ -103,10 +103,13 @@ class ParticipationModel:
 
 
 def potential(model: ParticipationModel, d: Distribution) -> float:
-    """M(Q(D)): the volume the consumer would absorb at D's mean value."""
-    if d.is_empty():
+    """M(Q(D)): the volume the consumer would absorb at D's mean value, and
+    0 on an empty D."""
+    try:
+        q = d.q
+    except EmptyDistributionError:
         return 0.0
-    return model.m(d.q)
+    return model.m(q)
 
 
 def actual(model: ParticipationModel, d: Distribution) -> float:

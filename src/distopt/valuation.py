@@ -33,20 +33,12 @@ class ValueDelta:
     delta_v: float
 
 
-def _s_of(d: Distribution, m: float, t: ProducerTransform) -> float:
-    """Realized producer value S(D) = E(T|D) * min(M, N), from M = M(D)
-    already taken."""
-    if d.is_empty():
-        return 0.0
-    return expected_t(d, t) * min(m, d.n)
-
-
 def _difference_mean_t(
-    d: Distribution, d_prime: Distribution, t: ProducerTransform
+    d: Distribution, d_prime: Distribution, grows: bool, t: ProducerTransform
 ) -> float:
     """Mean transformed producer value E(T|Y) of the mass Y between nested
-    d and d' (added when d' is the larger, removed otherwise)."""
-    if d_prime.n >= d.n:
+    d and d' (added when ``grows``, d' the larger; removed otherwise)."""
+    if grows:
         diff = remove_subdistribution(d_prime, d)
     else:
         diff = remove_subdistribution(d, d_prime)
@@ -77,25 +69,28 @@ def delta_s(
     """
     n, n_p = d.n, d_prime.n
     m, m_p = potential(model, d), potential(model, d_prime)
+    empty, empty_p = d.is_empty(), d_prime.is_empty()
     h = None
-    if d.is_empty() and d_prime.is_empty():
+    if empty and empty_p:
         dv = 0.0
-    elif d.is_empty():
+    elif empty:
         dv = expected_t(d_prime, t) * m_p
-    elif d_prime.is_empty():
+    elif empty_p:
         dv = -(expected_t(d, t) * m)
     else:
-        h = _difference_mean_t(d, d_prime, t)
+        h = _difference_mean_t(d, d_prime, n_p >= n, t)
         e = expected_t(d, t)
         dv = e * n * (m_p / n_p - m / n) + h * (n_p - n) * (m_p / n_p)
     if n <= m and n_p <= m_p:
         if h is None:
-            h = _difference_mean_t(d, d_prime, t)
+            h = _difference_mean_t(d, d_prime, n_p >= n, t)
         return ValueDelta(h * (n_p - n), dv)
     if n >= m and n_p >= m_p:
         return ValueDelta(dv, dv)
-    ds = _s_of(d_prime, m_p, t) - _s_of(d, m, t)
-    return ValueDelta(ds, dv)
+    # straddling the crossing: S = E(T|D) * min(M, N) at both ends
+    s_p = 0.0 if empty_p else expected_t(d_prime, t) * min(m_p, n_p)
+    s = 0.0 if empty else expected_t(d, t) * min(m, n)
+    return ValueDelta(s_p - s, dv)
 
 
 def delta_v_of_increment(

@@ -819,6 +819,40 @@ def test_batch_mode_carries_on_past_a_zero_volume_step(tmp_path):
     assert json.loads((tmp_path / "b.report.json").read_text())["n_star"] == 4.0
 
 
+#: w·T(p) is +inf at a and -inf at b, so E(T|D) over both has no value
+UNDEFINED_MEAN = {
+    "schema_version": 1,
+    "points": [
+        {"id": "a", "c": 1e300, "p": 1e300, "n": 1e10},
+        {"id": "b", "c": 3.0, "p": -1e300, "n": 1e10},
+        {"id": "c", "c": 2.0, "p": 1.0, "n": 1.0},
+    ],
+    "participation": {"kind": "power", "zeta": 1.0, "alpha": 0.5},
+    "transform": {"kind": "identity"},
+}
+
+
+@pytest.mark.parametrize(
+    "command", [["optimize"], ["analyze", "--candidate", "c"], ["carveout"]]
+)
+def test_an_undefined_expected_producer_value_ends_as_an_error_line(tmp_path, command):
+    inp = write(tmp_path, "undefined.json", UNDEFINED_MEAN)
+    out = tmp_path / "undefined.report.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "distopt.cli", *command, "--input", inp,
+         "--output", str(out)],
+        capture_output=True,
+        text=True,
+    )
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == (
+        f"error: {inp}: expected producer value is undefined: "
+        "its terms w*T(p) overflow to both -inf and +inf\n"
+    )
+    assert not out.exists()
+
+
 #: an integer literal that passes the schema but is too large for a float
 HUGE = 10**400
 

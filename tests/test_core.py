@@ -306,6 +306,123 @@ def test_a_removal_leaving_exactly_the_drop_tolerance_drops_the_point():
     _assert_same(shrunk, Distribution([(d.point_of("a"), 1.0)]))
 
 
+# -- every build against fsum over the entries it keeps ----------------------
+
+_AROUND_TOLERANCE = [
+    math.nextafter(DROP_TOLERANCE, 0.0),
+    DROP_TOLERANCE,
+    math.nextafter(DROP_TOLERANCE, 1.0),
+]
+_ROW_WEIGHT = st.one_of(st.sampled_from([0.0, *_AROUND_TOLERANCE]), st.floats(0.0, 4.0))
+_INC_WEIGHT = st.one_of(st.sampled_from([5e-324, *_AROUND_TOLERANCE]), st.floats(1e-12, 4.0))
+#: (id, weight, redraw the signs of zero scores)
+_ROW = st.tuples(st.sampled_from(_IDS), _ROW_WEIGHT, st.booleans())
+_CUT = st.tuples(
+    st.sampled_from(["skip", "all", "tol", "under_tol", "over_tol", "part"]),
+    st.floats(0.0, 1.0),
+)
+_SIGNED_TRANSFORM = st.sampled_from(
+    [
+        ProducerTransform.identity(),
+        ProducerTransform.affine(2.0, -0.0),
+        ProducerTransform.affine(-0.5, 0.0),
+    ]
+)
+
+
+def _rows_of(d: Distribution) -> list[tuple[int, str, str]]:
+    """What ``d`` holds: each entry's point object, id and weight bits."""
+    return [(id(pt), pt.id, w.hex()) for pt, w in d.items()]
+
+
+def _kept(rows) -> list[tuple[Point, float]]:
+    """``rows`` merged by id, in first-seen order with the last point seen,
+    less the weights at or below ``DROP_TOLERANCE``."""
+    merged: dict[str, tuple[Point, float]] = {}
+    for pt, w in rows:
+        prev = merged.get(pt.id)
+        merged[pt.id] = (pt, w if prev is None else prev[1] + w)
+    return [(pt, w) for pt, w in merged.values() if w > DROP_TOLERANCE]
+
+
+def _assert_fsum_over(d: Distribution, kept, t: ProducerTransform) -> None:
+    assert d.ids() == tuple(pt.id for pt, _ in kept)
+    assert [(id(pt), w.hex()) for pt, w in d.items()] == [
+        (id(pt), w.hex()) for pt, w in kept
+    ]
+    n = math.fsum([w for _, w in kept])
+    assert d.n.hex() == n.hex()
+    if not kept:
+        return
+    assert d.q.hex() == (math.fsum([w * pt.c for pt, w in kept]) / n).hex()
+    e = math.fsum([w * t.apply(pt.p) for pt, w in kept]) / n
+    assert expected_t(d, t).hex() == e.hex()
+
+
+_UNIT_SCORES = {i: (1.0, 1.0) for i in _IDS}
+
+
+@given(
+    scores=st.fixed_dictionaries({i: st.tuples(_SCORE, _SCORE) for i in _IDS}),
+    rows=st.lists(_ROW, max_size=6),
+    other=st.lists(_ROW, max_size=6),
+    inc=st.tuples(st.sampled_from(_IDS), _INC_WEIGHT, st.booleans()),
+    cuts=st.lists(_CUT, min_size=len(_IDS), max_size=len(_IDS)),
+    t=_SIGNED_TRANSFORM,
+)
+@settings(max_examples=300, deadline=None)
+# a middle entry drops, so the build filters its entries into a new dict
+@example(
+    scores=_UNIT_SCORES,
+    rows=[("a", 1.0, False), ("b", DROP_TOLERANCE, False), ("c", 0.5, False)],
+    other=[],
+    inc=("b", DROP_TOLERANCE, False),
+    cuts=[("skip", 0.0)] * len(_IDS),
+    t=ProducerTransform.identity(),
+)
+def test_each_build_sums_its_kept_entries_with_fsum(scores, rows, other, inc, cuts, t):
+    def point(pid: str, flip: bool) -> Point:
+        c, p = scores[pid]
+        return Point(pid, -c if flip and c == 0 else c, -p if flip and p == 0 else p)
+
+    entries = [(point(pid, flip), w) for pid, w, flip in rows]
+    given_entries = list(entries)
+    d = Distribution(entries)
+    assert entries == given_entries
+    _assert_fsum_over(d, _kept(entries), t)
+    held = _rows_of(d)
+
+    pid, weight, flip = inc
+    increment = PointIncrement(point(pid, flip), weight)
+    _assert_fsum_over(increment.as_distribution(), _kept([(increment.point, weight)]), t)
+    _assert_fsum_over(
+        apply_increment(d, increment), _kept([*d.items(), (increment.point, weight)]), t
+    )
+
+    e = Distribution([(point(pid, flip), w) for pid, w, flip in other])
+    other_held = _rows_of(e)
+    _assert_fsum_over(combine(d, e), _kept([*d.items(), *e.items()]), t)
+    assert _rows_of(e) == other_held
+
+    # cut all, down to DROP_TOLERANCE or just under or over it, or a part
+    removed = []
+    for (pt, w), (kind, share) in zip(d.items(), cuts):
+        removed.append((pt, {
+            "skip": 0.0,
+            "all": w,
+            "tol": w - DROP_TOLERANCE,
+            "under_tol": w - math.nextafter(DROP_TOLERANCE, 0.0),
+            "over_tol": w - math.nextafter(DROP_TOLERANCE, 1.0),
+            "part": w * share,
+        }[kind]))
+    y = Distribution(removed)
+    y_held = _rows_of(y)
+    left = [(pt, w - y.weight_of(pt.id)) for pt, w in d.items()]
+    _assert_fsum_over(remove_subdistribution(d, y), _kept(left), t)
+    assert _rows_of(y) == y_held
+    assert _rows_of(d) == held
+
+
 # -- the E(T|D) cache ---------------------------------------------------------
 
 

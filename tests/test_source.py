@@ -45,6 +45,73 @@ def test_only_core_builds_distributions_from_checked_entries():
     assert found == []
 
 
+def _fresh_dict(node: ast.expr) -> bool:
+    """A dict display, a dict comprehension or a ``dict(...)`` call."""
+    return isinstance(node, (ast.Dict, ast.DictComp)) or (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "dict"
+    )
+
+
+def _bound_names(target: ast.expr) -> list[str]:
+    """The names an assignment to ``target`` binds (not its subscripts or
+    attributes)."""
+    if isinstance(target, ast.Name):
+        return [target.id]
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return [name for elt in target.elts for name in _bound_names(elt)]
+    if isinstance(target, ast.Starred):
+        return _bound_names(target.value)
+    return []
+
+
+def test_core_hands_the_checked_builds_only_dicts_it_has_just_made():
+    # ``_from_checked`` takes ownership of the dict it is handed and keeps it
+    # as the entries, and so does ``_settle``, which it hands that dict on to;
+    # every other call passes a dict its own function has just made, inline
+    # or through a name bound only to such dicts, never entries it shares
+    tree = ast.parse((Path(distopt.__file__).parent / "core.py").read_text())
+    calls, found = 0, []
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef) or func.name == "_from_checked":
+            continue
+        bindings: dict[str, list[bool]] = {
+            arg.arg: [False] for arg in func.args.args + func.args.kwonlyargs
+        }
+        for node in ast.walk(func):
+            if isinstance(node, ast.Assign):
+                targets, value = node.targets, node.value
+            elif isinstance(node, (ast.AnnAssign, ast.AugAssign, ast.NamedExpr)):
+                targets, value = [node.target], node.value
+            elif isinstance(node, (ast.For, ast.comprehension)):
+                targets, value = [node.target], None
+            elif isinstance(node, ast.withitem) and node.optional_vars is not None:
+                targets, value = [node.optional_vars], None
+            else:
+                continue
+            for target in targets:
+                fresh = isinstance(target, ast.Name) and value is not None and _fresh_dict(value)
+                for name in _bound_names(target):
+                    bindings.setdefault(name, []).append(fresh)
+        for node in ast.walk(func):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("_from_checked", "_settle")
+            ):
+                continue
+            calls += 1
+            (arg,) = node.args
+            if _fresh_dict(arg):
+                continue
+            if isinstance(arg, ast.Name) and all(bindings.get(arg.id, [False])):
+                continue
+            found.append(f"core.py:{node.lineno} {ast.unparse(arg)}")
+    assert calls >= 6
+    assert found == []
+
+
 def test_only_core_names_the_exact_sums_and_only_a_greedy_build_seeds_them():
     # the exact running sums live in the core; a state carries them only
     # when a ``GreedyBuild`` seeds its start state, so the brute force, the
