@@ -294,7 +294,7 @@ class Distribution:
             self._entries[k] == other._entries[k] for k in self._entries
         )
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+    def __repr__(self) -> str:
         inner = ", ".join(
             f"{pt.id}:{w:g}" for pt, w in self._entries.values()
         )

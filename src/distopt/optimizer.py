@@ -176,8 +176,6 @@ def _gap_of(d: Distribution, model: ParticipationModel) -> float:
     m = potential(model, d)
     n = d.n
     top = max(abs(m), abs(n))
-    if top == 0:
-        return 0.0
     return abs(m - n) / top
 
 
@@ -355,10 +353,7 @@ class _Run:
             self.record_step(inc)
 
     def ratio(self) -> float:
-        n = self.current.n
-        if n <= 0:
-            return math.inf
-        return potential(self.model, self.current) / n
+        return potential(self.model, self.current) / self.current.n
 
     def best_snapshot(self) -> tuple[Distribution, int]:
         """The state of greatest W and the trace length that reached it;
@@ -582,8 +577,6 @@ def _carve_block(
     within ``CROSSING_REL_TOL``.  Raises ``CarveoutInfeasibleError`` when
     no such carve exists; never returns a violating carve.
     """
-    if block.is_empty():
-        raise ValueError("extension block must carry positive weight")
     d_prime = combine(d_star, block)
     k = kappa(model, d_star, d_prime)
     if not (0 < k < 1):

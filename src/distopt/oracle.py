@@ -26,6 +26,7 @@ from .core import (
     Point,
     PointIncrement,
     ProducerTransform,
+    UndefinedMeanError,
     apply_increment,
 )
 from .generate import _instance, _point, _power_spec, _round6, generate_instance
@@ -75,8 +76,6 @@ def _sample_context(rng: random.Random) -> dict[str, float]:
         n_r2 = rng.uniform(0.05, 0.95)
         tp2 = rng.uniform(-0.4, 1.4)
         c2 = rng.uniform(0.2, 2.5)
-        if abs(1.0 + tp2 * n_r2) < 0.05:
-            continue
         if (1.0 - n_r1 + tp2 * n_r2) < 0.05:
             continue
         return {
@@ -619,7 +618,9 @@ def find_scenario_instance(
         try:
             pool, model, transform, cfg = build_objects(instance)
             result = optimize(pool, cfg, model, transform)
-        except (InstanceError, BuildOrderError, ZeroVolumeDeltaError):
+        except (
+            InstanceError, BuildOrderError, UndefinedMeanError, ZeroVolumeDeltaError
+        ):
             continue
         kinds = {result.verdict.kind} | {e.kind for e in result.events}
         if target not in kinds:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 from .core import (
     Distribution,
@@ -103,9 +103,6 @@ class GreedyBuild:
     def __len__(self) -> int:
         return len(self._offers)
 
-    def __iter__(self) -> Iterator[tuple[Point, float]]:
-        return ((point, weight) for point, weight, _ in self._offers.values())
-
     def best(self) -> PointIncrement:
         """The value-maximizing next increment (``best_increment``)."""
         return best_increment(self)
@@ -156,7 +153,10 @@ def best_increment(build: GreedyBuild) -> PointIncrement:
     per candidate cost about 5% of the benchmark's pool-json throughput on
     a 2-core host.  ``test_best_increment_matches_the_per_candidate_reference``
     and ``test_best_increment_keeps_the_exact_ties_of_swapped_values`` hold
-    the two copies together.
+    the two copies together.  Unlike that function, the loop does not check
+    that a share lies in [0, 1]: every offer outweighs ``DROP_TOLERANCE``
+    and a non-empty base's N is finite and positive, so w/(N + w) cannot
+    leave it.
     """
     if not build:
         raise ExhaustedPoolError("no candidate weight remains")
@@ -174,9 +174,8 @@ def best_increment(build: GreedyBuild) -> PointIncrement:
         if empty:
             s = tp * m(point.c)
         else:
+            # weight > DROP_TOLERANCE and 0 < n < inf, so phi lies in [0, 1]
             phi = weight / (n + weight)
-            if not (0 <= phi <= 1):
-                raise ValueError(f"share must lie in [0, 1], got {phi!r}")
             s = (e + phi * (tp - e)) * m(q + phi * (point.c - q)) - v
         if best is None or s > best_s or (
             s == best_s and _tie_key(point, tp) < _tie_key(best[0], best[2])

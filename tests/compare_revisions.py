@@ -17,7 +17,10 @@ generator:
 - the ``SINGLES``: pools of each variant, pools whose trace sweep meets
   its step limit, whose seed is the last two points, whose trace runs
   one step past D*, whose run exhausts its step budget or that hold one
-  point, ``LOOKAHEAD``, and a search for each of the eight outcome kinds;
+  point, ``LOOKAHEAD``, four seeded pools whose probe block past D*
+  reaches slope >= 1 with a usable last step (each of the four ends of
+  that branch of ``classify``), and a search for each of the eight outcome
+  kinds;
 - searched scenario instances, from ``find_scenario_instance`` at search
   seeds 10-17: Scenario i adoptions, Scenario ii and iii carves and
   ``ContinueToD2Star`` climbs; a carve and a climb restart their greedy
@@ -175,6 +178,20 @@ LOOKAHEAD = {
 }
 
 
+def _past_r1(r1: tuple, b: tuple, zeta: float, alpha: float) -> dict:
+    """Seeded at ``a``, the build takes ``r1`` to the crossing D* = {a, r1},
+    and the probe block {b} has slope >= 1 with ``r1`` usable as the last
+    step, so ``classify`` judges it by order and value; ``r1`` and ``b``
+    are (c, p, n)."""
+    points = [("a", (1, 1, 1)), ("r1", r1), ("b", b)]
+    return {
+        "schema_version": 1,
+        "points": [{"id": pid, "c": c, "p": p, "n": n} for pid, (c, p, n) in points],
+        "participation": {"kind": "power", "zeta": zeta, "alpha": alpha},
+        "optimizer": {"seed_policy": {"ids": ["a"]}},
+    }
+
+
 def _pool(profile: str, seed: int, size: int, variant: Callable[[dict], None]) -> dict:
     from distopt.oracle import generate_instance
 
@@ -216,6 +233,20 @@ SINGLES = {
     # the pool is exhausted at the crossing, with nothing left to extend
     "one-point-1": (partial(_pool, "uniform", 0, 1, _plain), None),
     "lookahead": (partial(dict, LOOKAHEAD), "q0"),
+    # the block {b} past D* = {a, r1} has slope >= 1: it continues, and the
+    # pool runs out before a second crossing
+    "kappa-1-exhausted": (partial(_past_r1, (1, 3, 0.2), (3, 0, 0.5), 1.2, 1.0), "b"),
+    # ... or it stays, as it adds no potential value, breaks the greedy
+    # order, or both
+    "kappa-1-no-value": (
+        partial(_past_r1, (1.497, 0.466, 0.48), (6.701, -0.96, 0.822), 1.11, 0.955), "b"
+    ),
+    "kappa-1-out-of-order": (
+        partial(_past_r1, (2.55, 2.251, 0.533), (5.945, 1.192, 0.438), 1.169, 0.566), "b"
+    ),
+    "kappa-1-out-of-order-no-value": (
+        partial(_past_r1, (0.911, -0.866, 0.361), (2.675, -0.676, 0.792), 1.373, 0.962), "b"
+    ),
     "scenario-stay-3": (partial(_searched, "StayAtDStar_Thm2", 3, False), "p3"),
     "scenario-d2-3": (partial(_searched, "ContinueToD2Star_Thm4", 3, False), "b"),
     "scenario-i-3": (partial(_searched, "Scenario_i_BothPreferDPrime", 3, False), None),
@@ -252,8 +283,8 @@ def _recipes() -> dict[str, partial[dict]]:
 
 
 #: input name -> the call that makes it: ``_pool(profile, generator seed,
-#: size, variant)``, ``dict(LOOKAHEAD)`` or ``_searched(target, search
-#: seed, require_carveout)``
+#: size, variant)``, ``dict(LOOKAHEAD)``, ``_past_r1(r1, b, zeta, alpha)``
+#: or ``_searched(target, search seed, require_carveout)``
 RECIPES = _recipes()
 
 

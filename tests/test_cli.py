@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import csv
+import dataclasses
+import io
 import json
+import math
 import subprocess
 import sys
 
@@ -13,9 +17,11 @@ from distopt.oracle import find_scenario_instance, generate_instance
 from distopt.thresholds import (
     SCENARIO_II_CONSUMER_PREFERS,
     SCENARIO_III_PRODUCER_PREFERS,
+    threshold_report,
 )
 
 from conftest import FIVE_POINT, LADDER, SECOND_CROSSING, SUBNORMAL_SCALE, make_instance
+from reference import synthesize
 
 
 def write(tmp_path, name, obj) -> str:
@@ -75,6 +81,28 @@ def test_csv_curves_are_written(tmp_path):
     thresh = (tmp_path / "ladder.report.thresholds.csv").read_text().splitlines()
     assert thresh[0].startswith("n_r2,x_l_kappa,x_u_kappa,x_u_kappa_alt")
     assert len(thresh) == 51
+
+
+def _landscape(**ratios) -> list[dict[str, str]]:
+    """The thresholds CSV rows of the reference context with ``ratios``
+    replaced, at N* = Q* = 1."""
+    ctx = dataclasses.replace(synthesize(0.2, 0.5, 0.5, 2.0), **ratios)
+    text = cli.threshold_csv(threshold_report(ctx), 1.0, 1.0, ctx.model)
+    return list(csv.DictReader(io.StringIO(text)))
+
+
+def test_the_thresholds_csv_reads_a_vanishing_ordering_denominator_as_inf():
+    # at n_r2 = 0.02, 1 - n_r1 + tp2 * n_r2 = 1 - 0.5 - 25 * 0.02 = 0
+    rows = _landscape(n_r1=0.5, tp2_ratio=-25.0)
+    assert (rows[0]["x_u_kappa"], rows[0]["x_u_kappa_alt"]) == ("inf", "inf")
+    assert all(math.isfinite(float(row["x_u_kappa"])) for row in rows[1:])
+
+
+def test_the_thresholds_csv_measures_from_d_star_when_the_last_step_is_all_of_it():
+    # with n_r1 = 1 the earlier base holds no volume, so its slope column
+    # repeats the crossing's
+    rows = _landscape(n_r1=1.0)
+    assert all(row["kappa_ar2"] == row["kappa_r2"] for row in rows)
 
 
 def test_a_run_without_a_witness_removes_an_earlier_thresholds_csv(tmp_path):
@@ -140,6 +168,16 @@ def test_duplicate_point_ids_end_as_one_error_line(tmp_path, capsys):
     assert captured.err == f"error: {inp} has duplicate point ids\n"
     with pytest.raises(instances.InstanceError, match="^instance has duplicate point ids$"):
         instances.build_objects(dup)
+
+
+def test_a_pool_of_negligible_weights_ends_as_an_error_line(tmp_path, capsys):
+    light = make_instance([("a", 1.0, 1.0, 1e-10), ("b", 2.0, 1.0, 1e-9)])
+    inp = write(tmp_path, "light.json", light)
+    assert cli.main(["optimize", "--input", inp]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {inp} is not a valid instance: every point weight is at most 1e-09, "
+        "so the pool is empty\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -39,6 +39,15 @@ def test_insertion_order_is_kept():
     assert list(d.ids()) == ["z", "a", "m"]
 
 
+def test_distributions_are_equal_by_their_entries_alone():
+    d = make_dist(("a", 2, 1, 1.5), ("b", 1, 0, 0.5))
+    assert d == make_dist(("b", 1, 0, 0.5), ("a", 2, 1, 1.5))
+    assert d != make_dist(("a", 2, 1, 1.5))
+    assert d != make_dist(("a", 2, 1, 1.5), ("b", 1, 0, 0.25))
+    assert d != dict(d._entries)
+    assert repr(d) == "Distribution({a:1.5, b:0.5}, n=2)"
+
+
 def test_duplicate_ids_merge_weights():
     p = Point("a", 1.0, 1.0)
     d = Distribution([(p, 1.0), (p, 2.0)])
@@ -601,7 +610,7 @@ def test_a_greedy_chain_sums_as_fsum_does(rows, start, chunk, t, steps):
                 continue
         else:
             if step[0] == "offer":
-                offers = list(build)
+                offers = [(pt, w) for pt, w, _ in build._offers.values()]
                 if not offers:
                     continue
                 point, weight = offers[step[1] % len(offers)]

@@ -12,6 +12,8 @@ from distopt.core import (
     PointIncrement,
     ProducerTransform,
     apply_increment,
+    combine,
+    remove_subdistribution,
 )
 from distopt.instances import build_objects
 from distopt.oracle import find_scenario_instance, generate_instance
@@ -24,7 +26,7 @@ from distopt.optimizer import (
     _carve_block,
     optimize,
 )
-from distopt.participation import ParticipationModel, actual, potential
+from distopt.participation import ParticipationModel, actual, kappa, potential
 from distopt.thresholds import (
     CONTINUE_TO_D2_STAR_THM4,
     SATURATED_CONSUMER,
@@ -33,6 +35,7 @@ from distopt.thresholds import (
     SCENARIO_III_PRODUCER_PREFERS,
     STAY_AT_D_STAR_THM2,
     UNDER_SERVED,
+    EquilibriumVerdict,
 )
 
 from compare_revisions import LOOKAHEAD
@@ -314,6 +317,68 @@ def test_carveout_cannot_consume_the_extension_itself():
     ext = PointIncrement(Point("x", 4.0, 0.6), 0.5)
     with pytest.raises(CarveoutInfeasibleError):
         _carve_block(base, ext.as_distribution(), CFG, M05, IDENT)
+
+
+def test_carveout_needs_a_base_point_cheaper_than_the_extension():
+    # every point holds the extension's c, so only rounding lifts Q past
+    # the base's and puts the slope in (0, 1); no point is cheaper to carve
+    base = make_dist(("b0", 2.536, 1.0, 1.03), ("b1", 2.536, 1.0, 0.156))
+    block = make_dist(("x", 2.536, 1.0, 0.183))
+    assert 0 < kappa(M05, base, combine(base, block)) < 1e-14
+    with pytest.raises(CarveoutInfeasibleError, match="no point in the base is cheaper"):
+        _carve_block(base, block, CFG, M05, IDENT)
+
+
+def test_carveout_refuses_an_extension_that_already_overshoots_the_crossing():
+    # with the extension, M/N is 1.19 > 1 + CROSSING_REL_TOL, and carving
+    # volume out would only raise it further
+    base = make_dist(("a", 1.0, 1.0, 1.0))
+    block = make_dist(("x", 4.0, 1.0, 1.0))
+    model = ParticipationModel.power(1.5, 0.5)
+    d_prime = combine(base, block)
+    assert potential(model, d_prime) > d_prime.n * (1 + CROSSING_REL_TOL)
+    with pytest.raises(CarveoutInfeasibleError, match="carve overshot"):
+        _carve_block(base, block, CFG, model, IDENT)
+
+
+def test_carveout_passes_over_a_slab_whose_removal_overshoots():
+    # after b0 goes, carving the next cheapest point, b2, would lift M/N to
+    # 1.46, so the carve passes over it and lands by carving b1 instead
+    base = make_dist(("b0", 0.7, 1.68, 0.18), ("b1", 2.88, -0.65, 0.38), ("b2", 2.21, 0.66, 0.94))
+    block = make_dist(("x", 4.77, 1.89, 1.63))
+    model = ParticipationModel.power(0.81, 0.87)
+    without_b2 = make_dist(("b1", 2.88, -0.65, 0.38), ("x", 4.77, 1.89, 1.63))
+    assert potential(model, without_b2) > without_b2.n * (1 + CROSSING_REL_TOL)
+    carve = _carve_block(base, block, CFG, model, IDENT)
+    assert carve.y.ids() == ("b0", "b1")
+    assert carve.iterations == 2
+    assert carve.landing_gap <= CROSSING_REL_TOL
+
+
+def test_a_continuation_keeps_an_adopted_chunk_that_rounds_away_against_d_star():
+    # D* holds 15 chunks of x, a chunk one ulp above DROP_TOLERANCE: the
+    # adopted 16th chunk reads 9.99999999999999e-10 in D²* − D*, which
+    # drops it, so the mass the climb added is empty.  The climb still
+    # ends at its second crossing
+    chunk = math.nextafter(DROP_TOLERANCE, 1.0)
+    a, x = Point("a", 1.0, 1.0), Point("x", 2.0, 0.0)
+    held = 0.0
+    for _ in range(15):
+        held += chunk
+    d_star = Distribution([(a, 1.0), (x, held)])
+    model = ParticipationModel.power(1.02, 1.0)
+    run = optimizer._Run(
+        Distribution([(a, 1.0), (x, 1.0)]), OptimizerConfig(chunk=chunk), model, IDENT
+    )
+    run.pending = (PointIncrement(x, chunk),)
+    verdict = EquilibriumVerdict(CONTINUE_TO_D2_STAR_THM4, is_nash=True)
+    verdict = optimizer.continue_to_d2_star(
+        run, verdict, d_star, optimizer._gap_of(d_star, model)
+    )
+    assert verdict.notes == ("second crossing reached",)
+    d2 = run.d2["d2_star"]
+    assert d2.weight_of("x") > held
+    assert remove_subdistribution(d2, d_star).is_empty()
 
 
 def test_searcher_found_carveout_satisfies_its_contract():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -12,7 +13,7 @@ from distopt.oracle import (
     finite_difference_facts,
     generate_instance,
 )
-from distopt.optimizer import BuildOrderError, optimize
+from distopt.optimizer import BuildOrderError, OptimizationResult, optimize
 from distopt.participation import ZeroVolumeDeltaError, potential
 from distopt.thresholds import (
     CONTINUE_TO_D2_STAR_THM4,
@@ -156,6 +157,7 @@ def test_the_search_surfaces_a_broken_optimizer_invariant(monkeypatch):
         BuildOrderError("build order violated"),
         InstanceError("not a valid instance"),
         ZeroVolumeDeltaError("zero volume change"),
+        core.UndefinedMeanError("expected producer value is undefined"),
     ],
     ids=lambda e: type(e).__name__,
 )
@@ -164,6 +166,57 @@ def test_the_search_skips_an_attempt_the_cli_reports_as_an_error(monkeypatch, er
     found = find_scenario_instance(SCENARIO_IV_STAY, budget=60, rng_seed=3)
     assert found is not None and found.kind == SCENARIO_IV_STAY
     assert len(calls) >= 2
+
+
+def test_the_search_passes_over_a_match_without_the_carve_it_requires(monkeypatch):
+    # the first run that reaches the target comes back with its carves
+    # stripped; the search goes on to one that carved
+    passed: list[OptimizationResult] = []
+
+    def uncarved_first(*args):
+        result = optimize(*args)
+        kinds = {result.verdict.kind} | {e.kind for e in result.events}
+        if not passed and SCENARIO_II_CONSUMER_PREFERS in kinds:
+            passed.append(dataclasses.replace(result, carveouts=()))
+            return passed[0]
+        return result
+
+    monkeypatch.setattr(oracle, "optimize", uncarved_first)
+    found = find_scenario_instance(
+        SCENARIO_II_CONSUMER_PREFERS, budget=100, rng_seed=0, require_carveout=True
+    )
+    assert len(passed) == 1
+    assert found is not None and found.result is not passed[0]
+    assert any(c.trigger_kind == SCENARIO_II_CONSUMER_PREFERS for c in found.result.carveouts)
+
+
+class _ScriptedRandom:
+    """Hands out the given ``uniform`` draws in order."""
+
+    def __init__(self, draws: list[float]):
+        self.draws = iter(draws)
+
+    def uniform(self, low: float, high: float) -> float:
+        return next(self.draws)
+
+
+def test_the_sampler_redraws_a_context_whose_earlier_base_is_too_light():
+    # alpha, n_r1, n_r2, tp2, c2: 1 - 0.6 + (-0.4) * 0.95 = 0.02 < 0.05
+    light = [0.5, 0.6, 0.95, -0.4, 1.0]
+    kept = [0.5, 0.3, 0.4, 0.9, 1.2]
+    rng = _ScriptedRandom(light + kept)
+    context = oracle._sample_context(rng)
+    assert list(context.values()) == kept
+    assert next(rng.draws, None) is None
+
+
+def test_a_sample_on_a_decision_boundary_is_skipped_not_scored(monkeypatch):
+    # tp2 = c2 = 1: the candidate moves neither Q nor E, so kappa, x_l,
+    # kappa_a and x_u are all 0 and both comparisons sit on their boundary
+    sample = {"alpha": 0.5, "n_r1": 0.3, "n_r2": 0.4, "tp2": 1.0, "c2": 1.0}
+    monkeypatch.setattr(oracle, "_sample_context", lambda rng: dict(sample))
+    report = crosscheck_thresholds(1)
+    assert (report.checked, report.skipped, report.ok) == (0, 2, True)
 
 
 def test_scenario_generation_goes_through_the_search():

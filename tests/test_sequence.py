@@ -42,10 +42,12 @@ IDENT = ProducerTransform.identity()
 def test_remaining_pool_subtracts_current_weights():
     pool = make_dist(("a", 2, 1, 2.0), ("b", 1, 1, 1.0))
     cur = make_dist(("a", 2, 1, 0.5))
-    left = dict((pt.id, w) for pt, w in GreedyBuild(cur, pool, None, M11, IDENT))
+    offers = GreedyBuild(cur, pool, None, M11, IDENT)._offers
+    left = {pid: w for pid, (_, w, _) in offers.items()}
     assert left == {"a": 1.5, "b": 1.0}
     # a chunk caps each offer at the chunk
-    left = dict((pt.id, w) for pt, w in GreedyBuild(cur, pool, 1.2, M11, IDENT))
+    offers = GreedyBuild(cur, pool, 1.2, M11, IDENT)._offers
+    left = {pid: w for pid, (_, w, _) in offers.items()}
     assert left == {"a": 1.2, "b": 1.0}
 
 
@@ -417,7 +419,7 @@ def test_a_kept_pool_equals_a_fresh_one(
     def take(build, pick):
         if pick is None:
             return build.best()
-        offers = list(build)
+        offers = [(pt, w) for pt, w, _ in build._offers.values()]
         return PointIncrement(*offers[pick % len(offers)])
 
     for step, pick in enumerate(picks):

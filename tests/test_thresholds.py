@@ -19,7 +19,11 @@ from distopt.thresholds import (
     SCENARIO_III_PRODUCER_PREFERS,
     SCENARIO_IV_STAY,
     STAY_AT_D_STAR_THM2,
+    DegenerateContextError,
     ExtensionContext,
+    _f_bounds,
+    _m_ratio_and_rvv,
+    _tau_tp1,
     classify,
     threshold_report,
     viability_limit_m_ratio,
@@ -224,6 +228,56 @@ def test_context_measured_from_a_real_increment():
     assert ctx.n_r2 == pytest.approx(0.75 / 1.5, rel=1e-12)
     assert ctx.tp2_ratio == pytest.approx(0.5 / ((1.0 + 0.8 * 0.5) / 1.5), rel=1e-12)
     assert report_is_serializable(ctx)
+
+
+def test_a_crossing_of_non_positive_mean_consumer_value_is_degenerate():
+    d_star = make_dist(("a", -1.0, 1.0, 1.0))
+    block = PointIncrement(Point("x", 3.0, 0.5), 0.5).as_distribution()
+    with pytest.raises(DegenerateContextError, match="mean consumer value at the crossing"):
+        ExtensionContext.from_run(
+            d_star, None, block, ParticipationModel.power(1.0, 0.5),
+            ProducerTransform.identity(), iota=0.1, consumer_mode=ADAPTIVE,
+        )
+
+
+def test_a_last_increment_outside_the_crossing_leaves_an_unusable_base():
+    d_star = make_dist(("a", 2.0, 1.0, 1.0))
+    r1 = PointIncrement(Point("b", 1.5, 0.8), 0.5)
+    block = PointIncrement(Point("x", 3.0, 0.5), 0.5).as_distribution()
+    ctx = ExtensionContext.from_run(
+        d_star, r1, block, ParticipationModel.power(1.0, 0.5),
+        ProducerTransform.identity(), iota=0.1, consumer_mode=ADAPTIVE,
+    )
+    assert ctx.r1_degenerate
+    assert ctx.r1 is None
+    assert ctx.n_r1 == 0.0
+    assert any("last-step base was unusable" in note for note in classify(ctx).notes)
+
+
+# -- degenerate ratios -------------------------------------------------------
+
+
+def test_a_vanishing_tau_denominator_reads_nan():
+    # 1 + tp2 * n_r2 = 1 - 2 * 0.5 = 0
+    ctx = dataclasses.replace(CTX, tp2_ratio=-2.0)
+    with pytest.raises(DegenerateContextError, match="degenerate tau denominator"):
+        _tau_tp1(ctx)
+    assert math.isnan(threshold_report(ctx).tau)
+
+
+def test_no_participation_past_the_crossing_puts_no_lower_bound_on_the_pull():
+    low, _ = _f_bounds(dataclasses.replace(CTX, m_r2_ratio=0.0))
+    assert low == math.inf
+
+
+def test_the_placement_ratio_is_nan_without_a_positive_base():
+    # on a power curve, through the closed form's factors ...
+    m, rvv = _m_ratio_and_rvv(dataclasses.replace(CTX, c2a_ratio=-10.0))
+    assert math.isnan(m) and math.isnan(rvv)
+    # ... and on any other curve, through the measured participation ratio
+    table = ParticipationModel.from_table([(1.0, 1.0)])
+    m, rvv = _m_ratio_and_rvv(dataclasses.replace(CTX, model=table, m_r2_ratio=0.0))
+    assert math.isnan(m) and math.isnan(rvv)
 
 
 def test_a_report_holds_its_context_and_emits_its_measured_values():
