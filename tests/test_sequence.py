@@ -5,7 +5,7 @@ import sys
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from distopt import core, sequence, valuation
 from distopt.core import (
@@ -200,11 +200,26 @@ _W = st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.floats(0.05, 4.0))
 
 _MODELS = st.one_of(
     st.builds(ParticipationModel.power, st.floats(0.1, 10.0), st.floats(0.05, 1.0)),
+    # a power curve ignores a cap it carries
+    st.builds(
+        lambda zeta, alpha, cap: ParticipationModel("power", zeta, alpha, cap=cap),
+        st.floats(0.1, 10.0),
+        st.floats(0.05, 1.0),
+        st.floats(0.1, 2.0),
+    ),
     st.builds(
         ParticipationModel.saturating,
         st.floats(0.1, 10.0),
         st.floats(0.05, 1.0),
         st.floats(0.1, 20.0),
+    ),
+    # capped at the curve's value at a sampled c, so mixes fall on both
+    # sides of the cap and, where a mix equals that c, exactly at it
+    st.builds(
+        lambda zeta, alpha, c: ParticipationModel.saturating(zeta, alpha, zeta * c**alpha),
+        st.floats(0.1, 10.0),
+        st.floats(0.05, 1.0),
+        st.sampled_from([0.5, 1.0, 2.0]),
     ),
     st.lists(st.floats(0.1, 6.0), min_size=1, max_size=6, unique=True).map(
         lambda qs: ParticipationModel.from_table(
@@ -230,7 +245,26 @@ def _transform(kind, ps):
     return ProducerTransform.from_table([(p, round(math.sqrt(p) + 0.1, 6)) for p in ps])
 
 
+# a base of half of the first row puts Q, and so the mix of every offer
+# with c = 1, at 1 exactly, and the rows' other mixes on both sides of it.
+# Under M(q) = 2 sqrt(q) the c = 2 offer scores best, and capping M at
+# M(1) = 2 hands the step to the last row
+_AT_ONE = [(1.0, 1.0, 1.0), (0.5, 2.0, 1.0), (2.0, 2.0, 1.0), (1.0, 3.0, 0.5)]
+
+
 @settings(max_examples=300, deadline=None)
+@example(  # mixes below, at and above the cap
+    rows=_AT_ONE, model=ParticipationModel.saturating(2.0, 0.5, 2.0), kind="identity",
+    cfg=OptimizerConfig(), taken=0.25, share=0.5, appeal=True,
+)
+@example(  # the cap, were it applied, would change the best offer
+    rows=_AT_ONE, model=ParticipationModel("power", 2.0, 0.5, cap=1.0), kind="identity",
+    cfg=OptimizerConfig(), taken=0.25, share=0.5, appeal=True,
+)
+@example(  # every mix is at most 0
+    rows=_AT_ONE, model=ParticipationModel("power", 2.0, 0.5, cap=1.0), kind="affine",
+    cfg=OptimizerConfig(), taken=0.25, share=0.5, appeal=False,
+)
 @given(
     rows=st.lists(st.tuples(_C, _P, _W), min_size=1, max_size=24),
     model=_MODELS,
@@ -256,6 +290,10 @@ def test_best_increment_matches_the_per_candidate_reference(
     assert best_increment(GreedyBuild(base, pool, cfg.chunk, model, t)) == want
 
 
+# every mix below lies in [0.05, 6], so a cap of 10 never binds and M(q) = q
+@pytest.mark.parametrize(
+    "model", [M11, ParticipationModel.saturating(1.0, 1.0, 10.0)], ids=["power", "saturating"]
+)
 @settings(max_examples=200, deadline=None)
 @given(
     pairs=st.lists(st.tuples(st.floats(0.05, 6.0), st.floats(0.05, 6.0)), min_size=1, max_size=10),
@@ -263,18 +301,19 @@ def test_best_increment_matches_the_per_candidate_reference(
     x=st.floats(0.05, 6.0),
     n=st.floats(0.05, 4.0),
 )
-def test_best_increment_keeps_the_exact_ties_of_swapped_values(pairs, weight, x, n):
+def test_best_increment_keeps_the_exact_ties_of_swapped_values(model, pairs, weight, x, n):
     # under M(q) = q and T(p) = p, on a base with E = Q, ΔV is
     # (E + φ (p − E)) * (Q + φ (c − Q)) − V, so a point and its twin with c
     # and p swapped tie exactly and the higher c takes the tie.  Scoring
     # arithmetic that rounds one factor otherwise than
-    # ``delta_v_of_increment`` does breaks such ties at random
+    # ``delta_v_of_increment`` and ``ParticipationModel.m`` do breaks such
+    # ties at random
     base = make_dist(("base", x, x, n))
     rows = [(f"a{i}", c, p, weight) for i, (c, p) in enumerate(pairs)]
     rows += [(f"b{i}", p, c, weight) for i, (c, p) in enumerate(pairs)]
     pool = make_dist(("base", x, x, n), *rows)
-    want = _reference_best_increment(base, pool, OptimizerConfig(), M11, IDENT)
-    assert best_increment(GreedyBuild(base, pool, None, M11, IDENT)) == want
+    want = _reference_best_increment(base, pool, OptimizerConfig(), model, IDENT)
+    assert best_increment(GreedyBuild(base, pool, None, model, IDENT)) == want
 
 
 @pytest.mark.parametrize("size", [8, 80, 320])
@@ -296,6 +335,42 @@ def test_best_increment_passes_over_the_base_a_fixed_number_of_times(size, monke
         calls.clear()
         best_increment(GreedyBuild(base, pool, cfg.chunk, M11, IDENT))
         assert len(calls) <= 2, f"{len(calls)} passes over the base at pool size {size}"
+
+
+@pytest.mark.parametrize("offers", [8, 80, 320])
+def test_best_increment_calls_a_power_family_curve_once_per_step(offers, monkeypatch):
+    # on a non-empty base the power and saturating curves are evaluated in
+    # the scoring loop, so ``m`` runs once, for the base's V, whatever the
+    # number of offers; a table curve and the empty base still go through ``m``
+    calls = 0
+    original = ParticipationModel.m
+
+    def counted(self, q):
+        nonlocal calls
+        calls += 1
+        return original(self, q)
+
+    monkeypatch.setattr(ParticipationModel, "m", counted)
+    rows = [
+        (f"x{i:03d}", 1.0 + (i * 37 % 101) / 50.0, (i % 5) / 2.0, 1.0) for i in range(2 * offers)
+    ]
+    pool = make_dist(*rows)
+    base = make_dist(*rows[:offers])
+    table = ParticipationModel.from_table([(1.0, 1.0), (2.0, 1.5), (4.0, 1.75)])
+    inline = [M11, ParticipationModel.saturating(1.0, 0.5, 1.5),
+              ParticipationModel("power", 2.0, 0.5, cap=1.0)]
+    for cfg in (OptimizerConfig(), OptimizerConfig(chunk=0.5)):
+        for model in inline + [table]:
+            calls = 0
+            best_increment(GreedyBuild(base, pool, cfg.chunk, model, IDENT))
+            if model is table:
+                assert calls >= offers
+            else:
+                assert calls <= 1, f"{calls} curve calls for {model.kind} at {offers} offers"
+        for model in inline:
+            calls = 0
+            best_increment(GreedyBuild(Distribution(), pool, cfg.chunk, model, IDENT))
+            assert calls >= 2 * offers
 
 
 @pytest.mark.parametrize(
