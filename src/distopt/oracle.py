@@ -64,6 +64,15 @@ class OracleReport:
         return not self.mismatches
 
 
+def _record(mismatches: list[dict], check: str, **info: Any) -> None:
+    """Append a failed check to ``mismatches`` as ``{"check": check, **info}``.
+
+    Both suites call it only when a check fails, so a passing run makes
+    no call; they count checked and skipped comparisons in local ints.
+    """
+    mismatches.append(dict(check=check, **info))
+
+
 # ---------------------------------------------------------------------------
 # sampled sign checks: direct value deltas vs threshold rules
 # ---------------------------------------------------------------------------
@@ -130,7 +139,8 @@ def crosscheck_thresholds(
         model = ParticipationModel.power(1.0, alpha)
         # by construction Q* = 1, E* = 1, N* = 1, and M(Q*) = 1 = N*
 
-        d_prime = apply_increment(d_star, PointIncrement(cand, n_r2))
+        inc = PointIncrement(cand, n_r2)
+        d_prime = apply_increment(d_star, inc)
         m_star = potential(model, d_star)
         m_prime = potential(model, d_prime)
         kappa = (m_prime - m_star) / n_r2
@@ -146,46 +156,23 @@ def crosscheck_thresholds(
             else:
                 checked += 1
                 if (ds > 0) != (kappa > x_l):
-                    mismatches.append(
-                        {
-                            "check": "producer_threshold_sign",
-                            "sample": i,
-                            "params": s,
-                            "kappa": kappa,
-                            "x_l": x_l,
-                            "delta_s": ds,
-                        }
-                    )
+                    _record(mismatches, "producer_threshold_sign", sample=i, params=s,
+                            kappa=kappa, x_l=x_l, delta_s=ds)
         else:
             carried = tp2 * n_r2  # E* = 1
             checked += 1
             if abs(ds - carried) > 1e-9 * max(1.0, abs(carried)):
-                mismatches.append(
-                    {
-                        "check": "carried_value_above_unit_slope",
-                        "sample": i,
-                        "params": s,
-                        "delta_s": ds,
-                        "carried": carried,
-                    }
-                )
+                _record(mismatches, "carried_value_above_unit_slope", sample=i,
+                        params=s, delta_s=ds, carried=carried)
             dv = delta.delta_v
             if abs(kappa - x_l) > BOUNDARY_BAND and abs(dv) > BOUNDARY_BAND:
                 if (dv > 0) != (kappa > x_l):
-                    mismatches.append(
-                        {
-                            "check": "potential_value_sign",
-                            "sample": i,
-                            "params": s,
-                            "kappa": kappa,
-                            "x_l": x_l,
-                            "delta_v": dv,
-                        }
-                    )
+                    _record(mismatches, "potential_value_sign", sample=i, params=s,
+                            kappa=kappa, x_l=x_l, delta_v=dv)
 
         # ordering rule: direct preference comparison at the earlier base
         m_a = potential(model, d_a)
-        m_ar2 = potential(model, apply_increment(d_a, PointIncrement(cand, n_r2)))
+        m_ar2 = potential(model, apply_increment(d_a, inc))
         kappa_a = (m_ar2 - m_a) / n_r2
         x_u = (1.0 - tp2) / (1.0 - n_r1 + tp2 * n_r2)
         phi2 = n_r2 / (1.0 - n_r1 + n_r2)
@@ -204,17 +191,9 @@ def crosscheck_thresholds(
         else:
             checked += 1
             if direct_viable != rule_viable:
-                mismatches.append(
-                    {
-                        "check": "ordering_rule",
-                        "sample": i,
-                        "params": s,
-                        "kappa_a": kappa_a,
-                        "x_u": x_u,
-                        "score_cand": score_cand,
-                        "score_last": score_last,
-                    }
-                )
+                _record(mismatches, "ordering_rule", sample=i, params=s,
+                        kappa_a=kappa_a, x_u=x_u, score_cand=score_cand,
+                        score_last=score_last)
     return OracleReport(checked, skipped, tuple(mismatches))
 
 
@@ -253,9 +232,6 @@ def finite_difference_facts(grid_size: int = 50) -> OracleReport:
     skipped = 0
     h = _FD_STEP
 
-    def fail(check: str, **info: Any) -> None:
-        mismatches.append({"check": check, **info})
-
     # ordering limit, neutral last increment (tp1 = 1)
     for n_r1 in _grid(0.05, 0.9, grid_size):
         for tp2 in _grid(0.05, 0.95, grid_size):
@@ -263,17 +239,13 @@ def finite_difference_facts(grid_size: int = 50) -> OracleReport:
             base = f(0.0)
             checked += 1
             if abs(base - 1.0) > 1e-12:
-                fail("limit_base_value", n_r1=n_r1, tp2=tp2, value=base)
+                _record(mismatches, "limit_base_value", n_r1=n_r1, tp2=tp2, value=base)
             slope0 = (f(h) - f(0.0)) / h
             if abs(slope0 - 1.0) > 1e-4:
                 checked += 1
                 if (slope0 < 1.0) != (n_r1 < tp2):
-                    fail(
-                        "limit_initial_slope_vs_unity",
-                        n_r1=n_r1,
-                        tp2=tp2,
-                        slope=slope0,
-                    )
+                    _record(mismatches, "limit_initial_slope_vs_unity", n_r1=n_r1,
+                            tp2=tp2, slope=slope0)
             else:
                 skipped += 1
             for n2 in (0.3, 0.6):
@@ -282,22 +254,12 @@ def finite_difference_facts(grid_size: int = 50) -> OracleReport:
                 curv = (up - 2 * mid + dn) / (h * h)
                 checked += 1
                 if slope <= _FD_MARGIN:
-                    fail(
-                        "limit_slope_positive",
-                        n_r1=n_r1,
-                        tp2=tp2,
-                        n_r2=n2,
-                        slope=slope,
-                    )
+                    _record(mismatches, "limit_slope_positive", n_r1=n_r1, tp2=tp2,
+                            n_r2=n2, slope=slope)
                 checked += 1
                 if curv >= -_FD_MARGIN:
-                    fail(
-                        "limit_concavity",
-                        n_r1=n_r1,
-                        tp2=tp2,
-                        n_r2=n2,
-                        curvature=curv,
-                    )
+                    _record(mismatches, "limit_concavity", n_r1=n_r1, tp2=tp2, n_r2=n2,
+                            curvature=curv)
 
     # ordering limit with a non-neutral last increment
     for n_r1 in _grid(0.05, 0.9, grid_size):
@@ -309,25 +271,14 @@ def finite_difference_facts(grid_size: int = 50) -> OracleReport:
             base = f_adj(0.0)
             checked += 1
             if abs(base - g) > 1e-12:
-                fail(
-                    "adjusted_limit_base_value",
-                    n_r1=n_r1,
-                    tp1=tp1,
-                    value=base,
-                    expected=g,
-                )
+                _record(mismatches, "adjusted_limit_base_value", n_r1=n_r1, tp1=tp1,
+                        value=base, expected=g)
             slope_adj = (f_adj(0.4 + h) - f_adj(0.4 - h)) / (2 * h)
             slope_std = (f_std(0.4 + h) - f_std(0.4 - h)) / (2 * h)
             checked += 1
             if abs(slope_adj - g * slope_std) > 1e-6 * max(1.0, abs(slope_adj)):
-                fail(
-                    "adjusted_limit_slope_factor",
-                    n_r1=n_r1,
-                    tp1=tp1,
-                    slope_adjusted=slope_adj,
-                    slope_standard=slope_std,
-                    factor=g,
-                )
+                _record(mismatches, "adjusted_limit_slope_factor", n_r1=n_r1, tp1=tp1,
+                        slope_adjusted=slope_adj, slope_standard=slope_std, factor=g)
 
     # window between ordering limit and producer threshold vs tp2
     def window(n_r1: float, n_r2: float, tp2: float) -> float:
@@ -343,41 +294,23 @@ def finite_difference_facts(grid_size: int = 50) -> OracleReport:
                 curv = (up - 2 * mid + dn) / (h * h)
                 checked += 1
                 if slope >= -_FD_MARGIN:
-                    fail(
-                        "window_narrows_in_tp2",
-                        n_r1=n_r1,
-                        n_r2=n_r2,
-                        tp2=tp2,
-                        slope=slope,
-                    )
+                    _record(mismatches, "window_narrows_in_tp2", n_r1=n_r1, n_r2=n_r2,
+                            tp2=tp2, slope=slope)
                 checked += 1
                 if curv <= _FD_MARGIN:
-                    fail(
-                        "window_narrowing_slows",
-                        n_r1=n_r1,
-                        n_r2=n_r2,
-                        tp2=tp2,
-                        curvature=curv,
-                    )
+                    _record(mismatches, "window_narrowing_slows", n_r1=n_r1, n_r2=n_r2,
+                            tp2=tp2, curvature=curv)
             squeeze = [
                 window(n_r1, n_r2, 1.0 - 10.0**-k) for k in range(1, 7)
             ]
             checked += 1
             if any(b >= a for a, b in zip(squeeze, squeeze[1:])):
-                fail(
-                    "window_collapse_monotone",
-                    n_r1=n_r1,
-                    n_r2=n_r2,
-                    values=squeeze,
-                )
+                _record(mismatches, "window_collapse_monotone", n_r1=n_r1, n_r2=n_r2,
+                        values=squeeze)
             checked += 1
             if not (0 <= squeeze[-1] < 1e-4):
-                fail(
-                    "window_collapse_limit",
-                    n_r1=n_r1,
-                    n_r2=n_r2,
-                    final=squeeze[-1],
-                )
+                _record(mismatches, "window_collapse_limit", n_r1=n_r1, n_r2=n_r2,
+                        final=squeeze[-1])
 
     return OracleReport(checked, skipped, tuple(mismatches))
 
@@ -391,7 +324,6 @@ def finite_difference_facts(grid_size: int = 50) -> OracleReport:
 class FoundInstance:
     instance: dict
     result: OptimizationResult
-    kind: str
 
 
 def _template_stay(rng: random.Random) -> dict:
@@ -630,5 +562,5 @@ def find_scenario_instance(
             for c in result.carveouts
         ):
             continue
-        return FoundInstance(instance, result, target)
+        return FoundInstance(instance, result)
     return None

@@ -282,7 +282,7 @@ def test_carveouts_are_certified_and_survive_exhaustive_recheck():
                 if abs(m_s - shrunk.n) / max(abs(m_s), abs(shrunk.n)) > tol:
                     continue
                 # nothing the certification admits may violate the contract
-                assert math.fsum(w for _, w in combo) < w_r2, found.kind
+                assert math.fsum(w for _, w in combo) < w_r2, carve.trigger_kind
                 feasible.add(
                     frozenset((pt.id, round(w, 12)) for pt, w in combo)
                 )

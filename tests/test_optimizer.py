@@ -37,6 +37,7 @@ from distopt.thresholds import (
     UNDER_SERVED,
     EquilibriumVerdict,
 )
+from distopt.valuation import ValueDelta
 
 from compare_revisions import LOOKAHEAD
 from conftest import (
@@ -184,6 +185,18 @@ def test_second_crossing_chain_preserves_both_values():
     assert chained.d2_delta_v == pytest.approx(0.0, abs=1e-9)
     assert chained.d2_delta_s == pytest.approx(0.0, abs=1e-9)
     assert chained.d2_crossing_gap <= CROSSING_REL_TOL
+
+
+def test_a_value_change_across_a_valueless_climb_breaks_the_run(monkeypatch):
+    # the climb to D2* adopts only zero-value mass between two exact
+    # crossings, so a value change measured across it is an optimizer
+    # fault, which ends the run rather than being reported
+    delta_s = optimizer.delta_s
+    monkeypatch.setattr(
+        optimizer, "delta_s", lambda *args: ValueDelta(1.0, delta_s(*args).delta_v)
+    )
+    with pytest.raises(RuntimeError, match="valueless adopted mass must leave"):
+        run(SECOND_CROSSING)
 
 
 def test_a_lookahead_promotes_a_sub_unit_probe_block(monkeypatch):

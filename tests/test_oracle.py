@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 
 import pytest
 
-from distopt import core, oracle
+from distopt import cli, core, oracle
 from distopt.instances import InstanceError, build_objects
 from distopt.oracle import (
     crosscheck_thresholds,
@@ -115,11 +116,17 @@ def test_monotone_profile_tracks_the_brute_force_peak_exactly():
         assert got == bf.best_prefix_w, f"seed {seed}"
 
 
+def _realizes(found, kind: str) -> bool:
+    """The found run's verdict, or one of its events, is of ``kind``."""
+    result = found.result
+    return kind in {result.verdict.kind} | {e.kind for e in result.events}
+
+
 def test_every_outcome_kind_is_reachable_by_search():
     for kind in ALL_KINDS:
         found = find_scenario_instance(kind, budget=60, rng_seed=3)
         assert found is not None, kind
-        assert found.kind == kind
+        assert _realizes(found, kind)
         # replaying the instance reproduces the verdict
         assert run_instance(found.instance).verdict.kind == kind
 
@@ -164,7 +171,7 @@ def test_the_search_surfaces_a_broken_optimizer_invariant(monkeypatch):
 def test_the_search_skips_an_attempt_the_cli_reports_as_an_error(monkeypatch, error):
     calls = _first_optimize_raises(monkeypatch, error)
     found = find_scenario_instance(SCENARIO_IV_STAY, budget=60, rng_seed=3)
-    assert found is not None and found.kind == SCENARIO_IV_STAY
+    assert found is not None and _realizes(found, SCENARIO_IV_STAY)
     assert len(calls) >= 2
 
 
@@ -239,3 +246,122 @@ def test_crosscheck_validates_only_the_distributions_it_builds(monkeypatch):
     report = crosscheck_thresholds(200)
     assert report.ok
     assert builds <= 2 * 200, f"{builds / 200:.2f} validating builds per sample"
+
+
+def _negated(field: str):
+    """A fault: ``delta_s`` with one of its two value changes negated."""
+
+    def fault(delta_s):
+        def negated(*args):
+            delta = delta_s(*args)
+            return dataclasses.replace(delta, **{field: -getattr(delta, field)})
+
+        return negated
+
+    return fault
+
+
+def _one_point_potential_raised(potential):
+    """M(Q(D)) x 1.5 on one-point distributions, such as the earlier base."""
+    return lambda model, d: potential(model, d) * (1.5 if len(d) == 1 else 1.0)
+
+
+def _limit_raised(limit):
+    return lambda *args: limit(*args) + 1e-3
+
+
+def _limit_reflected(limit):
+    """2 f(0) - f(n2): the limit falls in the candidate's weight."""
+    return lambda n_r1, n2, tp1, tp2: (
+        2 * limit(n_r1, 0.0, tp1, tp2) - limit(n_r1, n2, tp1, tp2)
+    )
+
+
+def _limit_tp1_additive(limit):
+    """f(n1, n2, 1, tp2) + (tp1 - 1) n1: the right base value for a
+    non-neutral last increment, but the neutral slope."""
+    return lambda n_r1, n2, tp1, tp2: limit(n_r1, n2, 1.0, tp2) + (tp1 - 1) * n_r1
+
+
+def _x_l_lowered(x_l_kappa):
+    """The adaptive producer threshold less 2 tp2."""
+
+    def lowered(n_r2, tp2):
+        adaptive, reactive = x_l_kappa(n_r2, tp2)
+        return adaptive - 2 * tp2, reactive
+
+    return lowered
+
+
+def _x_u_raised(x_u_kappa):
+    """The standard ordering limit plus 0.01 sqrt(1 - tp2)."""
+
+    def raised(n_r1, n_r2, tp1, tp2):
+        standard, adjusted = x_u_kappa(n_r1, n_r2, tp1, tp2)
+        return standard + 0.01 * math.sqrt(1 - tp2), adjusted
+
+    return raised
+
+
+#: each oracle check, the library function the ``oracle`` module calls that
+#: a fault is put into, and the fault, which maps that function to a
+#: faulty one
+FAULTS = {
+    "producer_threshold_sign": ("delta_s", _negated("delta_s")),
+    "carried_value_above_unit_slope": ("delta_s", _negated("delta_s")),
+    "potential_value_sign": ("delta_s", _negated("delta_v")),
+    "ordering_rule": ("potential", _one_point_potential_raised),
+    "limit_base_value": ("viability_limit_m_ratio", _limit_raised),
+    "adjusted_limit_base_value": ("viability_limit_m_ratio", _limit_raised),
+    "limit_slope_positive": ("viability_limit_m_ratio", _limit_reflected),
+    "limit_concavity": ("viability_limit_m_ratio", _limit_reflected),
+    "limit_initial_slope_vs_unity": ("viability_limit_m_ratio", _limit_reflected),
+    "adjusted_limit_slope_factor": ("viability_limit_m_ratio", _limit_tp1_additive),
+    "window_narrows_in_tp2": ("x_l_kappa", _x_l_lowered),
+    "window_collapse_monotone": ("x_l_kappa", _x_l_lowered),
+    "window_collapse_limit": ("x_l_kappa", _x_l_lowered),
+    "window_narrowing_slows": ("x_u_kappa", _x_u_raised),
+}
+
+#: the checks ``crosscheck_thresholds`` makes; ``finite_difference_facts``
+#: makes the others
+SAMPLED_CHECKS = {
+    "producer_threshold_sign",
+    "carried_value_above_unit_slope",
+    "potential_value_sign",
+    "ordering_rule",
+}
+
+
+@pytest.mark.parametrize("check", sorted(FAULTS))
+def test_each_oracle_check_reports_a_fault_under_its_own_name(monkeypatch, check):
+    name, fault = FAULTS[check]
+    monkeypatch.setattr(oracle, name, fault(getattr(oracle, name)))
+    if check in SAMPLED_CHECKS:
+        report = crosscheck_thresholds(2000)
+    else:
+        report = finite_difference_facts(20)
+    assert check in {record["check"] for record in report.mismatches}
+    assert not report.ok
+
+
+def test_a_failed_check_fails_oracle_check(monkeypatch, tmp_path):
+    name, fault = FAULTS["producer_threshold_sign"]
+    monkeypatch.setattr(oracle, name, fault(getattr(oracle, name)))
+    out = tmp_path / "oracle.json"
+    argv = ["oracle-check", "--samples", "200", "--grid", "8", "--output", str(out)]
+    assert cli.main(argv) == 1
+    report = json.loads(out.read_text())
+    assert report["ok"] is False
+    records = {r["check"]: r for r in report["threshold_crosscheck"]["mismatches"]}
+    record = records["producer_threshold_sign"]
+    assert set(record) == {"check", "sample", "params", "kappa", "x_l", "delta_s"}
+    assert report["finite_difference"]["mismatches"] == []
+
+
+def test_a_grid_too_small_ends_oracle_check_before_the_cross_check(monkeypatch, capsys):
+    called = []
+    monkeypatch.setattr(oracle, "crosscheck_thresholds", lambda *a: called.append(a))
+    assert cli.main(["oracle-check", "--grid", "1"]) == 1
+    assert capsys.readouterr().err == "error: grid size must be at least 2, got 1\n"
+    assert called == []

@@ -302,6 +302,36 @@ def test_the_oracle_checks_thresholds_without_the_library_formulas():
     assert found == {}
 
 
+def test_every_oracle_check_has_a_fault_that_trips_it():
+    # each check the oracle records a mismatch under is one that
+    # ``test_oracle.py`` sees fail under a fault of its own, so a new check
+    # cannot land without one; and records are made by the recorder alone
+    from test_oracle import FAULTS
+
+    oracle = Path(distopt.__file__).with_name("oracle.py")
+    tree = ast.parse(oracle.read_text(), str(oracle))
+    recorder = next(
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_record"
+    )
+    checks = {
+        ast.literal_eval(node.args[1])
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _names(node.func) == {"_record"}
+    }
+    assert checks == set(FAULTS)
+    inside = {id(node) for node in ast.walk(recorder)}
+    appends = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr == "append"
+        and _names(node.value) == {"mismatches"}
+        and id(node) not in inside
+    ]
+    assert appends == []
+
+
 def test_importing_the_package_leaves_jsonschema_unloaded(tmp_path):
     # importing the package loads none of its submodules, ``gen`` loads
     # the contract and the generators but not the optimizer, and
