@@ -266,18 +266,20 @@ def sweep_csv(
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["j", "id", "weight", "n", "q", "m", "w", "is_d_star"])
     running: dict[str, float] = {}
+    off = set(target)  # the ids of D* whose running weight is off target
     for j, s in enumerate(steps):
-        running[s.added.point.id] = (
-            running.get(s.added.point.id, 0.0) + s.added.weight
-        )
-        matches = set(running) == set(target) and all(
-            abs(running[k] - target[k]) <= 1e-12 * max(1.0, abs(target[k]))
-            for k in target
-        )
+        k = s.added.point.id
+        running[k] = running.get(k, 0.0) + s.added.weight
+        if k in target:
+            if abs(running[k] - target[k]) <= 1e-12 * max(1.0, abs(target[k])):
+                off.discard(k)
+            else:
+                off.add(k)
+        matches = not off and len(running) == len(target)
         writer.writerow(
             [
                 j,
-                s.added.point.id,
+                k,
                 repr(s.added.weight),
                 repr(s.n_after),
                 repr(s.q_after),

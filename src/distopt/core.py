@@ -10,9 +10,10 @@ Distributions are immutable: every operation returns a new value.  Totals
 (``n``) and the volume-weighted mean consumer value (``q``) are computed
 eagerly and correctly rounded, so long build sequences do not drift: with
 ``math.fsum`` over the entries, gathered in the one pass that drops the
-negligible ones, or, along a greedy build's chain, from exact integer
-running sums that ``apply_increment`` moves by the changed entry alone and
-rounds once (``running_sums``).
+negligible ones (one or two entries add as floats, which rounds the same),
+or, along a greedy build's chain, from exact integer running sums that
+``apply_increment`` moves by the changed entry alone and rounds once
+(``running_sums``).
 """
 from __future__ import annotations
 
@@ -53,7 +54,7 @@ def _require_finite(name: str, value: float) -> float:
     return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Point:
     """One unit-type of content: an id plus its (c, p) scores.
 
@@ -65,24 +66,27 @@ class Point:
     c: float
     p: float
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.id, str) or not self.id:
+    # writes each checked field once (a ``__post_init__`` writes it twice)
+    def __init__(self, id: str, c: float, p: float) -> None:
+        if not isinstance(id, str) or not id:
             raise ValueError("point id must be a non-empty string")
-        object.__setattr__(self, "c", _require_finite("c", self.c))
-        object.__setattr__(self, "p", _require_finite("p", self.p))
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "c", _require_finite("c", c))
+        object.__setattr__(self, "p", _require_finite("p", p))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class PointIncrement:
     """A strictly positive slab of weight at a single point."""
 
     point: Point
     weight: float
 
-    def __post_init__(self) -> None:
-        w = _require_finite("weight", self.weight)
+    def __init__(self, point: Point, weight: float) -> None:
+        w = _require_finite("weight", weight)
         if w <= 0:
             raise ValueError(f"increment weight must be > 0, got {w!r}")
+        object.__setattr__(self, "point", point)
         object.__setattr__(self, "weight", w)
 
     def as_distribution(self) -> "Distribution":
@@ -215,18 +219,33 @@ class Distribution:
         return d
 
     def _settle(self, merged: dict[str, tuple[Point, float]]) -> None:
-        weights, q_terms = [], []
-        for point, w in merged.values():
-            if w > DROP_TOLERANCE:
-                weights.append(w)
-                q_terms.append(w * point.c)
-        if len(weights) < len(merged):
-            merged = {
-                pid: entry for pid, entry in merged.items() if entry[1] > DROP_TOLERANCE
-            }
+        # up to two entries, none dropped, add as floats from 0.0: that sum
+        # of one or two finite terms is correctly rounded, as fsum's is, and
+        # a zero sum is +0.0 in both; a sum past the float range goes to
+        # fsum, which raises or returns an infinity
+        n = q = 0.0
+        small = len(merged) <= 2
+        if small:
+            for point, w in merged.values():
+                if not w > DROP_TOLERANCE:
+                    small = False
+                    break
+                n += w
+                q += w * point.c
+        if not (small and math.isfinite(n) and math.isfinite(q)):
+            weights, q_terms = [], []
+            for point, w in merged.values():
+                if w > DROP_TOLERANCE:
+                    weights.append(w)
+                    q_terms.append(w * point.c)
+            if len(weights) < len(merged):
+                merged = {
+                    pid: entry for pid, entry in merged.items() if entry[1] > DROP_TOLERANCE
+                }
+            n, q = math.fsum(weights), math.fsum(q_terms)
         self._entries = merged
-        self._n = math.fsum(weights)
-        self._q_numerator = math.fsum(q_terms)
+        self._n = n
+        self._q_numerator = q
         # (transform, E(T|D)) of the last ``expected_t`` taken; it never
         # goes stale, as neither the distribution nor the transform changes
         self._e_cache = None

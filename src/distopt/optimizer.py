@@ -656,6 +656,10 @@ def _carve_block(
         carved_t.append(w_x * t.apply(point.p))
         carved_w.append(w_x)
         iterations += 1
+        # so a landed carve is lighter than the extension: its n_y (below)
+        # is this sum, left under the rounded w_r2 - 1e-12, which rounding
+        # (monotone) keeps at most w_r2 = N(block), finite and > 0, also
+        # where the 1e-12 rounds away; with no carve, n_y is 0.0 < w_r2
         if math.fsum(carved_w) >= w_r2 - 1e-12:
             raise CarveoutInfeasibleError(
                 "carve volume reached the extension's own volume before landing"
@@ -681,11 +685,6 @@ def _carve_block(
         raise RuntimeError(
             "a landed carve must fit both budgets; got "
             f"consumer_gain={consumer_gain!r} producer_slack={producer_slack!r}"
-        )
-    if not n_y < w_r2 + 1e-12:
-        raise RuntimeError(
-            f"a landed carve must be lighter than the extension; got n_y={n_y!r} "
-            f"against {w_r2!r}"
         )
     return CarveoutResult(
         y=y,

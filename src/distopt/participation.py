@@ -19,7 +19,7 @@ class ZeroVolumeDeltaError(ValueError):
     """Marginal participation is undefined when the volume change is zero."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ParticipationModel:
     """A participation curve M(q), one of three families.
 
@@ -37,29 +37,35 @@ class ParticipationModel:
     zeta: float = 1.0
     alpha: float = 0.5
     cap: float = math.inf
-    knots: tuple[tuple[float, float], ...] = field(default_factory=tuple)
+    knots: tuple[tuple[float, float], ...] = ()
     _knot_qs: tuple[float, ...] = field(
         default=(), init=False, repr=False, compare=False
     )
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("power", "saturating", "table"):
-            raise ValueError(f"unknown participation kind {self.kind!r}")
-        if self.kind in ("power", "saturating"):
-            if not (self.zeta > 0 and math.isfinite(self.zeta)):
-                raise ValueError(f"zeta must be > 0, got {self.zeta!r}")
-            if not (0 < self.alpha <= 1):
-                raise ValueError(
-                    f"alpha must lie in (0, 1], got {self.alpha!r}"
-                )
-        if self.kind == "saturating":
-            if not (self.cap > 0):
-                raise ValueError(f"cap must be > 0, got {self.cap!r}")
-        if self.kind == "table":
-            knots = tuple((float(q), float(m)) for q, m in self.knots)
+    def __init__(
+        self,
+        kind: str,
+        zeta: float = 1.0,
+        alpha: float = 0.5,
+        cap: float = math.inf,
+        knots: tuple[tuple[float, float], ...] = (),
+    ) -> None:
+        if kind not in ("power", "saturating", "table"):
+            raise ValueError(f"unknown participation kind {kind!r}")
+        if kind in ("power", "saturating"):
+            if not (zeta > 0 and math.isfinite(zeta)):
+                raise ValueError(f"zeta must be > 0, got {zeta!r}")
+            if not (0 < alpha <= 1):
+                raise ValueError(f"alpha must lie in (0, 1], got {alpha!r}")
+        if kind == "saturating":
+            if not (cap > 0):
+                raise ValueError(f"cap must be > 0, got {cap!r}")
+        qs = ()
+        if kind == "table":
+            knots = tuple((float(q), float(m)) for q, m in knots)
             if not knots:
                 raise ValueError("table participation needs at least one knot")
-            qs = [q for q, _ in knots]
+            qs = tuple(q for q, _ in knots)
             ms = [m for _, m in knots]
             if any(q <= 0 for q in qs):
                 raise ValueError("table knot positions must be > 0")
@@ -69,8 +75,12 @@ class ParticipationModel:
                 raise ValueError("table knot values must be non-negative")
             if any(b < a for a, b in zip(ms, ms[1:])):
                 raise ValueError("table knot values must be non-decreasing")
-            object.__setattr__(self, "knots", knots)
-            object.__setattr__(self, "_knot_qs", tuple(qs))
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "zeta", zeta)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "cap", cap)
+        object.__setattr__(self, "knots", knots)
+        object.__setattr__(self, "_knot_qs", qs)
 
     @staticmethod
     def power(zeta: float, alpha: float) -> "ParticipationModel":

@@ -27,7 +27,7 @@ from .core import (
 from .participation import ParticipationModel, potential
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ValueDelta:
     delta_s: float
     delta_v: float

@@ -432,6 +432,56 @@ def test_each_build_sums_its_kept_entries_with_fsum(scores, rows, other, inc, cu
     assert _rows_of(d) == held
 
 
+_MAX = 1.7976931348623157e308
+#: weights from just around the drop tolerance to the largest float
+_SMALL_WEIGHT = st.one_of(
+    st.sampled_from([*_AROUND_TOLERANCE, 1.0, 1e308, _MAX]),
+    st.floats(DROP_TOLERANCE, _MAX),
+)
+#: scores with both zeros, subnormals and magnitudes whose products overflow
+_SMALL_C = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300, _MAX]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def _fsum_or_error(terms: list[float]):
+    try:
+        return math.fsum(terms).hex()
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@given(st.lists(st.tuples(_SMALL_WEIGHT, _SMALL_C), min_size=1, max_size=2))
+@settings(max_examples=500, deadline=None)
+@example([(1.0, -0.0), (2.0, -0.0)])  # two -0.0 products sum to +0.0
+@example([(1.0, 5e-324), (1.0, -5e-324)])  # subnormals cancelling
+@example([(1e-5, 2.2250738585072014e-308)])  # a product that underflows
+@example([(1e10, 1e300)])  # a product that overflows
+@example([(1e10, 1e300), (1e10, -1e300)])  # products of opposite infinities
+@example([(1e308, 1.0), (1e308, 1.0)])  # weights and products whose sum overflows
+@example([(1.0, _MAX), (1.0, -_MAX)])  # the largest products cancelling
+@example([(DROP_TOLERANCE, 3.0), (2.0, 1.0)])  # an entry that drops
+def test_one_or_two_entries_sum_as_fsum_does(rows):
+    points = [Point(pid, c, 0.0) for pid, (_, c) in zip("ab", rows)]
+    kept = [(pt, w) for pt, (w, _) in zip(points, rows) if w > DROP_TOLERANCE]
+    n = _fsum_or_error([w for _, w in kept])
+    q = _fsum_or_error([w * pt.c for pt, w in kept])
+    want = n if isinstance(n, tuple) else q if isinstance(q, tuple) else (n, q)
+    for build in (
+        lambda: Distribution([(pt, w) for pt, (w, _) in zip(points, rows)]),
+        lambda: Distribution._from_checked({pt.id: (pt, w) for pt, (w, _) in zip(points, rows)}),
+    ):
+        try:
+            d = build()
+        except (OverflowError, ValueError) as exc:
+            got = type(exc), str(exc)
+        else:
+            got = d._n.hex(), d._q_numerator.hex()
+            assert d.ids() == tuple(pt.id for pt, _ in kept)
+        assert got == want
+
+
 # -- the E(T|D) cache ---------------------------------------------------------
 
 
@@ -630,7 +680,9 @@ def test_a_greedy_chain_sums_as_fsum_does(rows, start, chunk, t, steps):
 def test_a_plain_chain_of_increments_sums_with_fsum(monkeypatch):
     # only a ``GreedyBuild`` seeds exact sums: a chain of ``apply_increment``
     # from ``Distribution()``, the brute force's and the carve's path, takes
-    # N and Q with fsum at every step and E(T|D) by a pass, T(p) given or not
+    # N and Q with fsum at every step past its second entry (one or two
+    # entries add as floats, which fsum equals) and E(T|D) by a pass, T(p)
+    # given or not
     fsums = 0
     fsum = math.fsum
 
@@ -648,7 +700,8 @@ def test_a_plain_chain_of_increments_sums_with_fsum(monkeypatch):
         for step, pt in enumerate(points + points[:2]):
             before = fsums
             d = apply_increment(d, PointIncrement(pt, 0.5), t.apply(pt.p) if with_tp else None)
-            assert fsums == before + 2
+            assert fsums == before + (0 if len(d) <= 2 else 2), step
+            assert d._sums is None
             applies.clear()
             expected_t(d, t)
             assert len(applies) == len(d)

@@ -3,10 +3,12 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import inspect
 import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import distopt
@@ -439,3 +441,28 @@ def test_no_greedy_loop_rebuilds_its_remaining_pool():
     assert len(calls) >= 3, calls  # the run, its restart, a sweep
     assert in_loops == []
     assert in_probe == []
+
+
+def test_the_per_sample_value_types_are_slotted_and_write_each_field_once():
+    # the oracle builds these on every sample: without ``__slots__`` each
+    # would carry a dict, and a ``__post_init__`` writes its checked fields
+    # a second time after the generated ``__init__`` has written them; the
+    # types that check their input do so in an ``__init__`` of their own
+    from distopt.core import Point, PointIncrement
+    from distopt.participation import ParticipationModel
+    from distopt.valuation import ValueDelta
+
+    for cls in (Point, PointIncrement, ParticipationModel, ValueDelta):
+        names = [f.name for f in dataclasses.fields(cls)]
+        assert cls.__dict__["__slots__"] == tuple(names), cls
+        assert not hasattr(cls, "__post_init__"), cls
+        if cls is ValueDelta:  # no checks: the generated ``__init__``
+            continue
+        init = ast.parse(textwrap.dedent(inspect.getsource(cls.__init__)))
+        written = [
+            node.args[1].value
+            for node in ast.walk(init)
+            if isinstance(node, ast.Call)
+            and ast.unparse(node.func) == "object.__setattr__"
+        ]
+        assert sorted(written) == sorted(names), cls

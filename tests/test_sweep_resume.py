@@ -8,6 +8,8 @@ loop; the resumed CSV must equal the CSV of that sweep byte for byte.
 """
 from __future__ import annotations
 
+import csv
+import io
 import json
 
 import pytest
@@ -143,6 +145,40 @@ def test_resumed_sweep_csv_equals_the_from_scratch_sweep(name, monkeypatch):
         assert want.count("\n") - 1 == 10 * len(pool) + 1
     if name == "chain-past-limit":
         assert result.greedy_steps > 10 * len(pool)
+
+
+def _marks(text: str, d_star: Distribution) -> tuple[list[str], list[str]]:
+    """The CSV's ``is_d_star`` column, and the column as the rule that
+    compares the whole running map with D* on every row writes it."""
+    target = {pid: d_star.weight_of(pid) for pid in d_star.ids()}
+    running: dict[str, float] = {}
+    got, want = [], []
+    for row in csv.DictReader(io.StringIO(text)):
+        running[row["id"]] = running.get(row["id"], 0.0) + float(row["weight"])
+        got.append(row["is_d_star"])
+        want.append(str(int(set(running) == set(target) and all(
+            abs(running[k] - target[k]) <= 1e-12 * max(1.0, abs(target[k]))
+            for k in target
+        ))))
+    return got, want
+
+
+def test_a_chunked_sweep_marks_the_row_where_the_last_id_reaches_d_star(monkeypatch):
+    got_csv, _, result, _ = _csv_pair(CASES["chunks-0.3"](), monkeypatch)
+    got, want = _marks(got_csv, result.d_star)
+    assert got == want
+    [row] = [j for j, mark in enumerate(got) if mark == "1"]
+    ids = [line.split(",")[1] for line in got_csv.splitlines()[1 : row + 2]]
+    # some id of D* reaches its weight only after several chunks
+    assert max(ids.count(pid) for pid in result.d_star.ids()) >= 3
+    assert set(ids) == set(result.d_star.ids())
+
+
+def test_a_carve_report_marks_no_row_of_the_sweep(monkeypatch):
+    got_csv, _, result, _ = _csv_pair(CASES["ii-carve"](), monkeypatch)
+    assert result.carveouts
+    got, want = _marks(got_csv, result.d_star)
+    assert got == want == ["0"] * len(got)
 
 
 def test_carve_instances_cover_a_chain_that_ends_inside_the_trace(monkeypatch):
