@@ -163,10 +163,6 @@ def _verdict_dict(v: EquilibriumVerdict) -> dict:
     }
 
 
-def _threshold_dict(report: ThresholdReport | None) -> dict | None:
-    return report.to_dict() if report is not None else None
-
-
 def _carveout_dict(
     c: CarveoutResult, model: ParticipationModel, t: ProducerTransform
 ) -> dict:
@@ -212,11 +208,13 @@ def run_report(
             for j, s in enumerate(result.trace)
         ],
         "verdict": _verdict_dict(result.verdict),
-        "thresholds": _threshold_dict(result.verdict.witness),
+        "thresholds": (
+            result.verdict.witness.to_dict() if result.verdict.witness else None
+        ),
         "events": [_verdict_dict(e) for e in result.events],
         "carveout": (
-            _carveout_dict(result.carveout, model, t)
-            if result.carveout is not None
+            _carveout_dict(result.carveouts[-1], model, t)
+            if result.carveouts
             else None
         ),
         "carveouts": [_carveout_dict(c, model, t) for c in result.carveouts],
@@ -235,7 +233,7 @@ def run_report(
             else None
         ),
         "budget_exhausted": result.budget_exhausted,
-        "timing": {"steps": result.steps, "evaluations": result.evaluations},
+        "timing": {"steps": len(result.trace), "evaluations": result.evaluations},
     }
 
 
@@ -485,9 +483,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         raise CliError(
             f"candidate {cand_id!r} is already inside the crossing distribution"
         )
-    # the step that reached D*: the declining-tail walk may record more
-    steps = result.trace[: result.d_star_steps]
-    r1 = steps[-1].added if steps else None
+    # D*'s last step (the seed is one): the declining-tail walk may record more
+    r1 = result.trace[result.d_star_steps - 1].added
     candidate = PointIncrement(pool.point_of(cand_id), pool.weight_of(cand_id))
     verdict, _ = extension_verdict(
         result.d_star, r1, candidate.as_distribution(), model, transform, cfg
@@ -497,7 +494,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "instance": {"fingerprint": fingerprint(instance)},
         "candidate": cand_id,
         "d_star": _dist_summary(result.d_star, model, transform),
-        "thresholds": _threshold_dict(verdict.witness),
+        "thresholds": verdict.witness.to_dict() if verdict.witness else None,
         "verdict": _verdict_dict(verdict),
     }
     _write(args.output, _report_json(report, args.input))

@@ -68,10 +68,6 @@ CROSSING_REL_TOL = 0.05
 class CarveoutInfeasibleError(ValueError):
     """No carve of the crossing distribution can balance the extension."""
 
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
-
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -162,15 +158,6 @@ class OptimizationResult:
     def n_star(self) -> float:
         return self.d_star.n
 
-    @property
-    def steps(self) -> int:
-        return len(self.trace)
-
-    @property
-    def carveout(self) -> CarveoutResult | None:
-        """The last carve the run made."""
-        return self.carveouts[-1] if self.carveouts else None
-
 
 def _gap_of(d: Distribution, model: ParticipationModel) -> float:
     m = potential(model, d)
@@ -212,14 +199,14 @@ def _assert_no_dominating_extension(
 
 def extension_verdict(
     d_star: Distribution,
-    r1: PointIncrement | None,
+    r1: PointIncrement,
     block: Distribution,
     model: ParticipationModel,
     t: ProducerTransform,
     cfg: OptimizerConfig,
 ) -> tuple[EquilibriumVerdict, ExtensionContext | None]:
     """Measure the extension ``block`` past the crossing ``d_star``, which
-    ``r1`` reached, and classify it.
+    the step ``r1`` reached (a run's seed is a step), and classify it.
 
     A crossing context without a usable ratio scale, in the measurement or
     in a threshold's denominator, reads as an indeterminate stay.  The
@@ -257,6 +244,7 @@ class _Run:
     ``best`` is the state of greatest W the run has reached, with its W
     and the trace length that reached it; a later state replaces it only
     by beating it, not by tying it.
+    ``steps`` is the trace, whose first step is the seed.
     ``pending`` holds the block a ``ContinueToD2Star`` verdict adopts;
     ``carve_failure`` says why a recommended carve could not be made;
     ``d2`` holds the ``OptimizationResult`` fields of a second crossing.
@@ -317,9 +305,6 @@ class _Run:
         if retired is not None:
             available = remove_subdistribution(available, retired)
         self.build = GreedyBuild(d, available, self.cfg.chunk, self.model, self.t)
-
-    def last_accepted(self) -> PointIncrement | None:
-        return self.steps[-1].added if self.steps else None
 
     def out_of_budget(self) -> bool:
         return len(self.steps) >= self.budget
@@ -468,7 +453,7 @@ def determine_d_star(run: _Run) -> EquilibriumVerdict:
         k, increments = best_next_in_sequence(build)
         run.evaluations += len(run.build) + len(increments) - 1
         block = Distribution([(inc.point, inc.weight) for inc in increments])
-        r1 = run.last_accepted()
+        r1 = run.steps[-1].added  # the seed is a step, so there is one
         verdict, ctx = extension_verdict(run.current, r1, block, model, t, cfg)
 
         if ctx is not None and 0 < k < 1:
@@ -496,8 +481,8 @@ def determine_d_star(run: _Run) -> EquilibriumVerdict:
             try:
                 carve = _carve_block(run.current, block, cfg, model, t)
             except CarveoutInfeasibleError as exc:
-                run.carve_failure = exc.reason
-                note = f"carveout infeasible: {exc.reason}"
+                run.carve_failure = str(exc)
+                note = f"carveout infeasible: {exc}"
                 return replace(verdict, notes=verdict.notes + (note,))
             _assert_no_dominating_extension(ctx, cfg)
             run.carveouts.append(replace(carve, trigger_kind=verdict.kind))
@@ -571,18 +556,14 @@ def _carve_block(
     """Balance a sub-unit extension by carving cheap mass out of the base.
 
     Preconditions: the extension ``block``'s marginal participation lies
-    strictly inside (0, 1).  The carve removes the lowest-consumer-value
+    strictly inside (0, 1), as the Scenario ii or iii verdict that calls
+    the carve measured it.  The carve removes the lowest-consumer-value
     points whose cumulative consumer and producer value stay within what
     the extension brings, until volume meets potential participation
     within ``CROSSING_REL_TOL``.  Raises ``CarveoutInfeasibleError`` when
     no such carve exists; never returns a violating carve.
     """
     d_prime = combine(d_star, block)
-    k = kappa(model, d_star, d_prime)
-    if not (0 < k < 1):
-        raise ValueError(
-            f"carveouts apply only to extensions with slope in (0, 1), got {k!r}"
-        )
     w_r2 = block.n
     c_r2 = block.q
     t_r2 = expected_t(block, t)

@@ -108,12 +108,10 @@ class GreedyBuild:
         return best_increment(self)
 
     def add(self, inc: PointIncrement) -> None:
-        # taking weight only shrinks offers, so a point without one keeps none
-        offer = self._offers.get(inc.point.id)
-        tp = None if offer is None else offer[2]
+        """Take ``inc``, which must name a point that still has an offer."""
+        tp = self._offers[inc.point.id][2]
         self.d = apply_increment(self.d, inc, tp)
-        if offer is not None:
-            self._offer(inc.point, tp)
+        self._offer(inc.point, tp)
 
     def record(self, inc: PointIncrement, steps: list[SequenceStep]) -> None:
         """``add`` ``inc`` and append the step it makes to ``steps``."""

@@ -92,7 +92,6 @@ class ExtensionContext:
     m_ar2_ratio: float
     q_prime_ratio: float
     n_star: float
-    r1_degenerate: bool
     iota: float
     consumer_mode: str
 
@@ -101,17 +100,20 @@ class ExtensionContext:
     @staticmethod
     def from_run(
         d_star: Distribution,
-        r1: PointIncrement | None,
+        r1: PointIncrement,
         block: Distribution,
         model: ParticipationModel,
         transform: ProducerTransform,
         iota: float,
         consumer_mode: str,
     ) -> "ExtensionContext":
-        """Measure a realized crossing state.
+        """Measure a realized crossing state, which ``r1`` reached.
 
         The extension ``block`` enters the algebra through its total
         weight and its mean consumer and transformed producer values.
+        ``r1`` enters it only when the base it joined, D* − r1, is
+        non-empty with positive mean values; otherwise the context keeps
+        no ``r1`` and compares against the crossing itself.
         """
         if block.is_empty():
             raise ValueError("candidate block must carry positive weight")
@@ -137,19 +139,16 @@ class ExtensionContext:
         m_prime = potential(model, d_prime)
         kappa_r2 = (m_prime - m_star) / w2
 
-        # r1 enters the algebra only when the base it joined, d_a, is
-        # non-empty with positive mean values
         last: PointIncrement | None = None
-        if r1 is not None:
-            try:
-                d_a = remove_subdistribution(d_star, r1.as_distribution())
-            except SubdistributionError:  # r1 is not inside the crossing
-                d_a = Distribution()
-            if not d_a.is_empty():
-                q_a = d_a.q
-                e_a = expected_t(d_a, transform)
-                if e_a > 0 and q_a > 0:
-                    last = r1
+        try:
+            d_a = remove_subdistribution(d_star, r1.as_distribution())
+        except SubdistributionError:  # r1 is not inside the crossing
+            d_a = Distribution()
+        if not d_a.is_empty():
+            q_a = d_a.q
+            e_a = expected_t(d_a, transform)
+            if e_a > 0 and q_a > 0:
+                last = r1
         if last is not None:
             tp1 = transform.apply(last.point.p) / e_a
             c1a = last.point.c / q_a
@@ -159,7 +158,7 @@ class ExtensionContext:
             kappa_ar2 = (m_ar2 - m_a) / w2
             n_r1 = last.weight / n_star
         else:
-            # no usable earlier base: fall back to treating the crossing
+            # an unusable earlier base: fall back to treating the crossing
             # itself as the comparison base (neutral last step)
             tp1, c1a = 1.0, 1.0
             c2a = c2_raw / q_star
@@ -185,7 +184,6 @@ class ExtensionContext:
             m_ar2_ratio=m_ar2 / n_star,
             q_prime_ratio=d_prime.q / q_star,
             n_star=n_star,
-            r1_degenerate=r1 is not None and last is None,
             iota=iota,
             consumer_mode=consumer_mode,
         )
@@ -358,9 +356,7 @@ def viability_limit_m_ratio(
 
 #: fields ``ThresholdReport.to_dict`` leaves out: the objects, and the
 #: context ratios that only feed the report's own values
-_UNREPORTED = frozenset(
-    {"context", "r1", "model", "q_prime_ratio", "r1_degenerate"}
-)
+_UNREPORTED = frozenset({"context", "r1", "model", "q_prime_ratio"})
 
 
 @dataclass(frozen=True)
@@ -428,16 +424,15 @@ class EquilibriumVerdict:
 
     ``is_nash`` marks outcomes where no player can gain by deviating from
     the named action; every such outcome is also undominated, so
-    ``is_pareto`` reads ``is_nash``.  ``carveout_recommended`` flags the
-    two disagreement scenarios where a compensating carve can align the
-    players.
+    ``is_pareto`` reads ``is_nash``.  ``carveout_recommended`` is read
+    from the kind too: it flags the two disagreement scenarios, where a
+    compensating carve can align the players.
     ``indeterminate`` is set when the deciding comparison fell inside the
     floating-point decision band.
     """
 
     kind: str
     is_nash: bool
-    carveout_recommended: bool = False
     indeterminate: bool = False
     witness: ThresholdReport | None = None
     notes: tuple[str, ...] = ()
@@ -445,6 +440,10 @@ class EquilibriumVerdict:
     @property
     def is_pareto(self) -> bool:
         return self.is_nash
+
+    @property
+    def carveout_recommended(self) -> bool:
+        return self.kind in (SCENARIO_II_CONSUMER_PREFERS, SCENARIO_III_PRODUCER_PREFERS)
 
 
 def classify(ctx: ExtensionContext) -> EquilibriumVerdict:
@@ -460,7 +459,7 @@ def classify(ctx: ExtensionContext) -> EquilibriumVerdict:
     report = threshold_report(ctx)
     k = ctx.kappa_r2
     notes: list[str] = []
-    if ctx.r1_degenerate:
+    if ctx.r1 is None:
         notes.append(
             "last-step base was unusable; ordering limits use the crossing itself"
         )
@@ -468,14 +467,12 @@ def classify(ctx: ExtensionContext) -> EquilibriumVerdict:
     def verdict(
         kind: str,
         *,
-        carve: bool = False,
         indet: bool = False,
         extra: tuple[str, ...] = (),
     ) -> EquilibriumVerdict:
         return EquilibriumVerdict(
             kind=kind,
             is_nash=kind in NASH_KINDS,
-            carveout_recommended=carve,
             indeterminate=indet,
             witness=report,
             notes=tuple(notes) + extra,
@@ -501,15 +498,15 @@ def classify(ctx: ExtensionContext) -> EquilibriumVerdict:
         if producer_gains and consumer_gains:
             return verdict(SCENARIO_I_BOTH_PREFER, indet=indet)
         if consumer_gains:
-            return verdict(SCENARIO_II_CONSUMER_PREFERS, carve=True, indet=indet)
+            return verdict(SCENARIO_II_CONSUMER_PREFERS, indet=indet)
         if producer_gains:
-            return verdict(SCENARIO_III_PRODUCER_PREFERS, carve=True, indet=indet)
+            return verdict(SCENARIO_III_PRODUCER_PREFERS, indet=indet)
         return verdict(SCENARIO_IV_STAY, indet=indet)
 
     # kappa >= 1: only an ordering-consistent, value-adding candidate
     # justifies continuing to a farther crossing
     if ctx.r1 is None:
-        # no earlier opportunity existed, so order cannot exclude
+        # the base r1 joined was unusable, so order cannot exclude
         viable, viability_indet = True, False
     else:
         adjusted = report.x_u_kappa_alt

@@ -279,6 +279,20 @@ def test_one_library_path_measures_a_crossing_candidate():
     assert found == []
 
 
+def test_only_the_probe_stopping_rules_measure_a_block_slope():
+    # a verdict acts on the kappa_r2 its context measured once, so the carve
+    # a Scenario ii or iii verdict calls takes that slope as given
+    found = sorted(
+        f"{path.stem}.{func.name}"
+        for path in SOURCES
+        for func in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and "kappa" in _names(node.func)
+    )
+    assert found == ["optimizer._lookahead_block", "sequence.best_next_in_sequence"]
+
+
 def test_the_oracle_checks_thresholds_without_the_library_formulas():
     # ``crosscheck_thresholds`` compares measured value changes against
     # threshold rules it writes out itself; naming the library's formulas,

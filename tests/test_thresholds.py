@@ -199,22 +199,6 @@ def test_threshold_ties_are_flagged_indeterminate():
 # -- measuring a context from run state --------------------------------------
 
 
-def test_context_measured_without_a_last_increment_degrades_gracefully():
-    model = ParticipationModel.power(1.0, 0.5)
-    t = ProducerTransform.identity()
-    d_star = make_dist(("a", 2.0, 1.0, 1.0))
-    r2 = PointIncrement(Point("x", 3.0, 0.5), 0.5)
-    ctx = ExtensionContext.from_run(d_star, None, r2.as_distribution(), model, t, iota=0.1,
-                                    consumer_mode=ADAPTIVE)
-    # nothing was provided, so nothing degenerated — the context just
-    # falls back to neutral last-step ratios
-    assert not ctx.r1_degenerate
-    assert ctx.r1 is None
-    assert ctx.n_r1 == 0.0
-    assert ctx.tp1_ratio == 1.0
-    assert ctx.kappa_ar2 == ctx.kappa_r2
-
-
 def test_context_measured_from_a_real_increment():
     model = ParticipationModel.power(1.0, 0.5)
     t = ProducerTransform.identity()
@@ -223,7 +207,7 @@ def test_context_measured_from_a_real_increment():
     r2 = PointIncrement(Point("x", 3.0, 0.5), 0.75)
     ctx = ExtensionContext.from_run(d_star, r1, r2.as_distribution(), model, t, iota=0.1,
                                     consumer_mode=ADAPTIVE)
-    assert not ctx.r1_degenerate
+    assert ctx.r1 == r1
     assert ctx.n_r1 == pytest.approx(0.5 / 1.5, rel=1e-12)
     assert ctx.n_r2 == pytest.approx(0.75 / 1.5, rel=1e-12)
     assert ctx.tp2_ratio == pytest.approx(0.5 / ((1.0 + 0.8 * 0.5) / 1.5), rel=1e-12)
@@ -232,10 +216,11 @@ def test_context_measured_from_a_real_increment():
 
 def test_a_crossing_of_non_positive_mean_consumer_value_is_degenerate():
     d_star = make_dist(("a", -1.0, 1.0, 1.0))
+    r1 = PointIncrement(Point("a", -1.0, 1.0), 1.0)
     block = PointIncrement(Point("x", 3.0, 0.5), 0.5).as_distribution()
     with pytest.raises(DegenerateContextError, match="mean consumer value at the crossing"):
         ExtensionContext.from_run(
-            d_star, None, block, ParticipationModel.power(1.0, 0.5),
+            d_star, r1, block, ParticipationModel.power(1.0, 0.5),
             ProducerTransform.identity(), iota=0.1, consumer_mode=ADAPTIVE,
         )
 
@@ -248,7 +233,7 @@ def test_a_last_increment_outside_the_crossing_leaves_an_unusable_base():
         d_star, r1, block, ParticipationModel.power(1.0, 0.5),
         ProducerTransform.identity(), iota=0.1, consumer_mode=ADAPTIVE,
     )
-    assert ctx.r1_degenerate
+    # the base r1 joined is unusable, so the context keeps no r1
     assert ctx.r1 is None
     assert ctx.n_r1 == 0.0
     assert any("last-step base was unusable" in note for note in classify(ctx).notes)
