@@ -658,13 +658,8 @@ def _carve_block(
     consumer_gain = consumer_budget - math.fsum(carved_c)
     producer_slack = producer_budget - math.fsum(carved_t)
     if not (consumer_gain >= -1e-12 and producer_slack >= -1e-12):
-        if not taken:
-            raise CarveoutInfeasibleError(
-                "the extension lands at the crossing uncarved but brings a "
-                "player negative value"
-            )
-        raise RuntimeError(
-            "a landed carve must fit both budgets; got "
+        raise CarveoutInfeasibleError(
+            "the landing brings a player negative value: "
             f"consumer_gain={consumer_gain!r} producer_slack={producer_slack!r}"
         )
     return CarveoutResult(

@@ -147,6 +147,25 @@ def test_table_transform_is_exact_lookup():
     assert t.apply(-0.0) == 0.0 and t.apply(1) == 3.0, "lookup is by float equality"
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: ProducerTransform("logistic"), "unknown transform kind 'logistic'"),
+        (lambda: ProducerTransform.from_table([]), "table transform needs at least one entry"),
+        (
+            lambda: ProducerTransform.from_table([(1.0, 2.0), (1.0, 3.0)]),
+            r"conflicting table entries for p=1\.0",
+        ),
+        (lambda: Distribution([(Point("a", 1.0, 1.0), -0.5)]), "negative weight for point 'a'"),
+    ],
+    ids=["transform-kind", "empty-table", "conflicting-table", "negative-weight"],
+)
+def test_the_constructors_refuse_what_the_schema_keeps_from_the_cli(make, message):
+    # the CLI's instances never reach these checks; a library caller does
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
+
+
 def test_table_transform_lookup_cache_is_not_part_of_the_value():
     t = ProducerTransform.from_table([(1.0, 3.0), (0.5, 2.0)])
     same = ProducerTransform.from_table([(0.5, 2.0), (1.0, 3.0)])

@@ -93,6 +93,12 @@ def test_an_invalid_setting_fails_before_a_run_that_never_classifies():
         optimize(pool, OptimizerConfig(iota=-5.0), model, t)
 
 
+def test_an_empty_pool_is_refused():
+    model = ParticipationModel.power(1.0, 0.5)
+    with pytest.raises(ValueError, match="^candidate pool is empty$"):
+        optimize(Distribution(), OptimizerConfig(), model, ProducerTransform.identity())
+
+
 def test_five_point_reference_build():
     res, pool, model, t, _ = run(FIVE_POINT)
     assert sorted(res.d_star.ids()) == ["c2", "c3", "c4", "c5"]
@@ -359,11 +365,12 @@ def test_carveout_passes_over_a_slab_whose_removal_overshoots():
     assert carve.landing_gap <= CROSSING_REL_TOL
 
 
-def test_a_carve_whose_last_slab_rounds_past_its_budget_breaks_an_invariant():
+def test_a_carve_whose_last_slab_rounds_past_its_budget_is_infeasible():
     # found by search: the producer budget P is 2.293704 and P + 1e-12
     # rounds up to 2.293704000001, which b1's one slab costs to the bit.
     # The loop's test against that rounded bound admits the slab, but the
-    # re-summed slack P - 2.293704000001 is -1.00009e-12 < -1e-12
+    # re-summed slack P - 2.293704000001 is -1.00009e-12 < -1e-12, so the
+    # landing is refused like any carve that costs a player value
     base = make_dist(
         ("b0", 4.636, 1.983, 0.707), ("b1", 1.328, 6.950618181821212, 0.33),
         ("b2", 1.361, 1.291, 0.062),
@@ -371,7 +378,10 @@ def test_a_carve_whose_last_slab_rounds_past_its_budget_breaks_an_invariant():
     block = make_dist(("x", 5.611, 1.332, 1.722))
     model = ParticipationModel.power(0.927, 0.619)
     assert 0 < kappa(model, base, combine(base, block)) < 1
-    with pytest.raises(RuntimeError, match="a landed carve must fit both budgets"):
+    with pytest.raises(
+        CarveoutInfeasibleError,
+        match=r"negative value: consumer_gain=\S+ producer_slack=-1\.0000\d+e-12$",
+    ):
         _carve_block(base, block, CFG, model, IDENT)
 
 

@@ -98,6 +98,11 @@ def test_generator_rejects_unknown_profiles():
         generate_instance("nonsense", 0)
 
 
+def test_the_search_refuses_a_target_it_has_no_template_for():
+    with pytest.raises(ValueError, match="^no template for target 'nonsense'$"):
+        find_scenario_instance("nonsense", budget=1)
+
+
 def test_profile_shapes_classify_as_advertised():
     assert run_instance(generate_instance("underserved", 5)).verdict.kind == UNDER_SERVED
     assert (
@@ -153,8 +158,14 @@ def _first_optimize_raises(monkeypatch, error: Exception) -> list[int]:
 def test_the_search_surfaces_a_broken_optimizer_invariant(monkeypatch):
     # a broken invariant is a fault of the optimizer, not a miss of the
     # search, so it is not skipped like an attempt the CLI reports
-    _first_optimize_raises(monkeypatch, RuntimeError("a landed carve must fit both budgets"))
-    with pytest.raises(RuntimeError, match="must fit both budgets"):
+    _first_optimize_raises(
+        monkeypatch,
+        RuntimeError(
+            "a valueless adopted mass must leave both value functions "
+            "unchanged across exact crossings"
+        ),
+    )
+    with pytest.raises(RuntimeError, match="a valueless adopted mass"):
         find_scenario_instance(SCENARIO_IV_STAY, budget=60, rng_seed=3)
 
 

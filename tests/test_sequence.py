@@ -66,6 +66,13 @@ def test_explicit_seed_policy_uses_listed_ids():
     assert [i.point.id for i in seed_distribution(empty, cfg)] == ["hi"]
 
 
+def test_an_explicit_seed_id_must_be_in_the_pool():
+    pool = make_dist(("hi", 5.0, 1.0, 1.0))
+    empty = GreedyBuild(Distribution(), pool, None, M11, IDENT)
+    with pytest.raises(KeyError, match="seed id 'lo' is not in the pool"):
+        seed_distribution(empty, OptimizerConfig(seed_ids=("lo",)))
+
+
 @pytest.mark.parametrize(
     "optimizer, case",
     [

@@ -293,6 +293,20 @@ def test_only_the_probe_stopping_rules_measure_a_block_slope():
     assert found == ["optimizer._lookahead_block", "sequence.best_next_in_sequence"]
 
 
+def test_only_the_climb_and_the_oracle_take_a_value_delta():
+    # ``delta_s`` takes a growth of a non-empty base, which both callers
+    # pass: D* to D²* and D* to D* + r2, each from a step-seeded D*
+    found = sorted(
+        f"{path.stem}.{func.name}"
+        for path in SOURCES
+        for func in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and "delta_s" in _names(node.func)
+    )
+    assert found == ["optimizer.continue_to_d2_star", "oracle.crosscheck_thresholds"]
+
+
 def test_the_oracle_checks_thresholds_without_the_library_formulas():
     # ``crosscheck_thresholds`` compares measured value changes against
     # threshold rules it writes out itself; naming the library's formulas,

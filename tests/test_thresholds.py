@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from distopt.core import Point, PointIncrement, ProducerTransform
+from distopt.core import Distribution, Point, PointIncrement, ProducerTransform
 from distopt.participation import ParticipationModel
 from distopt.thresholds import (
     ADAPTIVE,
@@ -28,6 +28,7 @@ from distopt.thresholds import (
     threshold_report,
     viability_limit_m_ratio,
     x_c_kappa,
+    x_u_kappa,
 )
 
 from conftest import make_dist
@@ -129,6 +130,19 @@ def test_viability_limit_base_cases():
     )
 
 
+def test_the_ordering_limits_refuse_a_weightless_candidate_and_a_zero_denominator():
+    # each would otherwise divide by zero
+    with pytest.raises(
+        ValueError, match="^ordering limits need a candidate with positive weight$"
+    ):
+        x_u_kappa(0.5, 0.0, 1.0, 1.0)
+    # 1 − n_r1 + tp2 n_r2 = 0 at n_r1 = 1, tp2 = 0
+    with pytest.raises(
+        DegenerateContextError, match="^degenerate ordering-limit denominator$"
+    ):
+        viability_limit_m_ratio(1.0, 0.5, 1.0, 0.0)
+
+
 def test_transform_cutoff_stays_below_one_for_non_dominant_candidates():
     for tp2 in (0.0, 0.25, 0.5, 0.9, 0.999):
         for n2 in (0.1, 0.5, 0.9):
@@ -222,6 +236,21 @@ def test_a_crossing_of_non_positive_mean_consumer_value_is_degenerate():
         ExtensionContext.from_run(
             d_star, r1, block, ParticipationModel.power(1.0, 0.5),
             ProducerTransform.identity(), iota=0.1, consumer_mode=ADAPTIVE,
+        )
+
+
+def test_a_context_needs_a_block_and_a_crossing_that_carry_weight():
+    d_star = make_dist(("a", 2.0, 1.0, 1.0))
+    r1 = PointIncrement(Point("a", 2.0, 1.0), 1.0)
+    block = PointIncrement(Point("x", 3.0, 0.5), 0.5).as_distribution()
+    model, t = ParticipationModel.power(1.0, 0.5), ProducerTransform.identity()
+    with pytest.raises(ValueError, match="^candidate block must carry positive weight$"):
+        ExtensionContext.from_run(
+            d_star, r1, Distribution(), model, t, iota=0.1, consumer_mode=ADAPTIVE
+        )
+    with pytest.raises(DegenerateContextError, match="^crossing distribution is empty$"):
+        ExtensionContext.from_run(
+            Distribution(), r1, block, model, t, iota=0.1, consumer_mode=ADAPTIVE
         )
 
 

@@ -8,9 +8,11 @@ from hypothesis import given, settings
 
 from distopt.core import (
     Distribution,
+    EmptyDistributionError,
     Point,
     PointIncrement,
     ProducerTransform,
+    SubdistributionError,
     apply_increment,
     combine,
     expected_t,
@@ -35,12 +37,6 @@ def test_v_is_expected_transform_times_potential():
     # single point: E(T) = 3, M = 2
     d = make_dist(("b", 2.0, 3.0, 1.0))
     assert v_value(d, M11, IDENT) == 6.0
-
-
-def test_s_is_expected_transform_times_actual():
-    d = make_dist(("b", 2.0, 3.0, 1.0))
-    # M = 2 but only one unit of volume is on offer; S(∅) = 0
-    assert delta_s(EMPTY, d, M11, IDENT).delta_s == 3.0
 
 
 def test_value_delta_on_a_hand_checked_pair():
@@ -81,15 +77,21 @@ def test_realized_delta_straddling_the_crossing():
     assert out.delta_s == pytest.approx(2.0 / 3.0, rel=1e-12)
 
 
-def test_share_bounds_are_enforced():
+def test_delta_v_of_increment_up_to_a_share_that_rounds_to_one():
     # a base with E = 1 and Q = 2, so V = 2, extended by (c, T(p)) = (1, 1)
     base = make_dist(("b", 2.0, 1.0, 1.0))
     assert delta_v_of_increment(base, 1.0, 1.0, 1.0, M11, IDENT) == 1.5 - 2.0
     # a heavy increment's share rounds to 1: the point alone, T(p) * M(c)
     assert delta_v_of_increment(base, 3.0, 5.0, 1e300, M11, IDENT) == 5.0 * 3.0 - 2.0
-    for weight in (-11.0, -0.5):  # shares 1.1 and -1
-        with pytest.raises(ValueError):
-            delta_v_of_increment(base, 1.0, 1.0, weight, M11, IDENT)
+
+
+def test_delta_s_takes_a_growth_of_a_non_empty_base():
+    base = make_dist(("b", 2.0, 1.0, 1.0))
+    grown = apply_increment(base, PointIncrement(Point("a", 2.0, 3.0), 0.5))
+    with pytest.raises(SubdistributionError, match="not part of the distribution"):
+        delta_s(grown, base, M11, IDENT)
+    with pytest.raises(EmptyDistributionError, match="expected producer value"):
+        delta_s(EMPTY, grown, M11, IDENT)
 
 
 def _random_dist(rng: random.Random, prefix: str, size: int) -> Distribution:
@@ -249,15 +251,14 @@ _TRANSFORM = st.sampled_from(
 
 @settings(max_examples=400, deadline=None)
 @given(
-    base_rows=st.lists(_ROW, max_size=6),
+    base_rows=st.lists(_ROW, min_size=1, max_size=6),
     ext_rows=st.lists(_ROW, max_size=4),
     shares=st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6),
-    reductive=st.booleans(),
     model=_MODEL,
     t=_TRANSFORM,
 )
 def test_delta_s_matches_the_earlier_implementation(
-    base_rows, ext_rows, shares, reductive, model, t
+    base_rows, ext_rows, shares, model, t
 ):
     base = Distribution([(Point(f"b{i}", c, p), w) for i, (c, p, w) in enumerate(base_rows)])
     # new points, plus shares of the base's own points (a merge into an id)
@@ -265,9 +266,7 @@ def test_delta_s_matches_the_earlier_implementation(
         [(Point(f"x{i}", c, p), w) for i, (c, p, w) in enumerate(ext_rows)]
         + [(pt, w * share) for (pt, w), share in zip(base.items(), shares)]
     )
-    grown = combine(base, ext)
-    d, d_prime = (grown, base) if reductive else (base, grown)
-    _assert_delta_s_unchanged(d, d_prime, model, t)
+    _assert_delta_s_unchanged(base, combine(base, ext), model, t)
 
 
 def _pair(base_rows, *added_rows):
@@ -278,26 +277,34 @@ def _pair(base_rows, *added_rows):
     return base, grown
 
 
+# M11: M = Q, so (c=2, w=1) has N = 1 below M = 2
+_GROWTHS = [
+    (*_pair([("b", 2.0, 1.0, 1.0)], ("a", 2.0, 3.0, 0.5)), "Regime.BELOW_CROSSING"),
+    (*_pair([("b", 2.0, 1.0, 3.0)], ("a", 2.0, 3.0, 1.0)), "Regime.AT_OR_ABOVE_CROSSING"),
+    (*_pair([("b", 2.0, 1.0, 1.0)], ("a", 0.5, 2.0, 2.0)), "Regime.STRADDLES_CROSSING"),
+    (*_pair([("b", 2.0, 1.0, 1.0)], ("b", 2.0, 1.0, 0.5)), "Regime.BELOW_CROSSING"),
+    (*_pair([("b", 2.0, 1.0, 1.5)], ("b", 2.0, 1.0, 1.0)), "Regime.STRADDLES_CROSSING"),
+]
+
+
 @pytest.mark.parametrize(
     "d, d_prime, regime",
     [
-        # M11: M = Q, so (c=2, w=1) has N = 1 below M = 2
-        (*_pair([("b", 2.0, 1.0, 1.0)], ("a", 2.0, 3.0, 0.5)), "Regime.BELOW_CROSSING"),
-        (*_pair([("b", 2.0, 1.0, 3.0)], ("a", 2.0, 3.0, 1.0)), "Regime.AT_OR_ABOVE_CROSSING"),
-        (*_pair([("b", 2.0, 1.0, 1.0)], ("a", 0.5, 2.0, 2.0)), "Regime.STRADDLES_CROSSING"),
-        (*_pair([("b", 2.0, 1.0, 1.0)], ("b", 2.0, 1.0, 0.5)), "Regime.BELOW_CROSSING"),
-        (*_pair([("b", 2.0, 1.0, 1.5)], ("b", 2.0, 1.0, 1.0)), "Regime.STRADDLES_CROSSING"),
-        (EMPTY, make_dist(("a", 2.0, 3.0, 1.0)), "Regime.BELOW_CROSSING"),
-        (make_dist(("a", 2.0, 3.0, 3.0)), EMPTY, "Regime.AT_OR_ABOVE_CROSSING"),
-        (EMPTY, make_dist(("a", 0.5, 3.0, 2.0)), "Regime.AT_OR_ABOVE_CROSSING"),
-        (EMPTY, EMPTY, "Regime.BELOW_CROSSING"),
+        *_GROWTHS,
+        # nothing added (Y = D' − D is empty, so E(T|Y) is taken as 0)
+        (*_pair([("b", 2.0, 1.0, 1.0)]), "Regime.BELOW_CROSSING"),
+        (*_pair([("b", 2.0, 1.0, 3.0)]), "Regime.AT_OR_ABOVE_CROSSING"),
     ],
 )
-@pytest.mark.parametrize("reductive", [False, True])
-def test_delta_s_is_unchanged_in_every_regime(d, d_prime, regime, reductive):
+def test_delta_s_is_unchanged_in_every_regime(d, d_prime, regime):
     # ``regime`` labels the case: the branch of ``delta_s`` it takes, which
-    # the value comparison with the reference checks; the regime
-    # conditions are symmetric in the two ends
-    if reductive:
-        d, d_prime = d_prime, d
+    # the value comparison with the reference checks
     _assert_delta_s_unchanged(d, d_prime, M11, IDENT)
+
+
+@pytest.mark.parametrize("d, d_prime, regime", _GROWTHS)
+def test_delta_s_refuses_each_growth_run_backwards(d, d_prime, regime):
+    # the reverse of each growth above is a shrink, which the reference
+    # measured and ``delta_s`` refuses: D' − D is not defined
+    with pytest.raises(SubdistributionError, match="^(cannot remove|point 'a' is not)"):
+        delta_s(d_prime, d, M11, IDENT)
