@@ -185,6 +185,7 @@ def run_report(
     model: ParticipationModel,
     t: ProducerTransform,
 ) -> dict:
+    carveouts = [_carveout_dict(c, model, t) for c in result.carveouts]
     return {
         "schema_version": SCHEMA_VERSION,
         "instance": {
@@ -212,12 +213,8 @@ def run_report(
             result.verdict.witness.to_dict() if result.verdict.witness else None
         ),
         "events": [_verdict_dict(e) for e in result.events],
-        "carveout": (
-            _carveout_dict(result.carveouts[-1], model, t)
-            if result.carveouts
-            else None
-        ),
-        "carveouts": [_carveout_dict(c, model, t) for c in result.carveouts],
+        "carveout": carveouts[-1] if carveouts else None,
+        "carveouts": carveouts,
         "d2_star": (
             _dist_summary(result.d2_star, model, t)
             if result.d2_star is not None
@@ -393,28 +390,31 @@ def _write_thresholds(
 
 
 def _optimize(
-    instance: dict, path: str
+    path: str,
 ) -> tuple[
+    dict,
     Distribution,
     ParticipationModel,
     ProducerTransform,
     OptimizerConfig,
     OptimizationResult,
 ]:
-    """``build_objects`` and ``optimize`` on the instance read from
-    ``path``, with a build found off the greedy order (an explicit seed can
-    start it there), a step too light to move the volume's float sum, or an
-    E(T|D) whose terms overflow to both infinities, reported as an error."""
+    """The instance read from ``path``, and ``build_objects`` and
+    ``optimize`` on it, with a build found off the greedy order (an
+    explicit seed can start it there), a step too light to move the
+    volume's float sum, or an E(T|D) whose terms overflow to both
+    infinities, reported as an error."""
     from .core import UndefinedMeanError
     from .optimizer import BuildOrderError, optimize
     from .participation import ZeroVolumeDeltaError
 
+    instance = load_instance(path)
     pool, model, transform, cfg = build_objects(instance, path)
     try:
         result = optimize(pool, cfg, model, transform)
     except (BuildOrderError, UndefinedMeanError, ZeroVolumeDeltaError) as exc:
         raise CliError(f"{path}: {exc}") from exc
-    return pool, model, transform, cfg, result
+    return instance, pool, model, transform, cfg, result
 
 
 def _optimize_one(
@@ -422,8 +422,7 @@ def _optimize_one(
 ) -> int:
     from .thresholds import SATURATED_CONSUMER, UNDER_SERVED
 
-    instance = load_instance(path)
-    pool, model, transform, cfg, result = _optimize(instance, path)
+    instance, pool, model, transform, cfg, result = _optimize(path)
     report = run_report(instance, result, model, transform)
     _write(output, _report_json(report, path))
     if csv_paths is not None:
@@ -474,8 +473,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     from .optimizer import extension_verdict
 
     csv_paths = _csv_paths(args.output, args.format)
-    instance = load_instance(args.input)
-    pool, model, transform, cfg, result = _optimize(instance, args.input)
+    instance, pool, model, transform, cfg, result = _optimize(args.input)
     cand_id = str(args.candidate)
     if cand_id not in pool:
         raise CliError(f"candidate {cand_id!r} is not in the instance pool")
@@ -504,8 +502,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_carveout(args: argparse.Namespace) -> int:
-    instance = load_instance(args.input)
-    pool, model, transform, cfg, result = _optimize(instance, args.input)
+    instance, pool, model, transform, cfg, result = _optimize(args.input)
     report: dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
         "instance": {"fingerprint": fingerprint(instance)},
@@ -624,10 +621,9 @@ def main(argv: list[str] | None = None) -> int:
     """Run the command ``argv`` names and return its exit code.
 
     The parser is built once per process, on the first call: parsing
-    leaves it as it was, so later calls reuse it.  A caller that runs
+    leaves it as it was, so later calls reuse it, and a caller that runs
     many commands in one process, as the benchmark and the recipe corpus
-    do, saves the 0.8 ms per call that building it took; a one-shot
-    ``distopt`` process builds it once either way.  Each subcommand's
+    do, does not pay for building it each time.  Each subcommand's
     ``cmd_*`` function is bound into the parser then, once per process.
     """
     level = os.environ.get("DISTOPT_LOG")

@@ -22,6 +22,21 @@ def _point(pid: str, c: float, p: float, n: float) -> dict:
     return {"id": pid, "c": _round6(c), "p": _round6(p), "n": _round6(n)}
 
 
+def _points(
+    rng: random.Random,
+    count: int,
+    c: tuple[float, float],
+    p: tuple[float, float],
+    n: tuple[float, float],
+) -> list[dict]:
+    """``count`` points ``p0``, ``p1``, …, each drawing its c, p and n, in
+    that order, uniformly from the given ranges."""
+    return [
+        _point(f"p{i}", rng.uniform(*c), rng.uniform(*p), rng.uniform(*n))
+        for i in range(count)
+    ]
+
+
 def _power_spec(zeta: float, alpha: float) -> dict:
     return {"kind": "power", "zeta": _round6(zeta), "alpha": _round6(alpha)}
 
@@ -38,30 +53,12 @@ def _instance(points: list[dict], participation: dict, **extra: Any) -> dict:
 
 
 def _template_underserved(rng: random.Random) -> dict:
-    count = rng.randint(2, 4)
-    points = [
-        _point(
-            f"p{i}",
-            rng.uniform(2.0, 6.0),
-            rng.uniform(0.5, 2.0),
-            rng.uniform(0.2, 0.6),
-        )
-        for i in range(count)
-    ]
+    points = _points(rng, rng.randint(2, 4), (2.0, 6.0), (0.5, 2.0), (0.2, 0.6))
     return _instance(points, _power_spec(1.0, rng.uniform(0.6, 0.9)))
 
 
 def _template_saturated(rng: random.Random) -> dict:
-    count = rng.randint(3, 5)
-    points = [
-        _point(
-            f"p{i}",
-            rng.uniform(1.0, 4.0),
-            rng.uniform(0.5, 2.0),
-            rng.uniform(0.3, 0.7),
-        )
-        for i in range(count)
-    ]
+    points = _points(rng, rng.randint(3, 5), (1.0, 4.0), (0.5, 2.0), (0.3, 0.7))
     total = sum(p["n"] for p in points)
     cap = _round6(total * rng.uniform(1.2, 1.6))
     return _instance(
@@ -71,15 +68,7 @@ def _template_saturated(rng: random.Random) -> dict:
 
 
 def _uniform_template(rng: random.Random, size: int) -> dict:
-    points = [
-        _point(
-            f"p{i}",
-            rng.uniform(0.5, 5.0),
-            rng.uniform(0.2, 2.0),
-            rng.uniform(0.2, 1.5),
-        )
-        for i in range(size)
-    ]
+    points = _points(rng, size, (0.5, 5.0), (0.2, 2.0), (0.2, 1.5))
     alpha = rng.uniform(0.4, 0.9)
     prefix = max(2, size // 2)
     ordered = sorted(points, key=lambda p: -p["c"])[:prefix]

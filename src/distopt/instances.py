@@ -35,6 +35,18 @@ SCHEMA_VERSION = 1
 
 _NUMBER = {"type": "number"}
 
+#: a non-empty list of number pairs: curve knots (q, m), table entries (p, T(p))
+_PAIRS = {
+    "type": "array",
+    "minItems": 1,
+    "items": {
+        "type": "array",
+        "items": _NUMBER,
+        "minItems": 2,
+        "maxItems": 2,
+    },
+}
+
 
 def _kind_requires(fields: dict[str, list[str]]) -> dict:
     """Schema clauses by which an object of each listed ``kind`` needs its
@@ -74,16 +86,7 @@ _PARTICIPATION_SCHEMA = {
         "zeta": {"type": "number", "exclusiveMinimum": 0},
         "alpha": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
         "cap": {"type": "number", "exclusiveMinimum": 0},
-        "knots": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "array",
-                "items": _NUMBER,
-                "minItems": 2,
-                "maxItems": 2,
-            },
-        },
+        "knots": _PAIRS,
     },
     "required": ["kind"],
     **_kind_requires(
@@ -102,16 +105,7 @@ _TRANSFORM_SCHEMA = {
         "kind": {"enum": ["identity", "affine", "table"]},
         "a": _NUMBER,
         "b": _NUMBER,
-        "table": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "array",
-                "items": _NUMBER,
-                "minItems": 2,
-                "maxItems": 2,
-            },
-        },
+        "table": _PAIRS,
     },
     "required": ["kind"],
     **_kind_requires({"identity": [], "affine": ["a", "b"], "table": ["table"]}),

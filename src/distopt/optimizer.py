@@ -572,11 +572,11 @@ def _carve_block(
 
     candidates = sorted(
         (
-            (point, weight)
+            (point, weight, t.apply(point.p))
             for point, weight in d_star.items()
             if point.c < c_r2
         ),
-        key=lambda pw: (pw[0].c, t.apply(pw[0].p), pw[0].id),
+        key=lambda pwt: (pwt[0].c, pwt[2], pwt[0].id),
     )
     if not candidates:
         raise CarveoutInfeasibleError(
@@ -586,15 +586,12 @@ def _carve_block(
     chunk = cfg.chunk
     bound = sum(
         (1 if chunk is None else max(1, math.ceil(w / chunk)))
-        for _, w in candidates
+        for _, w, _ in candidates
     )
 
     taken: dict[str, float] = {}
-    carved_c: list[float] = []
-    carved_t: list[float] = []
-    carved_w: list[float] = []
+    slabs: list[tuple[float, float, float]] = []  # (w, w·c, w·T(p)) carved
     cur = d_prime
-    iterations = 0
     tol = CROSSING_REL_TOL
     while _gap_of(cur, model) > tol:
         m_cur = potential(model, cur)
@@ -602,21 +599,20 @@ def _carve_block(
             raise CarveoutInfeasibleError(
                 "carve overshot: potential participation exceeds volume"
             )
-        if iterations >= bound:
+        if len(slabs) >= bound:
             raise CarveoutInfeasibleError(
                 "iteration bound reached before volume met participation"
             )
-        s_c = math.fsum(carved_c)
-        s_t = math.fsum(carved_t)
-        chosen = None
-        for point, weight in candidates:
+        s_c = math.fsum(c for _, c, _ in slabs)
+        s_t = math.fsum(tw for _, _, tw in slabs)
+        for point, weight, tp in candidates:
             left = weight - taken.get(point.id, 0.0)
             if left <= 1e-12:
                 continue
             w_x = left if chunk is None else min(chunk, left)
             if s_c + w_x * point.c > consumer_budget + 1e-12:
                 continue
-            if s_t + w_x * t.apply(point.p) > producer_budget + 1e-12:
+            if s_t + w_x * tp > producer_budget + 1e-12:
                 continue
             shrunk = remove_subdistribution(
                 cur, Distribution([(point, w_x)])
@@ -624,24 +620,20 @@ def _carve_block(
             if potential(model, shrunk) > shrunk.n * (1.0 + tol):
                 # removing this slab would push demand past supply
                 continue
-            chosen = (point, w_x, shrunk)
             break
-        if chosen is None:
+        else:
             raise CarveoutInfeasibleError(
                 "no admissible point: every remaining carve either busts a "
                 "budget or overshoots the crossing"
             )
-        point, w_x, cur = chosen
+        cur = shrunk
         taken[point.id] = taken.get(point.id, 0.0) + w_x
-        carved_c.append(w_x * point.c)
-        carved_t.append(w_x * t.apply(point.p))
-        carved_w.append(w_x)
-        iterations += 1
+        slabs.append((w_x, w_x * point.c, w_x * tp))
         # so a landed carve is lighter than the extension: its n_y (below)
         # is this sum, left under the rounded w_r2 - 1e-12, which rounding
         # (monotone) keeps at most w_r2 = N(block), finite and > 0, also
         # where the 1e-12 rounds away; with no carve, n_y is 0.0 < w_r2
-        if math.fsum(carved_w) >= w_r2 - 1e-12:
+        if math.fsum(w for w, _, _ in slabs) >= w_r2 - 1e-12:
             raise CarveoutInfeasibleError(
                 "carve volume reached the extension's own volume before landing"
             )
@@ -649,14 +641,14 @@ def _carve_block(
     y = Distribution(
         [(d_star.point_of(pid), w) for pid, w in taken.items()]
     )
-    n_y = math.fsum(carved_w)
+    n_y = math.fsum(w for w, _, _ in slabs)
     gap_budget = d_prime.n - potential(model, d_prime)
     if n_y > gap_budget + 1e-9 * max(1.0, abs(gap_budget)):
         raise CarveoutInfeasibleError(
             "carve volume exceeded the extension's participation gap"
         )
-    consumer_gain = consumer_budget - math.fsum(carved_c)
-    producer_slack = producer_budget - math.fsum(carved_t)
+    consumer_gain = consumer_budget - math.fsum(c for _, c, _ in slabs)
+    producer_slack = producer_budget - math.fsum(tw for _, _, tw in slabs)
     if not (consumer_gain >= -1e-12 and producer_slack >= -1e-12):
         raise CarveoutInfeasibleError(
             "the landing brings a player negative value: "
@@ -670,7 +662,7 @@ def _carve_block(
         consumer_gain=consumer_gain,
         producer_slack=producer_slack,
         landing_gap=_gap_of(cur, model),
-        iterations=iterations,
+        iterations=len(slabs),
     )
 
 

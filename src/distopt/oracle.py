@@ -364,9 +364,9 @@ def _scenario_base(
     tp2: float,
     c2_over_qstar: float,
     alpha: float,
-    iota: float,
-    consumer_mode: str,
-    chunked_carve: bool,
+    iota: float = 0.1,
+    consumer_mode: str = "adaptive",
+    chunked_carve: bool = False,
     fodder_p: float | None = None,
 ) -> dict:
     """Common crossing construction for the four sub-unit-slope scenarios.
@@ -452,9 +452,6 @@ def _template_scenario(
             tp2=tp2,
             c2_over_qstar=c2q,
             alpha=_solve_alpha(kappa_target, c2q, 1.0),
-            iota=0.1,
-            consumer_mode="adaptive",
-            chunked_carve=False,
         )
     if kind == SCENARIO_II_CONSUMER_PREFERS:
         if require_carveout:
@@ -467,9 +464,6 @@ def _template_scenario(
                 tp2=rng.uniform(0.05, 0.07),
                 c2_over_qstar=c2q,
                 alpha=_solve_alpha(rng.uniform(0.4, 0.6), c2q, CARVE_M_CAL),
-                iota=0.1,
-                consumer_mode="adaptive",
-                chunked_carve=False,
                 fodder_p=0.06,
             )
         return _scenario_base(
@@ -477,9 +471,6 @@ def _template_scenario(
             tp2=rng.uniform(0.04, 0.06),
             c2_over_qstar=rng.uniform(3.6, 4.2),
             alpha=rng.uniform(0.52, 0.58),
-            iota=0.1,
-            consumer_mode="adaptive",
-            chunked_carve=False,
         )
     if kind == SCENARIO_III_PRODUCER_PREFERS:
         if require_carveout:
@@ -494,7 +485,6 @@ def _template_scenario(
                 alpha=_solve_alpha(rng.uniform(0.10, 0.16), c2q, CARVE_M_CAL),
                 iota=rng.uniform(0.95, 1.05),
                 consumer_mode="reactive",
-                chunked_carve=False,
                 fodder_p=0.55,
             )
         return _scenario_base(
@@ -513,8 +503,6 @@ def _template_scenario(
             c2_over_qstar=rng.uniform(1.05, 1.15),
             alpha=rng.uniform(0.35, 0.5),
             iota=rng.uniform(0.7, 0.9),
-            consumer_mode="adaptive",
-            chunked_carve=False,
         )
     raise ValueError(f"no template for target {kind!r}")
 

@@ -150,14 +150,9 @@ def best_increment(build: GreedyBuild) -> PointIncrement:
     the same operation order as the original: the ΔV arithmetic of
     ``valuation.delta_v_of_increment``, and the ``power`` and ``saturating``
     curves of ``ParticipationModel.m``, evaluated at each offer's mix.  A
-    Python call per offer is the cost both copies save: the ΔV call cost
-    about 5% of the benchmark's pool-json throughput on a 2-core host, and
-    inlining the curve raised that throughput by about 6%.  On a
-    180-offer state of a 200-point uniform pool, it took one offer from
-    about 250 to about 225 ns on that host, or from about 405 to about
-    225 ns for a saturating curve, whose ``min`` call goes too.  A
-    ``table`` curve, the empty-base seed step and the base's V still call
-    ``m``; the added branch costs a table offer a few ns.
+    Python call per offer is the cost both copies save; the README gives
+    the timings.  A ``table`` curve, the empty-base seed step and the
+    base's V still call ``m``.
     ``test_best_increment_matches_the_per_candidate_reference`` and
     ``test_best_increment_keeps_the_exact_ties_of_swapped_values`` hold
     the copies together.  Unlike that function, the loop does not check

@@ -152,19 +152,17 @@ class ExtensionContext:
         if last is not None:
             tp1 = transform.apply(last.point.p) / e_a
             c1a = last.point.c / q_a
-            c2a = c2_raw / q_a
-            m_a = potential(model, d_a)
-            m_ar2 = potential(model, combine(d_a, block))
-            kappa_ar2 = (m_ar2 - m_a) / w2
             n_r1 = last.weight / n_star
         else:
-            # an unusable earlier base: fall back to treating the crossing
-            # itself as the comparison base (neutral last step)
-            tp1, c1a = 1.0, 1.0
-            c2a = c2_raw / q_star
-            m_a, m_ar2 = m_star, m_prime
-            kappa_ar2 = kappa_r2
+            # an unusable earlier base: the crossing itself is the
+            # comparison base, reached by a neutral last step
+            d_a, q_a = d_star, q_star
+            tp1 = c1a = 1.0
             n_r1 = 0.0
+        c2a = c2_raw / q_a
+        m_a = potential(model, d_a)
+        m_ar2 = potential(model, combine(d_a, block))
+        kappa_ar2 = (m_ar2 - m_a) / w2
 
         return ExtensionContext(
             r1=last,

@@ -19,7 +19,9 @@ generator:
   one step past D*, whose run exhausts its step budget or that hold one
   point, ``LOOKAHEAD``, four seeded pools whose probe block past D*
   reaches slope >= 1 with a usable last step (each of the four ends of
-  that branch of ``classify``), and a search for each of the eight outcome
+  that branch of ``classify``), two three-point pools whose crossing
+  context is degenerate, a pool whose negative consumer values drive
+  scored mixes to a mean <= 0, and a search for each of the eight outcome
   kinds;
 - searched scenario instances, from ``find_scenario_instance`` at search
   seeds 10-17: Scenario i adoptions, Scenario ii and iii carves and
@@ -32,6 +34,8 @@ Each tree then runs, in one child process whose ``PYTHONPATH`` is its own
 - ``optimize --format csv`` and ``carveout`` on every input;
 - on each of the ``SINGLES``, a plain-JSON ``optimize`` and, on the
   candidate named there, ``analyze`` in both formats;
+- ``optimize --batch`` over the ``BATCH`` directory: a plain pool, one
+  that exits 2, one that fails schema validation and an earlier report;
 - ``gen`` for five profiles at seeds 0-3;
 - ``oracle-check --samples 200 --grid 8`` at seeds 0 and 1.
 
@@ -192,6 +196,30 @@ def _past_r1(r1: tuple, b: tuple, zeta: float, alpha: float) -> dict:
     }
 
 
+def _unit_pool(points: tuple, zeta: float, alpha: float) -> dict:
+    """An instance over ``points``, each (id, c, p, n), with a power curve
+    and the identity transform."""
+    return {
+        "schema_version": 1,
+        "points": [{"id": pid, "c": c, "p": p, "n": n} for pid, c, p, n in points],
+        "participation": {"kind": "power", "zeta": zeta, "alpha": alpha},
+        "transform": {"kind": "identity"},
+    }
+
+
+def _degenerate(p_a: float, p_r: float, p_z: float) -> dict:
+    """Three unit points of consumer values 3, 2 and 1 under a linear
+    curve; the producer values decide how the crossing context degenerates."""
+    return _unit_pool(
+        (("a", 3.0, p_a, 1.0), ("r", 2.0, p_r, 1.0), ("z", 1.0, p_z, 1.0)), 0.8, 1.0
+    )
+
+
+def _zero_weight(inst: dict) -> None:
+    """A point of weight 0, which the schema refuses."""
+    inst["points"][0]["n"] = 0
+
+
 def _pool(profile: str, seed: int, size: int, variant: Callable[[dict], None]) -> dict:
     from distopt.oracle import generate_instance
 
@@ -247,6 +275,23 @@ SINGLES = {
     "kappa-1-out-of-order-no-value": (
         partial(_past_r1, (0.911, -0.866, 0.361), (2.675, -0.676, 0.792), 1.373, 0.962), "b"
     ),
+    # the crossing context is degenerate, so the verdict stays at D*: the
+    # probe z leaves the ordering limit without a scale ...
+    "degenerate-ordering-limit": (partial(_degenerate, 1.0, 1.0, -1.0), "z"),
+    # ... or every point is worthless to the producer, so E(T|D*) < 0
+    "degenerate-crossing-value": (partial(_degenerate, -1.0, -1.0, -1.0), "a"),
+    # x's own mean, and the mixes of x or y with D*, fall to <= 0, where
+    # potential participation is 0
+    "negative-mix": (
+        partial(
+            _unit_pool,
+            (("a", 2.0, 1.0, 1.0), ("b", 1.0, 2.0, 0.5), ("x", -3.0, 0.5, 4.0),
+             ("y", -0.5, 0.2, 1.0)),
+            0.8,
+            0.7,
+        ),
+        "x",
+    ),
     "scenario-stay-3": (partial(_searched, "StayAtDStar_Thm2", 3, False), "p3"),
     "scenario-d2-3": (partial(_searched, "ContinueToD2Star_Thm4", 3, False), "b"),
     "scenario-i-3": (partial(_searched, "Scenario_i_BothPreferDPrime", 3, False), None),
@@ -283,16 +328,32 @@ def _recipes() -> dict[str, partial[dict]]:
 
 
 #: input name -> the call that makes it: ``_pool(profile, generator seed,
-#: size, variant)``, ``dict(LOOKAHEAD)``, ``_past_r1(r1, b, zeta, alpha)``
-#: or ``_searched(target, search seed, require_carveout)``
+#: size, variant)``, ``dict(LOOKAHEAD)``, ``_past_r1(r1, b, zeta, alpha)``,
+#: ``_degenerate(p_a, p_r, p_z)``, ``_unit_pool(points, zeta, alpha)`` or
+#: ``_searched(target, search seed, require_carveout)``
 RECIPES = _recipes()
+
+#: file stem -> the call that makes it, of the ``optimize --batch`` input
+#: directory ``batch``: a plain pool, a pool whose verdict exits 2, a pool
+#: the schema refuses, whose error line the batch prints and passes, and an
+#: earlier report, which the batch skips
+BATCH = {
+    "a-plain": partial(_pool, "uniform", 21, 10, _plain),
+    "b-underserved": partial(_searched, "UnderServed", 3, False),
+    "c-invalid": partial(_pool, "uniform", 22, 5, _zero_weight),
+    "a-plain.report": dict,
+}
 
 
 def write_inputs(directory: Path) -> list[str]:
-    """Write the inputs with the generators that ``distopt`` imports;
-    their names."""
+    """Write the inputs, and the ``batch`` directory, with the generators
+    that ``distopt`` imports; the names of the inputs."""
     for name, recipe in RECIPES.items():
         (directory / f"{name}.json").write_text(json.dumps(recipe()), encoding="utf-8")
+    batch = directory / "batch"
+    batch.mkdir()
+    for name, recipe in BATCH.items():
+        (batch / f"{name}.json").write_text(json.dumps(recipe()), encoding="utf-8")
     return list(RECIPES)
 
 
@@ -314,6 +375,9 @@ def commands(inputs: Path, names: list[str]) -> dict[str, list[str]]:
                 "analyze", "--input", src, "--candidate", candidate,
                 "--output", "{out}/a.json", "--format", fmt,
             ]
+    found["optimize-batch/batch"] = [
+        "optimize", "--batch", str(inputs / "batch"), "--output", "{out}"
+    ]
     for profile in GEN_PROFILES:
         for seed in GEN_SEEDS:
             found[f"gen/{profile}-{seed}"] = [

@@ -12,6 +12,11 @@ run by design and are left out.  Besides pytest it needs only the
 standard library, and it exits with pytest's exit code, so a failing run
 does not pass for a list.
 
+The lines that the byte-identity gate alone never runs, which no
+recorded digest can see change, are listed by
+
+    python3 tests/line_coverage.py -q -p no:cacheprovider tests/test_recipe_digests.py
+
 Limits:
 
 - It sees only what runs in this process.  A test that starts the CLI in

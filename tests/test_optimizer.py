@@ -429,6 +429,38 @@ def test_searcher_found_carveout_satisfies_its_contract():
     assert set(carve.y.ids()) <= pool_ids
 
 
+def test_a_carve_takes_each_candidates_producer_value_once(monkeypatch):
+    # T(p) is taken once per carve candidate and used by the sort, every
+    # producer-budget test and every slab's cost; the block's E(T) takes it
+    # once per entry.  Taken again at each test and slab, a carve of two or
+    # more slabs would pass that count
+    found = find_scenario_instance(
+        SCENARIO_II_CONSUMER_PREFERS, budget=20, rng_seed=0, require_carveout=True
+    )
+    pool, model, t, cfg = build_objects(found.instance)
+    apply, carve_block = ProducerTransform.apply, optimizer._carve_block
+    calls = [0]
+    carves = []
+
+    def counted_apply(self, p):
+        calls[0] += 1
+        return apply(self, p)
+
+    def counted_carve(d_star, block, *args):
+        calls[0] = 0
+        carve = carve_block(d_star, block, *args)
+        candidates = sum(1 for point, _ in d_star.items() if point.c < block.q)
+        carves.append((carve.iterations, calls[0], candidates + len(block)))
+        return carve
+
+    monkeypatch.setattr(ProducerTransform, "apply", counted_apply)
+    monkeypatch.setattr(optimizer, "_carve_block", counted_carve)
+    optimize(pool, cfg, model, t)
+    assert any(iterations >= 2 for iterations, _, _ in carves)
+    for _, made, bound in carves:
+        assert made <= bound
+
+
 def test_dominating_extension_guard_fires():
     ctx = synthesize(
         n_r1=0.2, n_r2=0.5, tp2_ratio=1.5, c2_ratio=3.0, alpha=0.9

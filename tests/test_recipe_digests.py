@@ -3,8 +3,9 @@ recorded in ``recipe_digests.json``.
 
 The corpus is that tool's: ``optimize --format csv`` and ``carveout`` on
 each input of ``RECIPES``, plain-JSON ``optimize`` and ``analyze`` in both
-formats on its ``SINGLES``, ``gen`` on five profiles at seeds 0-3, and
-``oracle-check`` at seeds 0 and 1.  A command's digest is one sha256 over
+formats on its ``SINGLES``, ``optimize --batch`` over its ``BATCH``
+directory, ``gen`` on five profiles at seeds 0-3, and ``oracle-check`` at
+seeds 0 and 1.  A command's digest is one sha256 over
 its exit code, its stderr and every file it writes, by name.  A change
 that is meant to keep output bytes must keep every digest.  A new entry,
 or one that a change moves on purpose, is recorded with
