@@ -44,7 +44,7 @@ if TYPE_CHECKING:
     from .core import Distribution, ProducerTransform
     from .optimizer import CarveoutResult, OptimizationResult, OptimizerConfig
     from .participation import ParticipationModel
-    from .thresholds import EquilibriumVerdict, ThresholdReport
+    from .thresholds import EquilibriumVerdict, ExtensionContext
 
 
 class CliError(Exception):
@@ -185,6 +185,9 @@ def run_report(
     model: ParticipationModel,
     t: ProducerTransform,
 ) -> dict:
+    from .thresholds import threshold_report
+
+    witness = result.verdict.witness
     carveouts = [_carveout_dict(c, model, t) for c in result.carveouts]
     return {
         "schema_version": SCHEMA_VERSION,
@@ -209,9 +212,7 @@ def run_report(
             for j, s in enumerate(result.trace)
         ],
         "verdict": _verdict_dict(result.verdict),
-        "thresholds": (
-            result.verdict.witness.to_dict() if result.verdict.witness else None
-        ),
+        "thresholds": threshold_report(witness) if witness else None,
         "events": [_verdict_dict(e) for e in result.events],
         "carveout": carveouts[-1] if carveouts else None,
         "carveouts": carveouts,
@@ -287,7 +288,7 @@ def sweep_csv(
 
 
 def threshold_csv(
-    report: ThresholdReport,
+    ctx: ExtensionContext,
     n_star: float,
     q_star: float,
     model: ParticipationModel,
@@ -299,9 +300,8 @@ def threshold_csv(
     participation curve directly.  A threshold whose denominator vanishes
     reads ``inf``.
     """
-    from .thresholds import REACTIVE, DegenerateContextError, x_l_kappa, x_u_kappa
+    from .thresholds import ADAPTIVE, DegenerateContextError, x_l_kappa, x_u_kappa
 
-    ctx = report.context
     m_star = ctx.m_star_ratio * n_star
     c2_raw = ctx.c2_ratio * q_star
     n_r1 = ctx.n_r1
@@ -322,7 +322,7 @@ def threshold_csv(
         n2 = 0.02 * i
         w2 = n2 * n_star
         adaptive, reactive = x_l_kappa(n2, ctx.tp2_ratio)
-        x_l = reactive if ctx.consumer_mode == REACTIVE else adaptive
+        x_l = adaptive if ctx.consumer_mode == ADAPTIVE else reactive
         try:
             x_u, x_u_alt = x_u_kappa(n_r1, n2, ctx.tp1_ratio, ctx.tp2_ratio)
         except DegenerateContextError:
@@ -374,7 +374,7 @@ def _csv_paths(output: str | None, fmt: str) -> tuple[str, str] | None:
 
 def _write_thresholds(
     path: str,
-    witness: ThresholdReport | None,
+    witness: ExtensionContext | None,
     result: OptimizationResult,
     model: ParticipationModel,
 ) -> None:
@@ -471,6 +471,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     from .core import PointIncrement
     from .optimizer import extension_verdict
+    from .thresholds import threshold_report
 
     csv_paths = _csv_paths(args.output, args.format)
     instance, pool, model, transform, cfg, result = _optimize(args.input)
@@ -492,7 +493,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "instance": {"fingerprint": fingerprint(instance)},
         "candidate": cand_id,
         "d_star": _dist_summary(result.d_star, model, transform),
-        "thresholds": verdict.witness.to_dict() if verdict.witness else None,
+        "thresholds": threshold_report(verdict.witness) if verdict.witness else None,
         "verdict": _verdict_dict(verdict),
     }
     _write(args.output, _report_json(report, args.input))

@@ -44,8 +44,6 @@ from .thresholds import (
     REACTIVE,
     SATURATED_CONSUMER,
     SCENARIO_I_BOTH_PREFER,
-    SCENARIO_II_CONSUMER_PREFERS,
-    SCENARIO_III_PRODUCER_PREFERS,
     STAY_AT_D_STAR_THM2,
     UNDER_SERVED,
     DegenerateContextError,
@@ -474,10 +472,7 @@ def determine_d_star(run: _Run) -> EquilibriumVerdict:
             log.debug("adopted extension both players prefer (k=%.6g)", k)
             continue
 
-        if verdict.kind in (
-            SCENARIO_II_CONSUMER_PREFERS,
-            SCENARIO_III_PRODUCER_PREFERS,
-        ):
+        if verdict.carveout_recommended:
             try:
                 carve = _carve_block(run.current, block, cfg, model, t)
             except CarveoutInfeasibleError as exc:

@@ -17,7 +17,9 @@ The producer gains from an extension exactly when its marginal
 participation ``kappa`` clears ``x_l_kappa``; the consumer, when it clears
 ``x_c_kappa``; a crossing candidate can only have arrived legitimately
 when its earlier slope stays at or under ``x_u_kappa``.  The classifier
-turns those comparisons into a named outcome.  ``x_l_kappa`` and
+turns those comparisons into a named outcome, whose witness is the context
+it was decided from; ``threshold_report`` writes that context out, with
+every threshold and diagnostic measured from it.  ``x_l_kappa`` and
 ``x_u_kappa`` take the bare ratios rather than a context, so that a
 caller can sweep the candidate's weight share through the one copy of
 each formula.
@@ -352,43 +354,15 @@ def viability_limit_m_ratio(
     )
 
 
-#: fields ``ThresholdReport.to_dict`` leaves out: the objects, and the
-#: context ratios that only feed the report's own values
-_UNREPORTED = frozenset({"context", "r1", "model", "q_prime_ratio"})
+#: context fields the report's thresholds block leaves out: the objects,
+#: and the ratio that only feeds ``delta_u``
+_UNREPORTED = frozenset({"r1", "model", "q_prime_ratio"})
 
 
-@dataclass(frozen=True)
-class ThresholdReport:
-    """All thresholds and diagnostics for one candidate extension, with
-    the context they were computed from."""
-
-    x_l_kappa: float
-    x_l_kappa_adaptive: float
-    x_l_kappa_reactive: float
-    x_u_kappa: float
-    x_u_kappa_alt: float
-    x_c_kappa: float
-    tau: float
-    f_low: float
-    f_up: float
-    m_ratio: float
-    rvv: float
-    delta_u: float
-    delta_v_hat: float
-    delta_s_hat: float
-    context: ExtensionContext
-
-    def to_dict(self) -> dict:
-        def clean(x):
-            if isinstance(x, float) and not math.isfinite(x):
-                return repr(x)
-            return x
-
-        fields = (*self.__dict__.items(), *self.context.__dict__.items())
-        return {k: clean(v) for k, v in fields if k not in _UNREPORTED}
-
-
-def threshold_report(ctx: ExtensionContext) -> ThresholdReport:
+def threshold_report(ctx: ExtensionContext) -> dict:
+    """The report's ``thresholds`` block for the witness ``ctx``: its
+    fields, and every threshold and diagnostic measured from it, with
+    each non-finite float written as its ``repr``."""
     adaptive, reactive = x_l_kappa(ctx.n_r2, ctx.tp2_ratio)
     standard, adjusted = x_u_kappa(ctx.n_r1, ctx.n_r2, ctx.tp1_ratio, ctx.tp2_ratio)
     try:
@@ -397,23 +371,27 @@ def threshold_report(ctx: ExtensionContext) -> ThresholdReport:
         tau = math.nan
     low, up = _f_bounds(ctx)
     m, rvv = _m_ratio_and_rvv(ctx)
-    return ThresholdReport(
-        x_l_kappa=adaptive if ctx.consumer_mode == ADAPTIVE else reactive,
-        x_l_kappa_adaptive=adaptive,
-        x_l_kappa_reactive=reactive,
-        x_u_kappa=standard,
-        x_u_kappa_alt=adjusted,
-        x_c_kappa=x_c_kappa(ctx),
-        tau=tau,
-        f_low=low,
-        f_up=up,
-        m_ratio=m,
-        rvv=rvv,
-        delta_u=ctx.delta_u(),
-        delta_v_hat=ctx.delta_v_hat(),
-        delta_s_hat=ctx.delta_s_hat(),
-        context=ctx,
-    )
+    values = {
+        "x_l_kappa": adaptive if ctx.consumer_mode == ADAPTIVE else reactive,
+        "x_l_kappa_adaptive": adaptive,
+        "x_l_kappa_reactive": reactive,
+        "x_u_kappa": standard,
+        "x_u_kappa_alt": adjusted,
+        "x_c_kappa": x_c_kappa(ctx),
+        "tau": tau,
+        "f_low": low,
+        "f_up": up,
+        "m_ratio": m,
+        "rvv": rvv,
+        "delta_u": ctx.delta_u(),
+        "delta_v_hat": ctx.delta_v_hat(),
+        "delta_s_hat": ctx.delta_s_hat(),
+    }
+    values.update((k, v) for k, v in ctx.__dict__.items() if k not in _UNREPORTED)
+    return {
+        k: repr(v) if isinstance(v, float) and not math.isfinite(v) else v
+        for k, v in values.items()
+    }
 
 
 @dataclass(frozen=True)
@@ -426,13 +404,14 @@ class EquilibriumVerdict:
     from the kind too: it flags the two disagreement scenarios, where a
     compensating carve can align the players.
     ``indeterminate`` is set when the deciding comparison fell inside the
-    floating-point decision band.
+    floating-point decision band.  ``witness`` is the context the verdict
+    was decided from; ``threshold_report`` writes it out.
     """
 
     kind: str
     is_nash: bool
     indeterminate: bool = False
-    witness: ThresholdReport | None = None
+    witness: ExtensionContext | None = None
     notes: tuple[str, ...] = ()
 
     @property
@@ -454,7 +433,8 @@ def classify(ctx: ExtensionContext) -> EquilibriumVerdict:
     consumer break-even thresholds partition the outcomes into the four
     agreement/disagreement scenarios.
     """
-    report = threshold_report(ctx)
+    # a degenerate ordering denominator raises before any branch
+    _, adjusted = x_u_kappa(ctx.n_r1, ctx.n_r2, ctx.tp1_ratio, ctx.tp2_ratio)
     k = ctx.kappa_r2
     notes: list[str] = []
     if ctx.r1 is None:
@@ -472,7 +452,7 @@ def classify(ctx: ExtensionContext) -> EquilibriumVerdict:
             kind=kind,
             is_nash=kind in NASH_KINDS,
             indeterminate=indet,
-            witness=report,
+            witness=ctx,
             notes=tuple(notes) + extra,
         )
 
@@ -484,8 +464,9 @@ def classify(ctx: ExtensionContext) -> EquilibriumVerdict:
         )
 
     if k < 1:
-        x_l = report.x_l_kappa
-        x_c = report.x_c_kappa
+        adaptive, reactive = x_l_kappa(ctx.n_r2, ctx.tp2_ratio)
+        x_l = adaptive if ctx.consumer_mode == ADAPTIVE else reactive
+        x_c = x_c_kappa(ctx)
         producer_gains = k > x_l
         consumer_gains = k > x_c
         indet = (
@@ -507,10 +488,9 @@ def classify(ctx: ExtensionContext) -> EquilibriumVerdict:
         # the base r1 joined was unusable, so order cannot exclude
         viable, viability_indet = True, False
     else:
-        adjusted = report.x_u_kappa_alt
         viable = ctx.kappa_ar2 <= adjusted + 1e-12
         viability_indet = abs(ctx.kappa_ar2 - adjusted) <= DECISION_BAND
-    dv = report.delta_v_hat
+    dv = ctx.delta_v_hat()
     indet = (
         abs(k - 1.0) <= DECISION_BAND
         or viability_indet

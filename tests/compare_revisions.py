@@ -21,8 +21,10 @@ generator:
   reaches slope >= 1 with a usable last step (each of the four ends of
   that branch of ``classify``), two three-point pools whose crossing
   context is degenerate, a pool whose negative consumer values drive
-  scored mixes to a mean <= 0, and a search for each of the eight outcome
-  kinds;
+  scored mixes to a mean <= 0, plain and on a ``table`` curve, two
+  three-point pools whose candidate leaves tau or one thresholds CSV
+  row's ordering limit without a denominator, and a search for each of
+  the eight outcome kinds;
 - searched scenario instances, from ``find_scenario_instance`` at search
   seeds 10-17: Scenario i adoptions, Scenario ii and iii carves and
   ``ContinueToD2Star`` climbs; a carve and a climb restart their greedy
@@ -215,6 +217,22 @@ def _degenerate(p_a: float, p_r: float, p_z: float) -> dict:
     )
 
 
+def _at_unit_crossing(p_x: float, n_x: float) -> dict:
+    """D* = {a, r} at N* = E(T|D*) = 1, reached by the usable last step r
+    (n_r1 = 0.5), and a candidate x of consumer value 1 at producer value
+    ``p_x`` and weight ``n_x``, so tp2 = ``p_x`` and n_r2 = ``n_x``."""
+    return _unit_pool(
+        (("a", 3.0, 1.0, 0.5), ("r", 2.0, 1.0, 0.5), ("x", 1.0, p_x, n_x)), 0.4, 1.0
+    )
+
+
+def _table_unit_pool(points: tuple, zeta: float, alpha: float) -> dict:
+    """``_unit_pool`` with its power curve sampled into a ``table`` curve."""
+    inst = _unit_pool(points, zeta, alpha)
+    table_participation(inst)
+    return inst
+
+
 def _zero_weight(inst: dict) -> None:
     """A point of weight 0, which the schema refuses."""
     inst["points"][0]["n"] = 0
@@ -238,6 +256,11 @@ def _searched(target: str, seed: int, require_carveout: bool) -> dict:
         raise SystemExit(f"no {target} instance found at search seed {seed}")
     return found.instance
 
+
+#: points whose negative consumer values drive mixes to a mean <= 0
+NEGATIVE_MIX = (
+    ("a", 2.0, 1.0, 1.0), ("b", 1.0, 2.0, 0.5), ("x", -3.0, 0.5, 4.0), ("y", -0.5, 0.2, 1.0)
+)
 
 #: name -> (the call that makes it, the candidate ``analyze`` runs on:
 #: the first pool point outside D*, or None) of the single inputs
@@ -282,16 +305,15 @@ SINGLES = {
     "degenerate-crossing-value": (partial(_degenerate, -1.0, -1.0, -1.0), "a"),
     # x's own mean, and the mixes of x or y with D*, fall to <= 0, where
     # potential participation is 0
-    "negative-mix": (
-        partial(
-            _unit_pool,
-            (("a", 2.0, 1.0, 1.0), ("b", 1.0, 2.0, 0.5), ("x", -3.0, 0.5, 4.0),
-             ("y", -0.5, 0.2, 1.0)),
-            0.8,
-            0.7,
-        ),
-        "x",
-    ),
+    "negative-mix": (partial(_unit_pool, NEGATIVE_MIX, 0.8, 0.7), "x"),
+    # ... and on a ``table`` curve M(D* + x) = 0 leaves the placement
+    # ratio m without a base: the thresholds read it as NaN
+    "negative-mix-table": (partial(_table_unit_pool, NEGATIVE_MIX, 0.8, 0.7), "x"),
+    # 1 + tp2 n_r2 = 1 - 2 * 0.5 = 0, so the thresholds read tau as NaN
+    "degenerate-tau": (partial(_at_unit_crossing, -2.0, 0.5), "x"),
+    # 1 - n_r1 + tp2 n_r2 = 1 - 0.5 - 0.5 = 0 on the thresholds CSV's
+    # n_r2 = 0.5 row, which reads x_u as inf
+    "degenerate-csv-ordering-limit": (partial(_at_unit_crossing, -1.0, 0.3), "x"),
     "scenario-stay-3": (partial(_searched, "StayAtDStar_Thm2", 3, False), "p3"),
     "scenario-d2-3": (partial(_searched, "ContinueToD2Star_Thm4", 3, False), "b"),
     "scenario-i-3": (partial(_searched, "Scenario_i_BothPreferDPrime", 3, False), None),
@@ -329,8 +351,9 @@ def _recipes() -> dict[str, partial[dict]]:
 
 #: input name -> the call that makes it: ``_pool(profile, generator seed,
 #: size, variant)``, ``dict(LOOKAHEAD)``, ``_past_r1(r1, b, zeta, alpha)``,
-#: ``_degenerate(p_a, p_r, p_z)``, ``_unit_pool(points, zeta, alpha)`` or
-#: ``_searched(target, search seed, require_carveout)``
+#: ``_degenerate(p_a, p_r, p_z)``, ``_at_unit_crossing(p_x, n_x)``,
+#: ``_unit_pool(points, zeta, alpha)``, ``_table_unit_pool(points, zeta,
+#: alpha)`` or ``_searched(target, search seed, require_carveout)``
 RECIPES = _recipes()
 
 #: file stem -> the call that makes it, of the ``optimize --batch`` input

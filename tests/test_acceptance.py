@@ -167,7 +167,7 @@ def test_five_point_checkpoint():
     assert sorted(res.d_star.ids()) == ["c2", "c3", "c4", "c5"]
     assert res.n_star == 4.0
     assert res.verdict.witness is not None
-    assert res.verdict.witness.context.kappa_r2 == pytest.approx(-0.5, rel=1e-12)
+    assert res.verdict.witness.kappa_r2 == pytest.approx(-0.5, rel=1e-12)
     assert time.monotonic() - start < 1.0
 
 
@@ -187,7 +187,7 @@ def test_threshold_boundary_identities():
                     consumer_mode=mode,
                 )
             )
-            assert r.x_l_kappa == 1.0
+            assert r["x_l_kappa"] == 1.0
 
     # vanishing extension volume: the ordering limit collapses to 1, or to
     # the last point's transform correction when it sat below average
@@ -207,7 +207,7 @@ def test_threshold_boundary_identities():
                     n_r1=0.25, n_r2=n2, tp2_ratio=tp2, c2_ratio=2.0, alpha=0.5
                 )
             )
-            assert r.tau < 1.0
+            assert r["tau"] < 1.0
 
     # worthless candidate joining an even base: exclusion is purely volumetric
     def gain_exclusion_holds(n1: float, n2: float, c1a: float, c2a: float) -> bool:
@@ -353,8 +353,7 @@ def test_csv_curves_reproduce_the_crossing_and_threshold_bands(tmp_path):
     witness = res.verdict.witness
     assert witness is not None
     text = cli.threshold_csv(witness, res.n_star, res.d_star.q, model)
-    ctx = witness.context
-    tp1, tp2, n1 = ctx.tp1_ratio, ctx.tp2_ratio, ctx.n_r1
+    tp1, tp2, n1 = witness.tp1_ratio, witness.tp2_ratio, witness.n_r1
     held = 0
     for row in csv.DictReader(io.StringIO(text)):
         n2 = float(row["n_r2"])

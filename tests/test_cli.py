@@ -18,6 +18,7 @@ from distopt.thresholds import (
     SCENARIO_II_CONSUMER_PREFERS,
     SCENARIO_III_PRODUCER_PREFERS,
     threshold_report,
+    x_l_kappa,
 )
 
 from conftest import FIVE_POINT, LADDER, SECOND_CROSSING, SUBNORMAL_SCALE, make_instance
@@ -104,8 +105,22 @@ def _landscape(**ratios) -> list[dict[str, str]]:
     """The thresholds CSV rows of the reference context with ``ratios``
     replaced, at N* = Q* = 1."""
     ctx = dataclasses.replace(synthesize(0.2, 0.5, 0.5, 2.0), **ratios)
-    text = cli.threshold_csv(threshold_report(ctx), 1.0, 1.0, ctx.model)
+    text = cli.threshold_csv(ctx, 1.0, 1.0, ctx.model)
     return list(csv.DictReader(io.StringIO(text)))
+
+
+def test_a_mode_other_than_adaptive_reads_the_reactive_producer_threshold():
+    # ``from_run`` does not check the consumer mode, so the report and the
+    # CSV must share classify's rule: any mode but adaptive is reactive
+    ctx = synthesize(0.2, 0.5, 0.5, 2.0, consumer_mode="bogus")
+    report = threshold_report(ctx)
+    assert report["x_l_kappa"] == report["x_l_kappa_reactive"] == 0.25
+    rows = list(csv.DictReader(io.StringIO(cli.threshold_csv(ctx, 1.0, 1.0, ctx.model))))
+    assert len(rows) == 50
+    for row in rows:
+        _, reactive = x_l_kappa(float(row["n_r2"]), ctx.tp2_ratio)
+        assert row["x_l_kappa"] == repr(reactive)
+    assert rows[24]["n_r2"] == "0.5" and rows[24]["x_l_kappa"] == "0.25"
 
 
 def test_the_thresholds_csv_reads_a_vanishing_ordering_denominator_as_inf():

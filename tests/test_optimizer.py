@@ -106,7 +106,7 @@ def test_five_point_reference_build():
     assert res.verdict.kind == STAY_AT_D_STAR_THM2
     assert res.verdict.is_nash and res.verdict.is_pareto
     assert res.verdict.witness is not None
-    assert res.verdict.witness.context.kappa_r2 == pytest.approx(-0.5, rel=1e-12)
+    assert res.verdict.witness.kappa_r2 == pytest.approx(-0.5, rel=1e-12)
     # M(D*) = 3.5 against N* = 4
     assert res.crossing_gap == pytest.approx(0.125, rel=1e-12)
 
@@ -121,7 +121,7 @@ def test_declining_tail_is_walked_past_a_negative_probe():
     # further and kept the higher-volume snapshot
     assert len(res.trace) == 8
     assert res.verdict.witness is not None
-    assert res.verdict.witness.context.kappa_r2 == pytest.approx(-1 / 13, rel=1e-9)
+    assert res.verdict.witness.kappa_r2 == pytest.approx(-1 / 13, rel=1e-9)
     bf = brute_force_w_max(pool, model, t, subset_cap=12)
     assert w_star == bf.best_prefix_w
 

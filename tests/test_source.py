@@ -13,8 +13,10 @@ from pathlib import Path
 
 import distopt
 from distopt.optimizer import OptimizationResult
+from distopt.thresholds import classify
 
 from conftest import FIVE_POINT
+from reference import synthesize
 
 SOURCES = sorted(Path(distopt.__file__).parent.glob("*.py"))
 
@@ -305,6 +307,23 @@ def test_only_the_climb_and_the_oracle_take_a_value_delta():
         if isinstance(node, ast.Call) and "delta_s" in _names(node.func)
     )
     assert found == ["optimizer.continue_to_d2_star", "oracle.crosscheck_thresholds"]
+
+
+def test_only_the_report_writers_build_the_thresholds_block():
+    # a verdict's witness is the context it was decided from, and
+    # ``classify`` computes only what decides it; the report's other
+    # diagnostics are measured when a report is written
+    found = sorted(
+        f"{path.stem}.{func.name}"
+        for path in SOURCES
+        for func in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and "threshold_report" in _names(node.func)
+    )
+    assert found == ["cli.cmd_analyze", "cli.run_report"]
+    ctx = synthesize(0.2, 0.5, 0.5, 2.0)
+    assert classify(ctx).witness is ctx
 
 
 def test_the_oracle_checks_thresholds_without_the_library_formulas():

@@ -43,35 +43,35 @@ CTX = synth(n_r1=0.2, n_r2=0.5, tp2_ratio=0.5, c2_ratio=2.0, alpha=0.5)
 
 def test_producer_thresholds_on_the_reference_context():
     r = threshold_report(CTX)
-    assert r.x_l_kappa_adaptive == 0.4
-    assert r.x_l_kappa_reactive == 0.25
-    assert r.x_l_kappa == r.x_l_kappa_adaptive  # default consumer mode
+    assert r["x_l_kappa_adaptive"] == 0.4
+    assert r["x_l_kappa_reactive"] == 0.25
+    assert r["x_l_kappa"] == r["x_l_kappa_adaptive"]  # default consumer mode
 
 
 def test_ordering_thresholds_on_the_reference_context():
     r = threshold_report(CTX)
-    assert r.x_u_kappa == pytest.approx(10.0 / 21.0, rel=1e-12)
+    assert r["x_u_kappa"] == pytest.approx(10.0 / 21.0, rel=1e-12)
     # with the last point at the crossing average the two forms coincide
-    assert r.x_u_kappa_alt == r.x_u_kappa
+    assert r["x_u_kappa_alt"] == r["x_u_kappa"]
 
 
 def test_ordering_threshold_with_an_above_average_last_point():
     r = threshold_report(
         synth(n_r1=0.2, n_r2=0.5, tp2_ratio=0.5, c2_ratio=2.0, alpha=0.5, tp1_ratio=2.0)
     )
-    assert r.x_u_kappa == pytest.approx(10.0 / 21.0, rel=1e-12)
-    assert r.x_u_kappa_alt == pytest.approx(1.02 / 1.05, rel=1e-12)
+    assert r["x_u_kappa"] == pytest.approx(10.0 / 21.0, rel=1e-12)
+    assert r["x_u_kappa_alt"] == pytest.approx(1.02 / 1.05, rel=1e-12)
 
 
 def test_consumer_threshold_values():
     r0 = threshold_report(
         synth(n_r1=0.2, n_r2=0.5, tp2_ratio=0.5, c2_ratio=0.8, alpha=0.5, iota=0.0)
     )
-    assert r0.x_c_kappa == pytest.approx(-0.2, rel=1e-12)
+    assert r0["x_c_kappa"] == pytest.approx(-0.2, rel=1e-12)
     r1 = threshold_report(
         synth(n_r1=0.2, n_r2=0.5, tp2_ratio=0.5, c2_ratio=0.8, alpha=0.5, iota=0.1)
     )
-    assert r1.x_c_kappa == pytest.approx(-0.05 / 1.15, rel=1e-12)
+    assert r1["x_c_kappa"] == pytest.approx(-0.05 / 1.15, rel=1e-12)
 
 
 @pytest.mark.parametrize("iota, n_r2", [(0.0, 0.5), (0.1, 0.25), (0.5, 1.0), (1.0, 3.0)])
@@ -92,24 +92,25 @@ def test_consumer_threshold_turns_negative_past_iota_plus_the_share_bound(iota, 
 
 def test_transform_cutoff_on_the_reference_context():
     r = threshold_report(CTX)
-    assert r.tau == pytest.approx(1.375 / 1.625, rel=1e-12)
+    assert r["tau"] == pytest.approx(1.375 / 1.625, rel=1e-12)
 
 
 def test_participation_ratio_and_recovered_volume_value():
     r = threshold_report(CTX)
-    assert r.m_ratio == pytest.approx(math.sqrt(27.0 / 26.0), rel=1e-12)
-    expected_rvv = ((r.m_ratio - 1.0) / r.m_ratio) * (1.25 * 1.3) / (0.5 * 0.2 * 0.5)
-    assert r.rvv == pytest.approx(expected_rvv, rel=1e-12)
+    m = r["m_ratio"]
+    assert m == pytest.approx(math.sqrt(27.0 / 26.0), rel=1e-12)
+    expected_rvv = ((m - 1.0) / m) * (1.25 * 1.3) / (0.5 * 0.2 * 0.5)
+    assert r["rvv"] == pytest.approx(expected_rvv, rel=1e-12)
 
 
 def test_measured_slopes_match_the_power_curve():
     r = threshold_report(CTX)
     # appeal mix of the synthetic realization: (1 + 2*0.5) / 1.5
-    assert r.context.kappa_r2 == pytest.approx((math.sqrt(4.0 / 3.0) - 1.0) / 0.5, rel=1e-12)
-    assert r.context.kappa_ar2 > r.context.kappa_r2, "a lighter base amplifies the candidate's pull"
+    assert r["kappa_r2"] == pytest.approx((math.sqrt(4.0 / 3.0) - 1.0) / 0.5, rel=1e-12)
+    assert r["kappa_ar2"] > r["kappa_r2"], "a lighter base amplifies the candidate's pull"
     m_r2 = math.sqrt(4.0 / 3.0)
-    assert r.f_low == pytest.approx((1.0 / m_r2 - 1.0) / 0.5 + 1.0 / m_r2, rel=1e-12)
-    assert r.f_low < r.f_up
+    assert r["f_low"] == pytest.approx((1.0 / m_r2 - 1.0) / 0.5 + 1.0 / m_r2, rel=1e-12)
+    assert r["f_low"] < r["f_up"]
 
 
 def test_worthless_candidate_pins_the_producer_threshold_at_one():
@@ -118,7 +119,7 @@ def test_worthless_candidate_pins_the_producer_threshold_at_one():
             synth(n_r1=0.2, n_r2=0.5, tp2_ratio=0.0, c2_ratio=2.0, alpha=0.5,
                   consumer_mode=mode)
         )
-        assert r.x_l_kappa == 1.0
+        assert r["x_l_kappa"] == 1.0
 
 
 def test_viability_limit_base_cases():
@@ -149,7 +150,7 @@ def test_transform_cutoff_stays_below_one_for_non_dominant_candidates():
             r = threshold_report(
                 synth(n_r1=0.2, n_r2=n2, tp2_ratio=tp2, c2_ratio=2.0, alpha=0.5)
             )
-            assert r.tau < 1.0, (tp2, n2)
+            assert r["tau"] < 1.0, (tp2, n2)
 
 
 # -- classifier branches -----------------------------------------------------
@@ -204,10 +205,10 @@ def test_steep_but_order_inconsistent_extension_stays_put():
 def test_threshold_ties_are_flagged_indeterminate():
     ctx = synth(n_r1=0.2, n_r2=0.5, tp2_ratio=0.4, c2_ratio=1.1, alpha=0.4, iota=0.8)
     r = threshold_report(ctx)
-    pinned = dataclasses.replace(ctx, kappa_r2=r.x_l_kappa)
+    pinned = dataclasses.replace(ctx, kappa_r2=r["x_l_kappa"])
     v = classify(pinned)
     assert v.indeterminate
-    assert abs(r.x_l_kappa - pinned.kappa_r2) < DECISION_BAND
+    assert abs(r["x_l_kappa"] - pinned.kappa_r2) < DECISION_BAND
 
 
 # -- measuring a context from run state --------------------------------------
@@ -276,7 +277,7 @@ def test_a_vanishing_tau_denominator_reads_nan():
     ctx = dataclasses.replace(CTX, tp2_ratio=-2.0)
     with pytest.raises(DegenerateContextError, match="degenerate tau denominator"):
         _tau_tp1(ctx)
-    assert math.isnan(threshold_report(ctx).tau)
+    assert threshold_report(ctx)["tau"] == "nan"
 
 
 def test_no_participation_past_the_crossing_puts_no_lower_bound_on_the_pull():
@@ -295,20 +296,21 @@ def test_the_placement_ratio_is_nan_without_a_positive_base():
 
 
 def test_a_report_holds_its_context_and_emits_its_measured_values():
-    report = threshold_report(CTX)
-    assert report.context is CTX
-    own = {f.name for f in dataclasses.fields(report)}
-    assert own & {f.name for f in dataclasses.fields(ExtensionContext)} == set()
-    d = report.to_dict()
+    # the verdict keeps the context it was decided from, and the report
+    # writes that context's fields next to 14 values measured from it
+    assert classify(CTX).witness is CTX
+    d = threshold_report(CTX)
+    context = {f.name for f in dataclasses.fields(ExtensionContext)}
+    assert len(set(d) - context) == 14
     assert len(d) == 30
     assert d["n_star"] == CTX.n_star
     assert d["kappa_r2"] == CTX.kappa_r2
     assert d["consumer_mode"] == CTX.consumer_mode
-    assert d["delta_v_hat"] == CTX.delta_v_hat() == report.delta_v_hat
+    assert d["delta_v_hat"] == CTX.delta_v_hat()
 
 
 def report_is_serializable(ctx: ExtensionContext) -> bool:
-    d = threshold_report(ctx).to_dict()
+    d = threshold_report(ctx)
     required = {
         "x_l_kappa", "x_u_kappa", "x_u_kappa_alt", "x_c_kappa", "tau",
         "kappa_r2", "kappa_ar2", "f_low", "f_up", "m_ratio", "rvv",
@@ -327,7 +329,7 @@ def test_ordering_limit_never_undercuts_the_producer_threshold(n1, n2, tp2):
     r = threshold_report(
         synth(n_r1=n1, n_r2=n2, tp2_ratio=tp2, c2_ratio=2.0, alpha=0.5)
     )
-    assert r.x_u_kappa >= r.x_l_kappa_adaptive - 1e-12
+    assert r["x_u_kappa"] >= r["x_l_kappa_adaptive"] - 1e-12
 
 
 @given(
@@ -341,4 +343,4 @@ def test_below_average_last_point_tightens_the_ordering_limit(n1, n2, tp1):
         synth(n_r1=n1, n_r2=n2, tp2_ratio=0.5, c2_ratio=2.0, alpha=0.5,
               tp1_ratio=tp1)
     )
-    assert r.x_u_kappa_alt <= r.x_u_kappa + 1e-12
+    assert r["x_u_kappa_alt"] <= r["x_u_kappa"] + 1e-12
